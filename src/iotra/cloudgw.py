@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import IO
 
 from . import infomodel
+from .msgbus import TopicFilter
 from .reading import Reading
 
 DESTINATIONS = {"streams", "tsdb", "twin"}
@@ -60,22 +61,25 @@ class DedupState:
 
 @dataclass(slots=True)
 class RouteRule:
-    """Selector over topic/class/tag, routing to a destination subset."""
+    """Selector over topic/class/tag, routing to a destination subset.
+    A malformed topic filter raises msgbus.BadFilter at construction."""
 
     destinations: frozenset[str]
     topic: str | None = None  # topic filter, msgbus wildcard syntax
     class_name: str | None = None
     tag: tuple[str, str] | None = None  # (key, value)
+    _filter: TopicFilter | None = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         unknown = self.destinations - DESTINATIONS
         if unknown:
             raise ValueError(f"unknown destinations: {sorted(unknown)}")
+        if self.topic is not None:
+            self._filter = TopicFilter(self.topic)
 
     def matches(self, topic: str, class_name: str | None, tags: dict[str, str]) -> bool:
-        from .msgbus import match_topic
-
-        if self.topic is not None and not match_topic(self.topic, topic):
+        if self._filter is not None and not self._filter.matches(topic):
             return False
         if self.class_name is not None and self.class_name != class_name:
             return False
@@ -166,21 +170,23 @@ class CloudGateway:
         if state != "active":
             return IngressDecision("reject", "not_active")
 
+        class_name = self.registry.class_of(node_id)
+        strict = self._is_strict(class_name)
         try:
-            sender, readings = infomodel.decode_report(payload)
-        except infomodel.ModelError:
+            # one parse; for a strict class it also yields each line's scalars
+            if strict:
+                sender, readings, line_scalars = infomodel.decode_report(
+                    payload, with_scalars=True)
+            else:
+                sender, readings = infomodel.decode_report(payload)
+        except (infomodel.ModelError, ValueError):
+            # ValueError: a bad DateTime (BadTimestamp) or channel name
             return IngressDecision("reject", "schema_invalid")
         if sender != node_id:
             return IngressDecision("reject", "schema_invalid")
-
-        class_name = self.registry.class_of(node_id)
-        if self._is_strict(class_name):
-            for line in payload.splitlines():
-                if not line.strip():
-                    continue
-                scalars = infomodel.payload_to_scalars(line)
-                report = self.model.validate_payload(class_name, scalars)
-                if not report.ok:
+        if strict:
+            for scalars in line_scalars:
+                if not self.model.validate_payload(class_name, scalars).ok:
                     return IngressDecision("reject", "schema_invalid")
 
         fresh: list[Reading] = []

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 from .reading import ChannelKey, Reading, is_token, ID_RE
 from .timeutil import BadTimestamp, format_ts, parse_ts
@@ -131,12 +133,18 @@ def parse_scalar(text: str) -> TypedScalar:
             except ValueError:
                 raise MalformedText(f"bad number text: {body!r}") from None
         if prefix == "t":
-            # tolerate the legacy "...Z UTC" form on input
-            if body.endswith(" UTC"):
-                body = body[:-4]
-            parse_ts(body)  # raises BadTimestamp
+            body, _ = _parse_t_body(body)
         return TypedScalar(prefix, body)
     return TypedScalar("s", text)
+
+
+def _parse_t_body(body: str) -> tuple[str, float]:
+    """Canonical text and epoch seconds of a ``t:`` body; raises
+    BadTimestamp."""
+    # tolerate the legacy "...Z UTC" form on input
+    if body.endswith(" UTC"):
+        body = body[:-4]
+    return body, parse_ts(body)
 
 
 @dataclass(slots=True)
@@ -254,11 +262,13 @@ class ModelRegistry:
     """Class vocabulary, taxonomy, thing instances, and relation set.
 
     Read-mostly: callers may read concurrently; registration is expected
-    to be serialized by the owner.
+    to be serialized by the owner. A class must not change once
+    registered.
     """
 
     def __init__(self):
         self._classes: dict[str, ObjectClass] = {}
+        self._effective: dict[str, Mapping[str, PropertyDef]] = {}
         self._instances: dict[str, ThingInstance] = {}
         self._relations: set[str] = set(DEFAULT_RELATIONS)
 
@@ -309,9 +319,16 @@ class ModelRegistry:
     def has_class(self, name: str) -> bool:
         return name in self._classes
 
-    def effective_properties(self, name: str) -> dict[str, PropertyDef]:
+    def effective_properties(self, name: str) -> Mapping[str, PropertyDef]:
         """Flattened property set: union over the ancestor chain, child
-        definitions shadowing parent ones of the same name."""
+        definitions shadowing parent ones of the same name.
+
+        Computed once per class and returned read-only. Registration
+        never changes it: a parent is registered before its children.
+        """
+        cached = self._effective.get(name)
+        if cached is not None:
+            return cached
         chain = []
         cur: str | None = name
         while cur is not None:
@@ -322,7 +339,8 @@ class ModelRegistry:
         for cls in reversed(chain):  # root first, child overrides
             for p in cls.properties:
                 merged[p.name] = p
-        return merged
+        view = self._effective[name] = MappingProxyType(merged)
+        return view
 
     # -- instances and links ---------------------------------------------
 
@@ -504,14 +522,21 @@ def encode_report(node_id: str, readings: list[Reading]) -> str:
     return "\n".join(lines)
 
 
-def decode_report(text: str) -> tuple[str, list[Reading]]:
+def decode_report(text: str, with_scalars: bool = False):
     """Decode a report payload back into (node_id, readings).
 
     Inverse of encode_report for everything it produces; additionally
     accepts the legacy ``t:...Z UTC`` timestamp form by stripping the
     suffix.
+
+    With ``with_scalars`` the result is (node_id, readings, scalars):
+    per line, the key -> TypedScalar map that payload_to_scalars gives
+    and validate_payload consumes, taken from the same parse. Its keys
+    ``id`` and ``unit`` are then parsed as scalars too, so a bad prefix
+    there raises as well.
     """
     readings: list[Reading] = []
+    line_scalars: list[dict[str, TypedScalar]] = []
     node_id: str | None = None
     for line in text.splitlines():
         if not line.strip():
@@ -528,10 +553,11 @@ def decode_report(text: str) -> tuple[str, list[Reading]]:
             raise MalformedText("mixed node ids in one report")
         if "DateTime" not in obj:
             raise MalformedText("report object missing 'DateTime'")
-        ts_scalar = parse_scalar(str(obj["DateTime"]))
-        if ts_scalar.kind != "t":
+        raw_ts = str(obj["DateTime"])
+        if not raw_ts.startswith("t:"):
+            parse_scalar(raw_ts)  # a bad prefix or number raises its own error
             raise BadTimestamp(f"DateTime is not t-typed: {obj['DateTime']!r}")
-        ts = parse_ts(ts_scalar.text)
+        ts_text, ts = _parse_t_body(raw_ts[2:])
 
         unit = str(obj.get("unit", ""))
         seq = obj.get("seq")
@@ -541,15 +567,25 @@ def decode_report(text: str) -> tuple[str, list[Reading]]:
         value_key: str | None = None
         value = None
         tags: dict[str, str] = {}
+        scalars: dict[str, TypedScalar] = {}
         for key, raw in obj.items():
             if key in RESERVED_KEYS or key == "unit":
-                continue
-            scalar = parse_scalar(str(raw))
-            if value_key is None:
-                value_key = key
-                value = _scalar_to_value(scalar)
+                if not with_scalars:
+                    continue
+                if key == "DateTime":
+                    scalar = TypedScalar("t", ts_text)
+                elif key == "seq" and isinstance(raw, int):
+                    scalar = TypedScalar("n", repr(raw))
+                else:
+                    scalar = parse_scalar(str(raw))
             else:
-                tags[key] = scalar.text
+                scalar = parse_scalar(str(raw))
+                if value_key is None:
+                    value_key = key
+                    value = _scalar_to_value(scalar)
+                else:
+                    tags[key] = scalar.text
+            scalars[key] = scalar
         if value_key is None:
             raise MalformedText("report object carries no channel value")
         readings.append(
@@ -562,8 +598,11 @@ def decode_report(text: str) -> tuple[str, list[Reading]]:
                 tags=tags,
             )
         )
+        line_scalars.append(scalars)
     if node_id is None:
         raise MalformedText("empty report")
+    if with_scalars:
+        return node_id, readings, line_scalars
     return node_id, readings
 
 

@@ -4,13 +4,26 @@ Topics with ``+``/``#`` wildcards, QoS 0/1 with acks, redelivery and a
 dead-letter queue, retained messages, and per-subscriber pending queues.
 Wire transport is length-prefixed JSON frames (see encode_wire_frame);
 in-process callers use Session objects directly.
+
+Wildcards follow MQTT 3.1.1 (OASIS 2014) section 4.7 with one
+deliberate difference: a trailing ``#`` matches one or more segments, so
+``data/#`` matches ``data/x`` but not ``data`` (MQTT lets ``sport/#``
+match ``sport``). ``+`` matches exactly one segment.
+
+Filters are validated and split once, when a TopicFilter is built.
+The broker keeps subscriptions in a trie keyed by filter segment, with
+``+`` and ``#`` as ordinary children. A publish splits its topic once,
+checks it and the node ACL on those segments, and walks the trie: at
+each level it follows the literal segment, ``+`` and ``#``, so the cost
+is O(topic depth + matching subscriptions), independent of how many
+subscriptions do not match. ``match_topic`` is the reference matcher.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 ACK_TIMEOUT_S = 2.0
@@ -74,17 +87,15 @@ def validate_filter(topic_filter: str) -> None:
             raise BadFilter(f"'+' must stand alone in a segment: {topic_filter!r}")
 
 
-def validate_topic(topic: str) -> None:
-    if not topic or any(s in ("", "+", "#") for s in topic.split("/")):
+def validate_topic(topic: str) -> list[str]:
+    """The topic's segments; raises BadTopic."""
+    segs = topic.split("/")
+    if "" in segs or "+" in segs or "#" in segs:
         raise BadTopic(f"bad publish topic: {topic!r}")
+    return segs
 
 
-def match_topic(topic_filter: str, topic: str) -> bool:
-    """Segment-wise match: ``+`` is exactly one segment, trailing ``#``
-    one or more segments."""
-    validate_filter(topic_filter)
-    fsegs = topic_filter.split("/")
-    tsegs = topic.split("/")
+def _match_segments(fsegs, tsegs) -> bool:
     for i, fseg in enumerate(fsegs):
         if fseg == "#":
             return len(tsegs) >= i + 1
@@ -93,6 +104,26 @@ def match_topic(topic_filter: str, topic: str) -> bool:
         if fseg != "+" and fseg != tsegs[i]:
             return False
     return len(tsegs) == len(fsegs)
+
+
+def match_topic(topic_filter: str, topic: str) -> bool:
+    """Segment-wise match: ``+`` is exactly one segment, trailing ``#``
+    one or more segments."""
+    validate_filter(topic_filter)
+    return _match_segments(topic_filter.split("/"), topic.split("/"))
+
+
+class TopicFilter:
+    """A topic filter, validated and split once; raises BadFilter."""
+
+    __slots__ = ("segments",)
+
+    def __init__(self, text: str):
+        validate_filter(text)
+        self.segments = tuple(text.split("/"))
+
+    def matches(self, topic: str) -> bool:
+        return _match_segments(self.segments, topic.split("/"))
 
 
 # -- wire format ---------------------------------------------------------
@@ -151,11 +182,54 @@ class PendingEntry:
     last_sent_ts: float
 
 
+@dataclass(slots=True)
 class Subscription:
-    def __init__(self, sub_id: int, session: "Session", topic_filter: str):
-        self.sub_id = sub_id
-        self.session = session
-        self.topic_filter = topic_filter
+    sub_id: int
+    session: "Session"
+    topic_filter: TopicFilter
+
+
+class _TrieNode:
+    """One filter segment. ``subs`` holds the subscriptions whose filter
+    ends here, keyed by sub_id."""
+
+    __slots__ = ("children", "subs")
+
+    def __init__(self):
+        self.children: dict[str, _TrieNode] = {}
+        self.subs: dict[int, Subscription] = {}
+
+
+def _collect(node: _TrieNode, tsegs: list[str], i: int, out: list[Subscription]) -> None:
+    """Append the subscriptions under ``node`` that match ``tsegs[i:]``."""
+    if i == len(tsegs):
+        out.extend(node.subs.values())
+        return
+    children = node.children
+    rest = children.get("#")
+    if rest is not None:  # at least one segment remains
+        out.extend(rest.subs.values())
+    child = children.get(tsegs[i])
+    if child is not None:
+        _collect(child, tsegs, i + 1, out)
+    child = children.get("+")
+    if child is not None:
+        _collect(child, tsegs, i + 1, out)
+
+
+def _acl_allows(node_id: str, tsegs: list[str]) -> bool:
+    """A node may publish only to ``data/<node>/#``, ``twin/<node>/reported``,
+    ``mgmt/<node>/status`` and ``alerts/<node>``."""
+    if len(tsegs) < 2 or tsegs[1] != node_id:
+        return False
+    head = tsegs[0]
+    if head == "data":
+        return len(tsegs) >= 3
+    if head == "alerts":
+        return len(tsegs) == 2
+    if len(tsegs) == 3:
+        return (head, tsegs[2]) in (("twin", "reported"), ("mgmt", "status"))
+    return False
 
 
 class Session:
@@ -170,6 +244,7 @@ class Session:
         self.connected = True
         self.inbox: list[Frame] = []
         self.pending: dict[MsgId, PendingEntry] = {}
+        self.subscriptions: dict[str, Subscription] = {}  # by filter text
         self._pub_seq = 0
 
     def next_msg_id(self) -> MsgId:
@@ -195,21 +270,13 @@ class Broker:
     the scenario runner serializes component steps, which realizes the
     per-subscription serialization the contract asks for."""
 
-    def __init__(
-        self,
-        clock=None,
-        authenticator: Callable[[str, str], bool] | None = None,
-        partitions: int = 4,
-        enforce_acl: bool = True,
-    ):
+    def __init__(self, clock=None, authenticator: Callable[[str, str], bool] | None = None):
         self.clock = clock
         self.authenticator = authenticator
-        self.partitions = partitions
-        self.enforce_acl = enforce_acl
         self.sessions: dict[str, Session] = {}
         self.retained: dict[str, Frame] = {}
         self.dead_letter: list[tuple[str, Frame]] = []  # (session_id, frame)
-        self._subs: list[Subscription] = []
+        self._root = _TrieNode()
         self._sub_counter = 0
         self._session_counter = 0
 
@@ -238,7 +305,9 @@ class Broker:
     def disconnect(self, session: Session) -> None:
         session.connected = False
         self.sessions.pop(session.session_id, None)
-        self._subs = [s for s in self._subs if s.session is not session]
+        for sub in session.subscriptions.values():
+            self._unlink(sub)
+        session.subscriptions.clear()
 
     def drop_node(self, node_id: str) -> int:
         """Force-close every live session of a node (quarantine path)."""
@@ -247,29 +316,15 @@ class Broker:
             self.disconnect(s)
         return len(victims)
 
-    def partition_of(self, node_id: str) -> int:
-        # stable hash so per-publisher ordering maps to one partition
-        return sum(node_id.encode()) % self.partitions
-
     # -- pub/sub ---------------------------------------------------------
-
-    def _acl_allows(self, session: Session, topic: str) -> bool:
-        if session.privileged or not self.enforce_acl:
-            return True
-        n = session.node_id
-        return any(
-            match_topic(f, topic)
-            for f in (f"data/{n}/#", f"twin/{n}/reported", f"mgmt/{n}/status",
-                      f"alerts/{n}")
-        )
 
     def publish(
         self, session: Session, topic: str, payload: str, qos: int = 0, retain: bool = False
     ) -> MsgId:
         if not session.connected:
             raise NotConnected(session.session_id)
-        validate_topic(topic)
-        if not self._acl_allows(session, topic):
+        tsegs = validate_topic(topic)
+        if not session.privileged and not _acl_allows(session.node_id, tsegs):
             raise NotAuthorized(f"{session.node_id} may not publish to {topic}")
         frame = Frame(
             kind="PUB",
@@ -282,13 +337,15 @@ class Broker:
         )
         if retain:
             self.retained[topic] = frame
-        delivered: set[str] = set()
-        for sub in self._subs:
-            if sub.session.session_id in delivered:
-                continue
-            if match_topic(sub.topic_filter, topic):
+        subs: list[Subscription] = []
+        _collect(self._root, tsegs, 0, subs)
+        # once per session, in the order of its earliest matching filter
+        subs.sort(key=lambda sub: sub.sub_id)
+        delivered: set[Session] = set()
+        for sub in subs:
+            if sub.session not in delivered:
+                delivered.add(sub.session)
                 self._deliver(sub.session, frame)
-                delivered.add(sub.session.session_id)
         return frame.msg_id
 
     def _deliver(self, session: Session, frame: Frame) -> None:
@@ -299,20 +356,37 @@ class Broker:
     def subscribe(self, session: Session, topic_filter: str) -> int:
         if not session.connected:
             raise NotConnected(session.session_id)
-        validate_filter(topic_filter)
-        for sub in self._subs:
-            if sub.session is session and sub.topic_filter == topic_filter:
-                return sub.sub_id  # set semantics: one copy per frame
+        flt = TopicFilter(topic_filter)
+        sub = session.subscriptions.get(topic_filter)
+        if sub is not None:
+            return sub.sub_id  # set semantics: one copy per frame
         self._sub_counter += 1
-        sub = Subscription(self._sub_counter, session, topic_filter)
-        self._subs.append(sub)
+        sub = Subscription(self._sub_counter, session, flt)
+        session.subscriptions[topic_filter] = sub
+        node = self._root
+        for seg in flt.segments:
+            child = node.children.get(seg)
+            if child is None:
+                child = node.children[seg] = _TrieNode()
+            node = child
+        node.subs[sub.sub_id] = sub
         # late joiner gets retained frames, oldest stored topic first
-        matches = [
-            f for f in self.retained.values() if match_topic(topic_filter, f.topic)
-        ]
+        matches = [f for f in self.retained.values() if flt.matches(f.topic)]
         for frame in sorted(matches, key=lambda f: (f.ts, f.topic)):
             self._deliver(session, frame)
         return sub.sub_id
+
+    def _unlink(self, sub: Subscription) -> None:
+        """Remove a subscription from the trie and prune emptied nodes."""
+        segs = sub.topic_filter.segments
+        path = [self._root]
+        for seg in segs:
+            path.append(path[-1].children[seg])
+        del path[-1].subs[sub.sub_id]
+        for depth in range(len(segs), 0, -1):
+            if path[depth].subs or path[depth].children:
+                break
+            del path[depth - 1].children[segs[depth - 1]]
 
     def ack(self, session: Session, msg_id: MsgId) -> bool:
         return session.pending.pop(msg_id, None) is not None

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .msgbus import match_topic
+from .msgbus import TopicFilter
 from .reading import Reading
 
 NODE_KINDS = {"source", "filter", "map", "window", "merge", "sink"}
@@ -143,8 +143,10 @@ def _agg(name: str, vals: list[float]) -> float:
     return vals[-1]
 
 
-def _selector_matches(selector: str, channel: str) -> bool:
-    return match_topic(selector.replace("*", "+"), channel)
+def _selector_filter(selector: str) -> TopicFilter:
+    """Channel selector (``*`` is one segment) as a topic filter; raises
+    msgbus.BadFilter."""
+    return TopicFilter(selector.replace("*", "+"))
 
 
 class Pipeline:
@@ -155,6 +157,11 @@ class Pipeline:
         self.nodes: dict[str, _Node] = {}
         self.edges: list[tuple[str, str]] = []
         self._build(spec)
+        self._sources = [
+            (nid, _selector_filter(n.params.get("selector", "#")))
+            for nid, n in self.nodes.items()
+            if n.kind == "source"
+        ]
         self._order = self._topo_order()
         self._downstream: dict[str, list[str]] = {}
         for a, b in self.edges:
@@ -276,12 +283,7 @@ class Pipeline:
         )
         self.replay_store.add(item.ts, "reading", item.channel, item.value,
                               {"unit": item.unit})
-        staged: dict[str, list[Item]] = {}
-        for nid, node in self.nodes.items():
-            if node.kind == "source":
-                sel = node.params.get("selector", "#")
-                if _selector_matches(sel, item.channel):
-                    staged.setdefault(nid, []).append(item)
+        staged = {nid: [item] for nid, flt in self._sources if flt.matches(item.channel)}
         emissions = self._propagate(staged)
         if item.ts > self.watermark + ALLOWED_LATENESS_S:
             self.watermark = item.ts - ALLOWED_LATENESS_S
@@ -380,11 +382,11 @@ class ReplayStore:
         selector, in time order."""
         if from_ts > to_ts:
             raise StreamError("from_ts must be <= to_ts")
+        flt = None if selector is None else _selector_filter(selector)
         out = [
             e
             for e in self._entries
-            if from_ts <= e[0] < to_ts
-            and (selector is None or _selector_matches(selector, e[2]))
+            if from_ts <= e[0] < to_ts and (flt is None or flt.matches(e[2]))
         ]
         out.sort(key=lambda e: e[0])
         return out

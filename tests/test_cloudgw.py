@@ -5,6 +5,7 @@ import pytest
 
 from iotra import cloudgw, infomodel
 from iotra.cloudgw import CloudGateway, DedupState, RouteRule, load_route_rules, route
+from iotra.msgbus import BadFilter
 from iotra.reading import ChannelKey, Reading
 from iotra.timeutil import VirtualClock
 
@@ -141,6 +142,37 @@ def test_reject_malformed_payload(tmp_path):
     assert gw.admit("n-000001", "t/x", "not json").reason == "schema_invalid"
 
 
+def report_line(**fields):
+    obj = {"id": "n-000001", "temp": "n:77.6", "unit": "°F",
+           "DateTime": "t:2020-07-15T14:50:07Z", "seq": 1}
+    obj.update(fields)
+    return json.dumps({k: v for k, v in obj.items() if v is not None},
+                      ensure_ascii=False)
+
+
+@pytest.mark.parametrize("payload", [
+    report_line(unit="q:F"),  # unknown scalar prefix on the unit
+    report_line(DateTime="t:yesterday"),
+    report_line(temp=None, Temp="n:1"),  # not a sensor-name token
+], ids=["unit_prefix", "bad_datetime", "bad_sensor_name"])
+def test_undecodable_frame_is_rejected_audited_and_next_admitted(tmp_path, payload):
+    gw, _ = make_gateway(tmp_path)
+    decision = gw.admit("n-000001", "data/n-000001/temp", payload)
+    assert (decision.verdict, decision.reason) == ("reject", "schema_invalid")
+    assert gw.admit("n-000001", "data/n-000001/temp", report(seq=1)).admitted
+    gw.close()
+    lines = [json.loads(l) for l in
+             (tmp_path / "audit.jsonl").read_text().splitlines()]
+    assert [e["reason"] for e in lines] == ["schema_invalid", "ok"]
+
+
+def test_lenient_class_does_not_parse_the_unit(tmp_path):
+    gw, _ = make_gateway(tmp_path, strict_classes=set())
+    decision = gw.admit("n-000001", "data/n-000001/temp", report_line(unit="q:F"))
+    assert decision.admitted
+    assert decision.readings[0].unit == "q:F"
+
+
 def test_strict_validation_rejects_out_of_range(tmp_path):
     gw, _ = make_gateway(tmp_path)
     decision = gw.admit("n-000001", "t/x", report(value=900.0))
@@ -211,6 +243,12 @@ def test_route_by_class_and_tag():
     assert route("t/x", "sensor_node", {"zone": "Z3"}, rules) == frozenset(
         {"streams", "twin"})
     assert route("t/x", "other", {"zone": "Z1"}, rules) == frozenset({"tsdb"})
+
+
+@pytest.mark.parametrize("bad", ["", "data/#/x", "da+ta/x", "data/n#"])
+def test_route_rule_rejects_bad_filter_at_construction(bad):
+    with pytest.raises(BadFilter):
+        RouteRule(frozenset({"tsdb"}), topic=bad)
 
 
 def test_route_rule_rejects_unknown_destination():

@@ -55,6 +55,18 @@ def test_register_temperature_sensor_flattened_count(registry):
     assert len(registry.effective_properties("temperature_sensor")) == 2
 
 
+def test_effective_properties_cached_and_read_only(registry):
+    props = registry.effective_properties("temperature_sensor")
+    assert registry.effective_properties("temperature_sensor") is props
+    with pytest.raises(TypeError):
+        props["humidity"] = PropertyDef("humidity", "number")
+    registry.register_class(ObjectClass(
+        "probe", parent="temperature_sensor",
+        properties=[PropertyDef("depth", "number")]))
+    assert set(registry.effective_properties("probe")) == {"temp", "unit", "depth"}
+    assert set(props) == {"temp", "unit"}
+
+
 def test_self_parent_is_a_cycle():
     reg = ModelRegistry()
     with pytest.raises(TaxonomyCycle):
@@ -309,6 +321,22 @@ def test_round_trip_property(rs):
     node, back = decode_report(text)
     assert node == "n-000007"
     assert back == rs
+
+
+@settings(max_examples=100)
+@given(st.lists(readings(), min_size=1, max_size=5))
+def test_decode_scalars_are_payload_to_scalars(rs):
+    text = encode_report("n-000007", rs)
+    node, back, scalars = decode_report(text, with_scalars=True)
+    assert (node, back) == decode_report(text)
+    assert scalars == [payload_to_scalars(line) for line in text.splitlines()]
+
+
+def test_decode_with_scalars_parses_the_unit():
+    line = '{"id":"n-1","temp":"n:1","unit":"q:F","DateTime":"t:2020-07-15T14:50:07Z"}'
+    assert decode_report(line)[1][0].unit == "q:F"
+    with pytest.raises(UnknownPrefix):
+        decode_report(line, with_scalars=True)
 
 
 def test_validation_soundness_of_encoder_output(registry):

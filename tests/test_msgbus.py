@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from iotra import msgbus
 from iotra.msgbus import (
@@ -86,6 +86,83 @@ def test_match_topic_agrees_with_oracle(fsegs, tsegs):
         fsegs = ["a"]
     flt, topic = "/".join(fsegs), "/".join(tsegs)
     assert match_topic(flt, topic) == match_oracle(flt, topic)
+
+
+_filters = st.lists(st.sampled_from(["a", "b", "+", "#"]), min_size=1, max_size=4).map(
+    lambda segs: "/".join([s for s in segs[:-1] if s != "#"] + segs[-1:]))
+_topics = st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=4).map("/".join)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("subscribe"), st.integers(0, 3), _filters),
+        st.tuples(st.just("disconnect"), st.integers(0, 3)),
+        st.tuples(st.just("drop_node"), st.integers(0, 1)),
+        st.tuples(st.just("publish"), _topics),
+    ),
+    max_size=40,
+)
+
+
+class RecordingBroker(Broker):
+    """Logs the session of every delivery, in delivery order."""
+
+    def __init__(self):
+        super().__init__(clock=VirtualClock())
+        self.deliveries = []
+
+    def _deliver(self, session, frame):
+        self.deliveries.append(session)
+        super()._deliver(session, frame)
+
+
+def test_delivery_follows_subscription_order():
+    broker = RecordingBroker()
+    a, b, c = (broker.connect_service(n) for n in "abc")
+    c.subscribe("x/#")
+    a.subscribe("+/y")
+    b.subscribe("x/y")
+    c.subscribe("x/+")
+    broker.connect_service("pub").publish("x/y", "p")
+    assert broker.deliveries == [c, a, b]
+
+
+@settings(max_examples=300)
+@given(_ops)
+def test_trie_routing_matches_linear_scan(ops):
+    broker = RecordingBroker()
+    pub = broker.connect_service("pub")
+    # four session slots on two nodes; a closed slot reconnects at once
+    slots = [broker.connect_service(f"node{k % 2}") for k in range(4)]
+    subs = []  # (session, filter) in subscription order: the reference
+    for op in ops:
+        if op[0] == "subscribe":
+            _, k, flt = op
+            slots[k].subscribe(flt)
+            if (slots[k], flt) not in subs:
+                subs.append((slots[k], flt))
+            continue
+        if op[0] in ("disconnect", "drop_node"):
+            if op[0] == "disconnect":
+                closed = [op[1]]
+                broker.disconnect(slots[op[1]])
+            else:
+                closed = [k for k in range(4) if k % 2 == op[1]]
+                assert broker.drop_node(f"node{op[1]}") == len(closed)
+            gone = {slots[k] for k in closed}
+            subs = [(s, f) for s, f in subs if s not in gone]
+            for k in closed:
+                slots[k] = broker.connect_service(f"node{k % 2}")
+            continue
+        topic = op[1]
+        expected = []
+        for session, flt in subs:
+            if match_topic(flt, topic) and session not in expected:
+                expected.append(session)
+        broker.deliveries.clear()
+        pub.publish(topic, "p")
+        assert broker.deliveries == expected
+    for session in slots:
+        broker.disconnect(session)
+    assert not broker._root.children  # emptied trie nodes are pruned
 
 
 # -- wire format ---------------------------------------------------------
@@ -195,12 +272,6 @@ def test_per_publisher_order_preserved():
     for i in range(20):
         pub.publish("data/n-1/temp", f"p{i}")
     assert [f.payload for f in sub.drain()] == [f"p{i}" for i in range(20)]
-
-
-def test_partition_stability():
-    broker = make_broker()
-    assert broker.partition_of("n-000007") == broker.partition_of("n-000007")
-    assert 0 <= broker.partition_of("n-000007") < broker.partitions
 
 
 # -- qos 1, redelivery, dead-letter --------------------------------------

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from iotra import streams
+from iotra.msgbus import BadFilter
 from iotra.reading import ChannelKey, Reading
 from iotra.streams import (
     ALLOWED_LATENESS_S,
@@ -51,6 +52,14 @@ def test_duplicate_node_id_rejected():
             {"node_id": "x", "kind": "source"},
             {"node_id": "x", "kind": "source"},
         ], "edges": []})
+
+
+@pytest.mark.parametrize("bad", ["*/te#mp", "#/temp", "n+/temp"])
+def test_bad_source_selector_rejected_at_construction(bad):
+    spec = linear_spec()
+    spec["nodes"][0]["params"]["selector"] = bad
+    with pytest.raises(BadFilter):
+        Pipeline(spec)
 
 
 def test_edge_to_unknown_node_rejected():
