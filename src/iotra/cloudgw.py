@@ -148,11 +148,6 @@ class CloudGateway:
             audit_path.parent.mkdir(parents=True, exist_ok=True)
             self._audit_fh = open(audit_path, "a", encoding="utf-8")
 
-    # -- authentication --------------------------------------------------
-
-    def authenticate(self, node_id: str, credential: str) -> bool:
-        return self.registry.authenticate(node_id, credential)
-
     # -- admission -------------------------------------------------------
 
     def admit(self, node_id: str, topic: str, payload: str) -> IngressDecision:
@@ -205,9 +200,6 @@ class CloudGateway:
         if isinstance(self.strict_classes, bool):
             return self.strict_classes
         return class_name in self.strict_classes
-
-    def dedup(self, node_id: str, channel: str, seq: int) -> bool:
-        return self.dedup_state.check(node_id, channel, seq)
 
     def route(self, topic: str, node_id: str, tags: dict[str, str]) -> frozenset[str]:
         return route(topic, self.registry.class_of(node_id), tags, self.route_rules)

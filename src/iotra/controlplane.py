@@ -268,6 +268,7 @@ class Monitor:
         self.incident_buckets = incident_buckets
         self.states: dict[str, NodeMonitorState] = {}
         self.incidents: dict[str, Incident] = {}
+        self._unclosed: dict[str, int] = {}  # node -> incidents not closed
         self._incident_counter = 0
 
     def observe(self, node_id: str, bucket_count: float, now: float) -> str:
@@ -284,7 +285,7 @@ class Monitor:
         if bucket_count > threshold:
             st.consecutive_anomalous += 1
             if st.consecutive_anomalous >= self.incident_buckets:
-                if not self._has_open_incident(node_id):
+                if node_id not in self._unclosed:
                     self._open_incident(node_id, "traffic_flood", now)
                     return "incident_opened"
             return "anomalous"
@@ -292,18 +293,13 @@ class Monitor:
         st.ewma += self.alpha * (bucket_count - st.ewma)
         return "normal"
 
-    def _has_open_incident(self, node_id: str) -> bool:
-        return any(
-            i.node_id == node_id and i.state != "closed"
-            for i in self.incidents.values()
-        )
-
     def _open_incident(self, node_id: str, kind: str, now: float) -> Incident:
         self._incident_counter += 1
         iid = f"inc-{self._incident_counter:04d}"
         incident = Incident(iid, node_id, kind, now)
         incident.actions.append(f"opened kind={kind}")
         self.incidents[iid] = incident
+        self._unclosed[node_id] = self._unclosed.get(node_id, 0) + 1
         if self.registry.lifecycle_of(node_id) == "active":
             self.registry.transition(node_id, "quarantined")
             incident.actions.append("quarantined")
@@ -327,6 +323,9 @@ class Monitor:
         self.states.pop(incident.node_id, None)
         incident.actions.append("remediated: node reactivated, monitor reset")
         incident.state = "closed"
+        self._unclosed[incident.node_id] -= 1
+        if not self._unclosed[incident.node_id]:
+            del self._unclosed[incident.node_id]
         return incident
 
 

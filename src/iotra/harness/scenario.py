@@ -341,6 +341,8 @@ class World:
         )
         self.notify_log = Path(data_dir) / "notifications.jsonl"
         self.nodes: list[SimNode] = []
+        self._nodes_by_id: dict[str, SimNode] = {}
+        self._actions_done: set[int] = set()  # indexes into spec.actions
         self.generated: dict[str, list[int]] = {}
         self.report = RunReport()
         self._bucket_counts: dict[str, int] = {}
@@ -390,7 +392,9 @@ class World:
                 )
                 self.registry.transition(entry.node_id, "active")
                 self.twins.register_node(entry.node_id, entry.class_name)
-                self.nodes.append(SimNode(self, entry, group))
+                node = SimNode(self, entry, group)
+                self.nodes.append(node)
+                self._nodes_by_id[node.node_id] = node
         if not self.nodes:
             raise BootFailure("scenario defines no nodes")
 
@@ -415,10 +419,10 @@ class World:
         return out
 
     def node_by_id(self, node_id: str) -> SimNode:
-        for n in self.nodes:
-            if n.node_id == node_id:
-                return n
-        raise BadScenario(f"unknown node {node_id}")
+        node = self._nodes_by_id.get(node_id)
+        if node is None:
+            raise BadScenario(f"unknown node {node_id}")
+        return node
 
     def _on_quarantine(self, node_id: str) -> None:
         self.broker.drop_node(node_id)
@@ -486,12 +490,12 @@ class World:
                 self._dup_fault = fault
 
     def _apply_actions(self, t: float) -> None:
-        for action in self.spec.actions:
-            if action.get("_done"):
+        for i, action in enumerate(self.spec.actions):
+            if i in self._actions_done:
                 continue
             if t + 1e-9 < float(action.get("at", 0.0)):
                 continue
-            action["_done"] = True
+            self._actions_done.add(i)
             kind = action["kind"]
             if kind == "set_desired":
                 patch = twins_mod.DesiredPatch(

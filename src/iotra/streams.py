@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .msgbus import TopicFilter
 from .reading import Reading
+from .tsdb import AGGREGATES, aggregate
 
 NODE_KINDS = {"source", "filter", "map", "window", "merge", "sink"}
 SINK_DESTS = {"topic", "tsdb", "twin_desired", "notify"}
@@ -78,7 +79,7 @@ class _Node:
 
 class _WindowState:
     def __init__(self, size_ms: int, slide_ms: int, agg: str):
-        if agg not in ("min", "max", "avg", "count", "first", "last"):
+        if agg not in AGGREGATES:
             raise BadPipeline(f"unknown window aggregate {agg!r}")
         self.size = size_ms / 1000.0
         self.slide = slide_ms / 1000.0
@@ -110,7 +111,7 @@ class _WindowState:
                 out.append(
                     Item(
                         ts=b,
-                        value=_agg(self.agg, vals),
+                        value=aggregate(self.agg, vals),
                         channel=channel,
                         meta={"bucket_start": b - self.size, "agg": self.agg,
                               "count": len(vals)},
@@ -127,20 +128,6 @@ class _WindowState:
             while self.entries and self.entries[0][0] < lo:
                 self.entries.popleft()
         return out
-
-
-def _agg(name: str, vals: list[float]) -> float:
-    if name == "min":
-        return min(vals)
-    if name == "max":
-        return max(vals)
-    if name == "avg":
-        return sum(vals) / len(vals)
-    if name == "count":
-        return float(len(vals))
-    if name == "first":
-        return vals[0]
-    return vals[-1]
 
 
 def _selector_filter(selector: str) -> TopicFilter:

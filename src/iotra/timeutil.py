@@ -1,4 +1,4 @@
-"""RFC3339 timestamp text handling and injectable clocks.
+"""RFC3339 timestamp text handling and the injectable virtual clock.
 
 All timestamps in the system are UTC. Internally they travel as float
 epoch seconds (millisecond granularity); on the wire they are RFC3339
@@ -8,7 +8,6 @@ text like ``2020-07-15T14:50:07Z`` or ``2020-07-15T14:50:07.250Z``.
 from __future__ import annotations
 
 import re
-import time
 from datetime import datetime, timezone
 
 _RFC3339_RE = re.compile(
@@ -74,10 +73,3 @@ class VirtualClock:
             raise ValueError("clock cannot move backwards")
         self._now = round((self._now + dt) * 1000) / 1000.0
         return self._now
-
-
-class WallClock:
-    """Real-time clock for soak runs outside the simulator."""
-
-    def now(self) -> float:
-        return time.time()

@@ -3,16 +3,37 @@
 On disk: ``<root>/<node>/<sensor>/seg-<n>.log`` holding length-prefixed
 JSON-line records; a segment seals at SEGMENT_CAPACITY entries, gaining
 an immutable ``seg-<n>.idx`` footer {min_ts, max_ts, count} used to skip
-non-overlapping segments at query time. Records are uncompressed and
-human-inspectable. A crash can tear at most the tail record of the
-active segment; reopening truncates the torn tail and continues.
+non-overlapping segments at query time. The footer is written to a
+temporary file and renamed into place, so a crash leaves either no
+footer or a whole one. Records are uncompressed and human-inspectable.
+A crash can tear at most the tail record of the active segment;
+reopening truncates the torn tail and continues. Nothing calls fsync:
+this holds against a process crash, not against power loss.
+
+In memory each segment keeps its readings in append order beside a
+parallel ``ts`` list and an ``ordered`` flag. The flag holds while every
+append sorts at or after the previous one in (ts, seq) order, which is
+how a node's readings arrive; one out-of-order append clears it for that
+segment. A query skips segments by their min/max summary, bisects the
+``ts`` list of each ordered segment it touches and slices its entries:
+O(segments + log n + k) for k rows returned. It sorts only when a
+touched segment is unordered or two touched slices overlap at a segment
+boundary, and returns the same rows in the same order either way.
+
+Sealed segments stay resident: every open of the store starts cold, and
+decoding one sealed 1,000-record segment on first use costs several
+milliseconds, far more than a recent-window query, so loading them
+lazily would move that cost onto the first heavy read of each channel.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import le, lt
 from pathlib import Path
 
 from .reading import ChannelKey, Reading
@@ -20,6 +41,10 @@ from .reading import ChannelKey, Reading
 SEGMENT_CAPACITY = 1000
 
 AGGREGATES = ("min", "max", "avg", "count", "first", "last")
+
+# json.dumps with keyword arguments builds a new encoder on every call
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+_LENGTH = struct.Struct(">I")
 
 
 class TsdbError(Exception):
@@ -48,33 +73,59 @@ def _sort_key(r: Reading):
     return (r.ts, r.seq if r.seq is not None else 0)
 
 
+def aggregate(agg: str, vals: list[float]) -> float:
+    """One of AGGREGATES over a non-empty list of values in time order."""
+    if agg == "min":
+        return min(vals)
+    if agg == "max":
+        return max(vals)
+    if agg == "avg":
+        return sum(vals) / len(vals)
+    if agg == "count":
+        return float(len(vals))
+    if agg == "first":
+        return vals[0]
+    return vals[-1]
+
+
 def _encode_record(r: Reading) -> bytes:
-    body = json.dumps(
-        {"ts": r.ts, "seq": r.seq, "v": r.value, "unit": r.unit, "tags": r.tags},
-        separators=(",", ":"),
-        ensure_ascii=False,
+    body = _ENCODER.encode(
+        {"ts": r.ts, "seq": r.seq, "v": r.value, "unit": r.unit, "tags": r.tags}
     ).encode("utf-8") + b"\n"
-    return struct.pack(">I", len(body)) + body
+    return _LENGTH.pack(len(body)) + body
 
 
 def _read_records(data: bytes) -> tuple[list[dict], int]:
     """Parse length-prefixed records; returns (records, clean_offset).
 
     Stops at the first torn or corrupt record, so a truncated tail costs
-    at most one record.
+    at most one record. When the records fill the data exactly, one
+    json.loads decodes their joined bodies; an error or a count mismatch
+    there falls back to decoding one record at a time.
     """
-    records: list[dict] = []
+    bodies: list[bytes] = []
     off = 0
     while off + 4 <= len(data):
-        (length,) = struct.unpack(">I", data[off : off + 4])
+        (length,) = _LENGTH.unpack_from(data, off)
         end = off + 4 + length
         if end > len(data):
             break
+        bodies.append(data[off + 4 : end])
+        off = end
+    if off == len(data):
         try:
-            records.append(json.loads(data[off + 4 : end].decode("utf-8")))
+            records = json.loads((b"[" + b",".join(bodies) + b"]").decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            records = None
+        if records is not None and len(records) == len(bodies):
+            return records, off
+    records, off = [], 0
+    for body in bodies:
+        try:
+            records.append(json.loads(body.decode("utf-8")))
         except (json.JSONDecodeError, UnicodeDecodeError):
             break
-        off = end
+        off += 4 + len(body)
     return records, off
 
 
@@ -83,6 +134,8 @@ class _Segment:
         self.number = number
         self.path = path
         self.entries: list[Reading] = []
+        self.ts: list[float] = []  # entries[i].ts, for bisecting
+        self.ordered = True  # entries nondecreasing in _sort_key order
         self.sealed = False
         self.min_ts = float("inf")
         self.max_ts = float("-inf")
@@ -91,6 +144,38 @@ class _Segment:
     def idx_path(self) -> Path:
         return self.path.with_suffix(".idx")
 
+    def add(self, r: Reading) -> None:
+        ts = r.ts
+        if self.ordered and self.entries:
+            last = self.ts[-1]
+            # negated so that a NaN timestamp clears the flag too
+            if not (ts > last or ts == last and _sort_key(r) >= _sort_key(self.entries[-1])):
+                self.ordered = False
+        self.entries.append(r)
+        self.ts.append(ts)
+        if ts < self.min_ts:
+            self.min_ts = ts
+        if ts > self.max_ts:
+            self.max_ts = ts
+
+    def fill(self, readings: list[Reading]) -> None:
+        """add() each of readings, in order, to this empty segment."""
+        ts = [r.ts for r in readings]
+        self.entries, self.ts = readings, ts
+        # strictly increasing ts, the common case, settles the order alone
+        if not all(map(lt, ts, ts[1:])):
+            keys = [_sort_key(r) for r in readings]
+            self.ordered = all(map(le, ts, ts[1:])) and all(map(le, keys, keys[1:]))
+        self.min_ts = min((self.min_ts, *ts))
+        self.max_ts = max((self.max_ts, *ts))
+
+    def rows(self, t1: float, t2: float) -> list[Reading]:
+        """Entries with t1 <= ts < t2, in append order."""
+        if self.ordered:
+            ts = self.ts
+            return self.entries[bisect_left(ts, t1) : bisect_left(ts, t2)]
+        return [r for r in self.entries if t1 <= r.ts < t2]
+
 
 class _Channel:
     def __init__(self, key: ChannelKey, root: Path):
@@ -98,6 +183,7 @@ class _Channel:
         self.dir = root / key.node_id / key.sensor_name
         self.segments: list[_Segment] = []
         self.active: _Segment | None = None
+        self.indexed_tags: dict[str, str] | None = None  # copy, last indexed
         self._fh = None
 
     def close(self):
@@ -142,18 +228,11 @@ class Store:
                 # torn tail from a crash mid-append: repair in place
                 with open(log, "r+b") as fh:
                     fh.truncate(clean)
-            for rec in records:
-                r = Reading(
-                    channel=key,
-                    value=rec["v"],
-                    unit=rec.get("unit", ""),
-                    ts=float(rec["ts"]),
-                    seq=rec.get("seq"),
-                    tags=rec.get("tags") or {},
-                )
-                seg.entries.append(r)
-                seg.min_ts = min(seg.min_ts, r.ts)
-                seg.max_ts = max(seg.max_ts, r.ts)
+            seg.fill([
+                Reading(key, rec["v"], rec.get("unit", ""), float(rec["ts"]),
+                        rec.get("seq"), rec.get("tags") or {})
+                for rec in records
+            ])
             if seg.idx_path.exists():
                 seg.sealed = True
             ch.segments.append(seg)
@@ -161,9 +240,7 @@ class Store:
             ch.active = ch.segments[-1]
         if any(seg.entries for seg in ch.segments):
             self._channels[key] = ch
-            for seg in ch.segments:
-                for r in seg.entries:
-                    self._index_tags(key, r.tags)
+            self._index_channel(ch)
 
     # -- writes ----------------------------------------------------------
 
@@ -174,20 +251,17 @@ class Store:
             ch = _Channel(reading.channel, self.root)
             ch.dir.mkdir(parents=True, exist_ok=True)
             self._channels[reading.channel] = ch
-        if ch.active is None:
+        seg = ch.active
+        if seg is None:
             nxt = ch.segments[-1].number + 1 if ch.segments else 0
-            ch.active = _Segment(nxt, ch.dir / f"seg-{nxt}.log")
-            ch.segments.append(ch.active)
+            seg = ch.active = _Segment(nxt, ch.dir / f"seg-{nxt}.log")
+            ch.segments.append(seg)
             ch.close()
         if ch._fh is None:
-            ch.dir.mkdir(parents=True, exist_ok=True)
-            ch._fh = open(ch.active.path, "ab")
-        seg = ch.active
+            ch._fh = open(seg.path, "ab")
         ch._fh.write(_encode_record(reading))
-        seg.entries.append(reading)
-        seg.min_ts = min(seg.min_ts, reading.ts)
-        seg.max_ts = max(seg.max_ts, reading.ts)
-        self._index_tags(reading.channel, reading.tags)
+        seg.add(reading)
+        self._index_tags(ch, reading.tags)
         position = (seg.number, len(seg.entries) - 1)
         if len(seg.entries) >= SEGMENT_CAPACITY:
             self._seal(ch)
@@ -198,13 +272,25 @@ class Store:
         assert seg is not None
         ch.close()
         footer = {"min_ts": seg.min_ts, "max_ts": seg.max_ts, "count": len(seg.entries)}
-        seg.idx_path.write_text(json.dumps(footer), encoding="utf-8")
+        tmp = seg.idx_path.with_suffix(".idx.tmp")
+        tmp.write_text(json.dumps(footer), encoding="utf-8")
+        os.replace(tmp, seg.idx_path)
         seg.sealed = True
         ch.active = None
 
-    def _index_tags(self, key: ChannelKey, tags: dict[str, str]) -> None:
+    def _index_tags(self, ch: _Channel, tags: dict[str, str]) -> None:
+        # the index is a union over readings; a channel's tags rarely change
+        if tags == ch.indexed_tags:
+            return
+        ch.indexed_tags = dict(tags)
         for k, v in tags.items():
-            self._tag_index.setdefault((k, v), set()).add(key)
+            self._tag_index.setdefault((k, v), set()).add(ch.key)
+
+    def _index_channel(self, ch: _Channel) -> None:
+        ch.indexed_tags = None
+        for seg in ch.segments:
+            for r in seg.entries:
+                self._index_tags(ch, r.tags)
 
     def flush(self) -> None:
         for ch in self._channels.values():
@@ -225,20 +311,30 @@ class Store:
         return sum(len(s.entries) for s in ch.segments) if ch else 0
 
     def query_range(self, channel: ChannelKey, t1: float, t2: float) -> list[Reading]:
-        """All readings with t1 <= ts < t2, sorted by (ts, seq)."""
+        """All readings with t1 <= ts < t2, sorted by (ts, seq); readings
+        with equal keys keep their append order."""
         if t1 > t2:
             raise TsdbError("t1 must be <= t2")
         ch = self._channels.get(channel)
         if ch is None:
             raise UnknownChannel(str(channel))
         out: list[Reading] = []
+        if not t1 < t2:  # empty interval (or a NaN bound)
+            return out
+        in_order = True
         for seg in ch.segments:
-            if not seg.entries:
-                continue
-            if seg.max_ts < t1 or seg.min_ts >= t2:
+            if not seg.entries or seg.max_ts < t1 or seg.min_ts >= t2:
                 continue  # footer skip
-            out.extend(r for r in seg.entries if t1 <= r.ts < t2)
-        out.sort(key=_sort_key)
+            rows = seg.rows(t1, t2)
+            if not rows:
+                continue
+            if in_order and (
+                not seg.ordered or (out and _sort_key(rows[0]) < _sort_key(out[-1]))
+            ):
+                in_order = False
+            out += rows
+        if not in_order:
+            out.sort(key=_sort_key)
         return out
 
     def downsample(
@@ -252,14 +348,18 @@ class Store:
             raise BadInterval(str(interval))
         if agg not in AGGREGATES:
             raise BadInterval(f"unknown aggregate {agg!r}")
-        rows = self.query_range(channel, t1, t2)
-        buckets: dict[int, list[Reading]] = {}
-        for r in rows:
-            buckets.setdefault(int((r.ts - t1) // interval), []).append(r)
         out: list[tuple[float, float]] = []
-        for k in sorted(buckets):
-            vals = [float(r.value) for r in buckets[k]]
-            out.append((t1 + k * interval, _aggregate(agg, vals)))
+        bucket, vals = None, []
+        # rows come sorted by ts, so each bucket's rows are contiguous
+        for r in self.query_range(channel, t1, t2):
+            k = int((r.ts - t1) // interval)
+            if k != bucket:
+                if vals:
+                    out.append((t1 + bucket * interval, aggregate(agg, vals)))
+                bucket, vals = k, []
+            vals.append(float(r.value))
+        if vals:
+            out.append((t1 + bucket * interval, aggregate(agg, vals)))
         return out
 
     def find_channels(self, tag_query: dict[str, str]) -> list[ChannelKey]:
@@ -291,26 +391,7 @@ class Store:
                 else:
                     keep.append(seg)
             ch.segments = keep
-        self._rebuild_tag_index()
-        return deleted
-
-    def _rebuild_tag_index(self) -> None:
         self._tag_index.clear()
-        for key, ch in self._channels.items():
-            for seg in ch.segments:
-                for r in seg.entries:
-                    self._index_tags(key, r.tags)
-
-
-def _aggregate(agg: str, vals: list[float]) -> float:
-    if agg == "min":
-        return min(vals)
-    if agg == "max":
-        return max(vals)
-    if agg == "avg":
-        return sum(vals) / len(vals)
-    if agg == "count":
-        return float(len(vals))
-    if agg == "first":
-        return vals[0]
-    return vals[-1]
+        for ch in self._channels.values():
+            self._index_channel(ch)
+        return deleted

@@ -357,3 +357,17 @@ def test_status_report_records_version():
     mgmt = ManagementService(registry)
     mgmt.apply_status_report(entry.node_id, "2.0")
     assert registry.get(entry.node_id).firmware_version == "2.0"
+
+
+def test_new_incident_only_once_the_open_one_closes():
+    registry, entry, monitor, iid = flooded_monitor()
+    monitor.remediate(iid)
+    manual = monitor.open_manual_incident(entry.node_id, now=4.0)
+    monitor.observe(entry.node_id, 2.0, now=5.0)
+    verdicts = [monitor.observe(entry.node_id, 999.0, now=float(now)) for now in (6, 7, 8)]
+    assert verdicts == ["anomalous"] * 3  # the manual incident is still open
+    monitor.remediate(manual.incident_id)
+    monitor.observe(entry.node_id, 2.0, now=9.0)
+    verdicts = [monitor.observe(entry.node_id, 999.0, now=float(now)) for now in (10, 11, 12)]
+    assert verdicts == ["anomalous", "anomalous", "incident_opened"]
+    assert len(monitor.incidents) == 3

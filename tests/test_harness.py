@@ -161,6 +161,26 @@ def test_set_desired_converges(tmp_path):
     assert report.convergence["n-000001"] is True
 
 
+def test_running_a_spec_twice_gives_the_same_report(tmp_path):
+    spec = nominal_spec(
+        duration=6.0,
+        actions=[{"kind": "set_desired", "at": 2.0, "node": "n-000001",
+                  "set": {"setpoint": "n:68"}}],
+        assertions=["lossless", {"check": "all_converged"}],
+    )
+    reports, versions = [], []
+    for run in ("a", "b"):
+        world = scenario.World(spec, tmp_path / run)
+        try:
+            reports.append(world.run().to_dict())
+        finally:
+            world.tsdb.close()
+            world.gateway.close()
+        versions.append(world.twins.get_twin("n-000001").desired_version)
+    assert reports[0] == reports[1]
+    assert versions == [1, 1]
+
+
 def test_pipeline_emissions_in_report(tmp_path):
     spec = nominal_spec(
         duration=6.0,

@@ -1,8 +1,11 @@
 import json
+import math
 import random
 import struct
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iotra import tsdb
 from iotra.reading import ChannelKey, Reading
@@ -58,6 +61,15 @@ def test_read_records_stops_at_torn_tail():
     assert clean == len(good)
 
 
+@pytest.mark.parametrize("body", [b"{x\n", b"1,2\n"])
+def test_read_records_stops_at_corrupt_record(body):
+    first = _encode_record(reading(1))
+    data = first + struct.pack(">I", len(body)) + body + _encode_record(reading(2))
+    records, clean = _read_records(data)
+    assert records == [json.loads(first[4:])]
+    assert clean == len(first)
+
+
 # -- append / segments ---------------------------------------------------
 
 
@@ -79,6 +91,14 @@ def test_segment_rolls_and_seals_at_capacity(tmp_path):
     footer = json.loads((seg_dir / "seg-0.idx").read_text())
     assert footer == {"min_ts": 0.0, "max_ts": float(SEGMENT_CAPACITY - 1),
                       "count": SEGMENT_CAPACITY}
+
+
+def test_sealing_leaves_no_temp_file(tmp_path):
+    store = Store(tmp_path)
+    fill(store, 2 * SEGMENT_CAPACITY + 5)
+    seg_dir = tmp_path / "n-000001" / "temp"
+    assert sorted(p.name for p in seg_dir.iterdir()) == [
+        "seg-0.idx", "seg-0.log", "seg-1.idx", "seg-1.log", "seg-2.log"]
 
 
 def test_reopen_resumes_same_contents(tmp_path):
@@ -122,6 +142,151 @@ def test_query_matches_list_oracle(tmp_path):
         oracle = sorted((r for r in rows if t1 <= r.ts < t2),
                         key=lambda r: (r.ts, r.seq))
         assert store.query_range(ch(), t1, t2) == oracle
+
+
+def test_in_order_multi_segment_query_does_not_sort(tmp_path, monkeypatch):
+    monkeypatch.setattr(tsdb, "SEGMENT_CAPACITY", 10)
+    store = Store(tmp_path)
+    fill(store, 45)  # four sealed segments and an active one
+    store.close()
+    calls = []
+    sort_key = tsdb._sort_key
+    monkeypatch.setattr(tsdb, "_sort_key", lambda r: calls.append(r) or sort_key(r))
+    for opened in (store, Store(tmp_path)):
+        calls.clear()
+        rows = opened.query_range(ch(), 3, 42)
+        assert [r.ts for r in rows] == [float(t) for t in range(3, 42)]
+        # one comparison at each of the four segment boundaries, no sort
+        assert len(calls) == 8
+
+
+# -- reference model -----------------------------------------------------
+
+PROP_CAPACITY = 3
+PROP_TAGS = ({}, {"zone": "a"}, {"zone": "b"}, {"zone": "a", "site": "x"})
+PROP_CHANNELS = (ch(), ch("n-000002", "temp"))
+
+
+def ref_key(r):
+    return (r.ts, r.seq if r.seq is not None else 0)
+
+
+class RefStore:
+    """Readings per channel, in append order, chunked into segments."""
+
+    def __init__(self):
+        self.chunks = {}  # channel -> list of lists
+        self.known = set()  # channels the open store knows
+
+    def append(self, r):
+        chunks = self.chunks.setdefault(r.channel, [])
+        if not chunks or len(chunks[-1]) == PROP_CAPACITY:
+            chunks.append([])
+        chunks[-1].append(r)
+        self.known.add(r.channel)
+
+    def rows(self, key):
+        return [r for chunk in self.chunks.get(key, []) for r in chunk]
+
+    def reopen(self):
+        self.known = {k for k in self.known if self.rows(k)}
+
+    def retention(self, cutoff):
+        for key, chunks in self.chunks.items():
+            self.chunks[key] = [
+                c for c in chunks
+                if not (len(c) == PROP_CAPACITY and max(r.ts for r in c) < cutoff)
+            ]
+
+    def query_range(self, key, t1, t2):
+        return sorted((r for r in self.rows(key) if t1 <= r.ts < t2), key=ref_key)
+
+    def downsample(self, key, t1, t2, interval, agg):
+        buckets = {}
+        for r in self.query_range(key, t1, t2):
+            buckets.setdefault(int((r.ts - t1) // interval), []).append(float(r.value))
+        fns = {
+            "min": min, "max": max, "avg": lambda v: sum(v) / len(v),
+            "count": lambda v: float(len(v)), "first": lambda v: v[0],
+            "last": lambda v: v[-1],
+        }
+        return [(t1 + k * interval, fns[agg](v)) for k, v in sorted(buckets.items())]
+
+    def find_channels(self, query):
+        return sorted(
+            (k for k in self.known
+             if all(any(r.tags.get(t) == v for r in self.rows(k)) for t, v in query.items())),
+            key=str)
+
+
+def check_against_reference(store, ref, windows):
+    assert store.channels() == sorted(ref.known, key=str)
+    for channel in store._channels.values():  # the ordered-segment invariant
+        for seg in channel.segments:
+            assert seg.ts == [r.ts for r in seg.entries]
+            if seg.ordered:
+                assert seg.entries == sorted(seg.entries, key=ref_key)
+    for key in sorted(ref.known, key=str):
+        assert store.count(key) == len(ref.rows(key))
+        for t1, t2 in windows + [(-math.inf, math.inf)]:
+            assert store.query_range(key, t1, t2) == ref.query_range(key, t1, t2)
+        for (t1, t2), interval in zip(windows, (1.0, 2.5, 7.0)):
+            for agg in tsdb.AGGREGATES:
+                got = store.downsample(key, t1, t2, interval, agg)
+                want = ref.downsample(key, t1, t2, interval, agg)
+                assert [b for b, _ in got] == [b for b, _ in want]
+                assert [v for _, v in got] == pytest.approx([v for _, v in want])
+    for query in ({"zone": "a"}, {"zone": "b"}, {"site": "x"}, {"zone": "b", "site": "x"}):
+        assert store.find_channels(query) == ref.find_channels(query)
+
+
+_appends = st.tuples(
+    st.just("append"),
+    st.sampled_from(range(len(PROP_CHANNELS))),
+    st.sampled_from((1, 0, 2, 1, 0, 1, -3)),  # ts step: ties, sometimes back
+    st.one_of(st.none(), st.integers(0, 4)),
+    st.sampled_from(range(len(PROP_TAGS))),
+)
+_ops = st.lists(st.one_of(_appends, _appends, _appends, st.just(("reopen",))),
+                min_size=8, max_size=60)
+_windows = st.lists(
+    st.tuples(st.integers(-5, 40), st.integers(0, 20)).map(
+        lambda w: (float(w[0]), float(w[0] + w[1]))),
+    min_size=3, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ops, _windows, st.integers(0, 40))
+def test_store_matches_reference_model(ops, windows, cutoff):
+    with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tsdb, "SEGMENT_CAPACITY", PROP_CAPACITY)
+        store, ref = Store(root), RefStore()
+        last_ts = [10] * len(PROP_CHANNELS)
+        for i, op in enumerate(ops):
+            if op[0] == "reopen":
+                store.close()
+                store = Store(root)
+                ref.reopen()
+                continue
+            _, c, step, seq, tags = op
+            last_ts[c] += step
+            r = reading(last_ts[c], value=float(i), seq=seq,
+                        tags=dict(PROP_TAGS[tags]), channel=PROP_CHANNELS[c])
+            store.append(r)
+            ref.append(r)
+        check_against_reference(store, ref, windows)
+        store.close()
+        store = Store(root)
+        ref.reopen()
+        check_against_reference(store, ref, windows)
+        store.apply_retention(now=float(cutoff), policy=RetentionPolicy(max_age=1.0))
+        ref.retention(cutoff - 1.0)
+        check_against_reference(store, ref, windows)
+        store.close()
+        store = Store(root)
+        ref.reopen()
+        check_against_reference(store, ref, windows)
+        store.close()
 
 
 # -- downsample ----------------------------------------------------------
@@ -192,6 +357,15 @@ def test_find_channels_conjunctive(tmp_path):
     assert store.find_channels({"zone": "Z9"}) == []
     with pytest.raises(tsdb.TsdbError):
         store.find_channels({})
+
+
+def test_tag_index_sees_a_reused_tags_dict_change(tmp_path):
+    store = Store(tmp_path)
+    tags = {"zone": "Z3"}
+    store.append(reading(1, seq=1, tags=tags))
+    tags["zone"] = "Z4"
+    store.append(reading(2, seq=2, tags=tags))
+    assert store.find_channels({"zone": "Z4"}) == [ch()]
 
 
 def test_tag_index_survives_reopen(tmp_path):
