@@ -1,9 +1,11 @@
 """Cloud-edge gateway: the ingress security boundary.
 
-Authenticates senders against the node registry, validates payloads
-against the information model, deduplicates per (node, channel, seq) so
-at-least-once transport becomes exactly-once at the stores, routes
-admitted readings to their destinations, and audit-logs every decision.
+Authenticates senders against the node registry, validates every
+payload against its sender's class in the information model,
+deduplicates per (node, channel, seq) so at-least-once transport becomes
+exactly-once at the stores, routes admitted readings to their
+destinations by the rules ``route_rules`` parses, and audit-logs every
+decision.
 """
 
 from __future__ import annotations
@@ -88,18 +90,19 @@ class RouteRule:
         return True
 
 
-def load_route_rules(path: Path) -> list[RouteRule]:
-    """Routing rules file: JSON list of {selector:{...}, destinations:[...]}."""
+def route_rules(docs: list[dict]) -> list[RouteRule]:
+    """Rules from their JSON form, a list of
+    ``{"selector": {"topic", "class", "tag": "k=v"}, "destinations": [...]}``;
+    a tag that is not a ``k=v`` string raises ValueError."""
     rules = []
-    for doc in json.loads(Path(path).read_text(encoding="utf-8")):
+    for doc in docs:
         sel = doc.get("selector", {})
         tag = None
         if "tag" in sel:
             raw = sel["tag"]
-            if isinstance(raw, dict):
-                [(k, v)] = raw.items()
-            else:
-                k, _, v = raw.partition("=")
+            if not isinstance(raw, str) or "=" not in raw or raw.startswith("="):
+                raise ValueError(f"route tag must be a 'k=v' string: {raw!r}")
+            k, _, v = raw.partition("=")
             tag = (k, v)
         rules.append(
             RouteRule(
@@ -132,16 +135,12 @@ class CloudGateway:
         clock=None,
         audit_path: Path | None = None,
         route_rules: list[RouteRule] | None = None,
-        strict_classes: bool | set[str] = True,
     ):
         self.model = model
         self.registry = registry
         self.clock = clock
         self.dedup_state = DedupState()
         self.route_rules = list(route_rules or [])
-        # strict=True validates every class; a set limits strictness to
-        # the named classes (others log-only)
-        self.strict_classes = strict_classes
         self.audit_entries = 0
         self._audit_fh: IO[str] | None = None
         if audit_path is not None:
@@ -166,23 +165,18 @@ class CloudGateway:
             return IngressDecision("reject", "not_active")
 
         class_name = self.registry.class_of(node_id)
-        strict = self._is_strict(class_name)
         try:
-            # one parse; for a strict class it also yields each line's scalars
-            if strict:
-                sender, readings, line_scalars = infomodel.decode_report(
-                    payload, with_scalars=True)
-            else:
-                sender, readings = infomodel.decode_report(payload)
+            # one parse yields the readings and each line's scalars
+            sender, readings, line_scalars = infomodel.decode_report(
+                payload, with_scalars=True)
         except (infomodel.ModelError, ValueError):
             # ValueError: a bad DateTime (BadTimestamp) or channel name
             return IngressDecision("reject", "schema_invalid")
         if sender != node_id:
             return IngressDecision("reject", "schema_invalid")
-        if strict:
-            for scalars in line_scalars:
-                if not self.model.validate_payload(class_name, scalars).ok:
-                    return IngressDecision("reject", "schema_invalid")
+        for scalars in line_scalars:
+            if not self.model.validate_payload(class_name, scalars).ok:
+                return IngressDecision("reject", "schema_invalid")
 
         fresh: list[Reading] = []
         for r in readings:
@@ -193,13 +187,6 @@ class CloudGateway:
         if not fresh:
             return IngressDecision("reject", "duplicate")
         return IngressDecision("admit", "ok", fresh)
-
-    def _is_strict(self, class_name: str | None) -> bool:
-        if class_name is None:
-            return False
-        if isinstance(self.strict_classes, bool):
-            return self.strict_classes
-        return class_name in self.strict_classes
 
     def route(self, topic: str, node_id: str, tags: dict[str, str]) -> frozenset[str]:
         return route(topic, self.registry.class_of(node_id), tags, self.route_rules)

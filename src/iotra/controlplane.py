@@ -26,7 +26,7 @@ ALLOWED_TRANSITIONS = {
     ("quarantined", "decommissioned"),
 }
 
-# anomaly detector knobs (centrally configurable)
+# anomaly detector constants
 EWMA_ALPHA = 0.2
 ANOMALY_FACTOR = 5.0
 ANOMALY_FLOOR = 10.0
@@ -74,7 +74,6 @@ class RegistryEntry:
     class_name: str
     credential: str
     lifecycle: str = "commissioned"
-    broker_address: str = "local"
     topics: tuple[str, ...] = ()
     firmware_version: str = "1.0"
     created_ts: float = 0.0
@@ -256,16 +255,8 @@ class Monitor:
     learns from normal buckets. Three anomalous buckets in a row open an
     incident and quarantine the node."""
 
-    def __init__(self, registry: Registry, clock=None,
-                 alpha: float = EWMA_ALPHA, factor: float = ANOMALY_FACTOR,
-                 floor: float = ANOMALY_FLOOR,
-                 incident_buckets: int = INCIDENT_BUCKETS):
+    def __init__(self, registry: Registry):
         self.registry = registry
-        self.clock = clock
-        self.alpha = alpha
-        self.factor = factor
-        self.floor = floor
-        self.incident_buckets = incident_buckets
         self.states: dict[str, NodeMonitorState] = {}
         self.incidents: dict[str, Incident] = {}
         self._unclosed: dict[str, int] = {}  # node -> incidents not closed
@@ -281,16 +272,16 @@ class Monitor:
             st.ewma = float(bucket_count)
             st.seeded = True
             return "normal"
-        threshold = max(self.floor, self.factor * st.ewma)
+        threshold = max(ANOMALY_FLOOR, ANOMALY_FACTOR * st.ewma)
         if bucket_count > threshold:
             st.consecutive_anomalous += 1
-            if st.consecutive_anomalous >= self.incident_buckets:
+            if st.consecutive_anomalous >= INCIDENT_BUCKETS:
                 if node_id not in self._unclosed:
                     self._open_incident(node_id, "traffic_flood", now)
                     return "incident_opened"
             return "anomalous"
         st.consecutive_anomalous = 0
-        st.ewma += self.alpha * (bucket_count - st.ewma)
+        st.ewma += EWMA_ALPHA * (bucket_count - st.ewma)
         return "normal"
 
     def _open_incident(self, node_id: str, kind: str, now: float) -> Incident:
@@ -343,13 +334,11 @@ class ManagementService:
     def __init__(self, registry: Registry, publish: Callable[..., object] | None = None):
         self.registry = registry
         self.publish = publish
-        self.pushed: dict[str, tuple[str, str]] = {}  # node -> (version, digest)
 
     def push_update(self, node_id: str, version: str, payload_digest: str) -> str:
         entry = self.registry.get(node_id)
         if entry.lifecycle != "active":
             raise NotActive(f"{node_id} is {entry.lifecycle}")
-        self.pushed[node_id] = (version, payload_digest)
         if self.publish is not None:
             payload = json.dumps(
                 {"version": version, "digest": payload_digest},

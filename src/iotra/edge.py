@@ -1,9 +1,10 @@
 """Edge gateway data plane.
 
-Samples sensors (simulated waveforms or legacy frames), applies affine
-calibration, buffers readings in per-channel ring buffers, evaluates
-debounced event/alert rules, runs disconnected-capable local control,
-and store-and-forwards encoded reports uplink.
+Calibrates raw sensor samples into readings, evaluates debounced
+event/alert rules, runs disconnected-capable local control, and
+store-and-forwards encoded reports uplink. The RTU-16 legacy frame codec
+and the per-channel ring buffer are the gateway's building blocks for
+legacy field buses and local history.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .reading import ChannelKey, Reading
+from .reading import COMPARATORS, ChannelKey, Reading
 from . import infomodel, msgbus
 
 DEFAULT_BUFFER_CAPACITY = 4096
@@ -111,7 +112,6 @@ class ChannelConfig:
     sample_period_ms: int = 1000
     scale: float = 1.0
     offset: float = 0.0
-    source: str = "simulated-waveform"  # or "legacy-frame"
     unit: str = ""
 
     def __post_init__(self):
@@ -125,7 +125,6 @@ class ChannelConfig:
 class ChannelState:
     config: ChannelConfig
     seq: int = 0
-    last_ts: float | None = None
 
 
 def acquire_sample(
@@ -140,7 +139,6 @@ def acquire_sample(
     if not math.isfinite(raw):
         raise NonFiniteRaw(f"raw sample is not finite: {raw!r}")
     state.seq += 1
-    state.last_ts = now
     cfg = state.config
     return Reading(
         channel=ChannelKey(node_id, cfg.sensor_name),
@@ -154,14 +152,6 @@ def acquire_sample(
 
 # -- event / alert rules -------------------------------------------------
 
-_OPS: dict[str, Callable[[float, float], bool]] = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-}
-
 
 @dataclass(slots=True)
 class EdgeRule:
@@ -173,7 +163,7 @@ class EdgeRule:
     severity: str = "event"  # event | alert
 
     def __post_init__(self):
-        if self.op not in _OPS:
+        if self.op not in COMPARATORS:
             raise EdgeError(f"unknown comparison {self.op!r}")
         if self.debounce_count < 1:
             raise EdgeError("debounce_count must be >= 1")
@@ -208,7 +198,7 @@ class RuleEngine:
         for rule in self.rules:
             if not rule.selects(reading.channel):
                 continue
-            if isinstance(value, (int, float)) and _OPS[rule.op](value, rule.threshold):
+            if isinstance(value, (int, float)) and COMPARATORS[rule.op](value, rule.threshold):
                 n = self._counters.get(rule.rule_id, 0) + 1
                 if n >= rule.debounce_count:
                     events.append(Event(rule.rule_id, rule.severity, reading))
@@ -227,12 +217,19 @@ class Condition:
     terms: list[tuple[str, str, float]]  # (channel, op, threshold)
     combine: str = "all"  # all | any
 
+    def __post_init__(self):
+        for _, op, _ in self.terms:
+            if op not in COMPARATORS:
+                raise EdgeError(f"unknown comparison {op!r}")
+        if self.combine not in ("all", "any"):
+            raise EdgeError(f"bad combine {self.combine!r}")
+
     def evaluate(self, snapshot: dict[str, float]) -> bool:
         results = []
         for channel, op, threshold in self.terms:
             if channel not in snapshot:
                 raise UnknownChannelInCondition(channel)
-            results.append(_OPS[op](snapshot[channel], threshold))
+            results.append(COMPARATORS[op](snapshot[channel], threshold))
         return all(results) if self.combine == "all" else any(results)
 
 
@@ -356,30 +353,26 @@ class NodeConfig:
     channels: list[ChannelConfig] = field(default_factory=list)
     edge_rules: list[EdgeRule] = field(default_factory=list)
     control_rules: list[ControlRule] = field(default_factory=list)
-    buffer_capacity: int = DEFAULT_BUFFER_CAPACITY
     tags: dict[str, str] = field(default_factory=dict)
 
 
 class EdgeNode:
-    """One gateway instance: sampling, rules, buffering, store-and-forward.
+    """One gateway instance: sampling, rules, local control, store-and-forward.
 
     Transport-agnostic: the harness attaches a broker session (anything
     with ``connected`` and ``publish``). All state mutations happen on
     the caller's thread; one logical executor per gateway.
     """
 
-    def __init__(self, config: NodeConfig, clock=None):
+    def __init__(self, config: NodeConfig):
         self.config = config
-        self.clock = clock
         self.channels: dict[str, ChannelState] = {
             c.sensor_name: ChannelState(c) for c in config.channels
         }
         self.rules = RuleEngine(config.edge_rules)
-        self.buffer = RingBuffer(config.buffer_capacity)
         self.uplink = UplinkQueue()
         self.session = None
         self.actuator_state: dict[str, object] = {}
-        self.firmware_version = "1.0"
         self._latest: dict[str, float] = {}
         self._next_sample: dict[str, float] = {}
 
@@ -394,7 +387,7 @@ class EdgeNode:
         return due
 
     def ingest_raw(self, sensor_name: str, raw: float, now: float) -> Reading:
-        """Acquire one raw sample: calibrate, buffer, rule-check, queue."""
+        """Acquire one raw sample: calibrate, rule-check, queue."""
         state = self.channels.get(sensor_name)
         if state is None:
             raise UnknownChannel(sensor_name)
@@ -405,17 +398,11 @@ class EdgeNode:
         prev = self._next_sample.get(sensor_name)
         base = prev if prev is not None and prev <= now + 1e-9 else now
         self._next_sample[sensor_name] = base + period
-        self.buffer.append(reading)
         self._latest[sensor_name] = float(reading.value)
         self._enqueue_report(reading)
         for event in self.rules.evaluate(reading):
             self._enqueue_event(event)
         return reading
-
-    def ingest_legacy(self, frame: bytes, sensor_name: str, now: float) -> Reading:
-        """Translate a legacy RTU-16 frame and ingest its value."""
-        _, _, value = translate_frame(frame)
-        return self.ingest_raw(sensor_name, value, now)
 
     def _enqueue_report(self, reading: Reading) -> None:
         payload = infomodel.encode_report(self.config.node_id, [reading])
@@ -458,8 +445,3 @@ class EdgeNode:
 
     def flush(self) -> int:
         return flush_uplink(self.uplink, self.session)
-
-    def query_local(self, sensor_name: str, from_ts: float, to_ts: float):
-        return self.buffer.query(
-            ChannelKey(self.config.node_id, sensor_name), from_ts, to_ts
-        )

@@ -127,7 +127,6 @@ class ScenarioSpec:
 class RunReport:
     generated: dict[str, int] = field(default_factory=dict)
     stored: dict[str, int] = field(default_factory=dict)
-    published: dict[str, int] = field(default_factory=dict)
     rejected: dict[str, int] = field(default_factory=dict)
     duplicates_injected: int = 0
     duplicates_rejected: int = 0
@@ -146,7 +145,6 @@ class RunReport:
         return {
             "generated": dict(sorted(self.generated.items())),
             "stored": dict(sorted(self.stored.items())),
-            "published": dict(sorted(self.published.items())),
             "rejected": dict(sorted(self.rejected.items())),
             "duplicates_injected": self.duplicates_injected,
             "duplicates_rejected": self.duplicates_rejected,
@@ -207,18 +205,12 @@ class SimNode:
                 channels=channels,
                 edge_rules=rules,
                 control_rules=ctl,
-                buffer_capacity=int(node_cfg.get("buffer_capacity", 4096)),
                 tags=dict(node_cfg.get("tags", {})),
             )
         )
         self.link_up = True
         self.flooding_rate = 0
         self.flood_seq = 0
-        self.actuations: list[edge.Actuation] = []
-
-    @property
-    def session(self):
-        return self.edge.session
 
     def ensure_connected(self) -> bool:
         if not self.link_up:
@@ -251,7 +243,7 @@ class SimNode:
             reading = self.edge.ingest_raw(sensor, raw, now)
             ledger = self.world.generated.setdefault(str(reading.channel), [])
             ledger.append(reading.seq)
-        self.actuations.extend(self.edge.control_step())
+        self.edge.control_step()
         if self.flooding_rate and connected:
             self._flood(now)
         published = self.edge.flush()
@@ -274,7 +266,6 @@ class SimNode:
                 )
             elif frame.topic == controlplane.update_topic(self.node_id):
                 cmd = json.loads(frame.payload)
-                self.edge.firmware_version = cmd["version"]
                 payload = json.dumps({"version": cmd["version"]}, separators=(",", ":"))
                 self.edge.uplink.enqueue(
                     edge.QueuedFrame(f"mgmt/{self.node_id}/status", payload)
@@ -329,13 +320,11 @@ class World:
         self.cloud_session = self.broker.connect_service("cloud")
         for f in ("data/#", "alerts/#", "twin/+/reported", "mgmt/+/status"):
             self.cloud_session.subscribe(f)
-        self.twins = twins_mod.TwinService(
-            self.model, publish=self._publish_cloud, clock=self.clock
-        )
+        self.twins = twins_mod.TwinService(self.model, publish=self._publish_cloud)
         self.mgmt = controlplane.ManagementService(
             self.registry, publish=self._publish_cloud
         )
-        self.monitor = controlplane.Monitor(self.registry, clock=self.clock)
+        self.monitor = controlplane.Monitor(self.registry)
         self.pipeline = (
             streams_mod.Pipeline(spec.pipeline) if spec.pipeline else None
         )
@@ -358,21 +347,7 @@ class World:
         return self.cloud_session.publish(topic, payload, qos=qos, retain=retain)
 
     def _route_rules(self) -> list[cloudgw.RouteRule]:
-        rules = []
-        for doc in self.spec.route_rules:
-            sel = doc.get("selector", {})
-            tag = None
-            if "tag" in sel:
-                k, _, v = sel["tag"].partition("=")
-                tag = (k, v)
-            rules.append(
-                cloudgw.RouteRule(
-                    destinations=frozenset(doc["destinations"]),
-                    topic=sel.get("topic"),
-                    class_name=sel.get("class"),
-                    tag=tag,
-                )
-            )
+        rules = cloudgw.route_rules(self.spec.route_rules)
         if not rules:
             # desk-scale default: telemetry feeds both lambda paths
             rules.append(
@@ -499,8 +474,7 @@ class World:
             kind = action["kind"]
             if kind == "set_desired":
                 patch = twins_mod.DesiredPatch(
-                    set={k: infomodel.parse_scalar(v) for k, v in action["set"].items()},
-                    ts=t,
+                    set={k: infomodel.parse_scalar(v) for k, v in action["set"].items()}
                 )
                 self.twins.set_desired(action["node"], patch)
             elif kind == "push_update":
@@ -548,7 +522,7 @@ class World:
                     self.tsdb.append(reading)
                 if "streams" in dests and self.pipeline is not None:
                     for em in self.pipeline.process(reading):
-                        self._handle_emission(em, t)
+                        self._handle_emission(em)
                 if "twin" in dests:
                     self.twins.apply_report(
                         node_id,
@@ -572,7 +546,7 @@ class World:
             if self.registry.lifecycle_of(node_id) == "active":
                 self.mgmt.apply_status_report(node_id, json.loads(frame.payload)["version"])
 
-    def _handle_emission(self, em: streams_mod.Emission, t: float) -> None:
+    def _handle_emission(self, em: streams_mod.Emission) -> None:
         record = {
             "sink": em.sink_id,
             "dest": em.dest,
@@ -593,7 +567,7 @@ class World:
             self.tsdb.append(Reading(channel=ch, value=em.item.value, ts=em.item.ts))
         elif em.dest == "twin_desired":
             patch = twins_mod.DesiredPatch(
-                set={em.params["prop"]: TypedScalar.number(em.item.value)}, ts=t
+                set={em.params["prop"]: TypedScalar.number(em.item.value)}
             )
             self.twins.set_desired(em.params["node"], patch)
 
@@ -614,7 +588,7 @@ class World:
     def _finalize(self) -> RunReport:
         if self.pipeline is not None:
             for em in self.pipeline.window_flush(self.clock.now()):
-                self._handle_emission(em, self.clock.now())
+                self._handle_emission(em)
         self.tsdb.flush()
         rep = self.report
         for channel, seqs in self.generated.items():

@@ -21,8 +21,8 @@ from .timeutil import BadTimestamp, format_ts, parse_ts
 DATATYPES = {"number", "integer", "string", "boolean", "timestamp", "enum"}
 INTERACTION_KINDS = {"read", "write", "invoke", "event"}
 RESERVED_KEYS = {"id", "DateTime", "seq"}
-# Relations any model may use out of the box; models can add their own.
-DEFAULT_RELATIONS = {"part_of", "regulated_by", "composed_of", "contains"}
+# The relations class and instance links may use.
+DEFAULT_RELATIONS = frozenset({"part_of", "regulated_by", "composed_of", "contains"})
 
 SCALAR_PREFIXES = {"n", "s", "b", "t"}
 
@@ -109,15 +109,6 @@ class TypedScalar:
     @classmethod
     def timestamp(cls, epoch: float) -> "TypedScalar":
         return cls("t", format_ts(epoch))
-
-    def as_python(self):
-        if self.kind == "n":
-            return float(self.text)
-        if self.kind == "b":
-            return self.text == "true"
-        if self.kind == "t":
-            return parse_ts(self.text)
-        return self.text
 
 
 def parse_scalar(text: str) -> TypedScalar:
@@ -259,7 +250,8 @@ class ValidationReport:
 
 
 class ModelRegistry:
-    """Class vocabulary, taxonomy, thing instances, and relation set.
+    """Class vocabulary, taxonomy, and thing instances; links use the
+    relations in DEFAULT_RELATIONS.
 
     Read-mostly: callers may read concurrently; registration is expected
     to be serialized by the owner. A class must not change once
@@ -270,14 +262,8 @@ class ModelRegistry:
         self._classes: dict[str, ObjectClass] = {}
         self._effective: dict[str, Mapping[str, PropertyDef]] = {}
         self._instances: dict[str, ThingInstance] = {}
-        self._relations: set[str] = set(DEFAULT_RELATIONS)
 
     # -- vocabulary ------------------------------------------------------
-
-    def register_relation(self, relation: str) -> None:
-        if not is_token(relation):
-            raise ModelError(f"relation is not a vocabulary token: {relation!r}")
-        self._relations.add(relation)
 
     def register_class(self, cls: ObjectClass) -> str:
         if cls.name in self._classes:
@@ -305,7 +291,7 @@ class ModelRegistry:
                         f"{old.datatype} -> {p.datatype}"
                     )
         for link in cls.links:
-            if link.relation not in self._relations:
+            if link.relation not in DEFAULT_RELATIONS:
                 raise UnknownRelation(link.relation)
         self._classes[cls.name] = cls
         return cls.name
@@ -349,7 +335,7 @@ class ModelRegistry:
             raise ModelError(f"duplicate instance id {inst.instance_id}")
         self.get_class(inst.class_name)  # raises UnknownClass
         for link in inst.links:
-            if link.relation not in self._relations:
+            if link.relation not in DEFAULT_RELATIONS:
                 raise UnknownRelation(link.relation)
         self._instances[inst.instance_id] = inst
         return inst.instance_id
@@ -369,7 +355,7 @@ class ModelRegistry:
         is deduplicated and sorted lexicographically.
         """
         self.get_instance(instance_id)
-        if relation not in self._relations:
+        if relation not in DEFAULT_RELATIONS:
             raise UnknownRelation(relation)
         found: set[str] = set()
         frontier = [instance_id]

@@ -2,8 +2,8 @@
 
 Topics with ``+``/``#`` wildcards, QoS 0/1 with acks, redelivery and a
 dead-letter queue, retained messages, and per-subscriber pending queues.
-Wire transport is length-prefixed JSON frames (see encode_wire_frame);
-in-process callers use Session objects directly.
+The broker runs in-process: clients attach through Session objects and
+frames are passed as Python objects, never serialized.
 
 Wildcards follow MQTT 3.1.1 (OASIS 2014) section 4.7 with one
 deliberate difference: a trailing ``#`` matches one or more segments, so
@@ -21,15 +21,11 @@ subscriptions do not match. ``match_topic`` is the reference matcher.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 from typing import Callable
 
 ACK_TIMEOUT_S = 2.0
 MAX_DELIVERIES = 5
-
-KINDS = {"PUB", "SUB", "ACK", "CONNECT", "DISCONNECT"}
 
 
 class BusError(Exception):
@@ -64,14 +60,11 @@ class MsgId:
 
 @dataclass(slots=True)
 class Frame:
-    kind: str
     topic: str
     msg_id: MsgId
     qos: int = 0
-    retain: bool = False
     ts: float = 0.0
     payload: str = ""
-    version: int = 1
 
 
 def validate_filter(topic_filter: str) -> None:
@@ -124,52 +117,6 @@ class TopicFilter:
 
     def matches(self, topic: str) -> bool:
         return _match_segments(self.segments, topic.split("/"))
-
-
-# -- wire format ---------------------------------------------------------
-
-
-def encode_wire_frame(frame: Frame) -> bytes:
-    """4-byte big-endian length + UTF-8 JSON body."""
-    body = json.dumps(
-        {
-            "v": frame.version,
-            "kind": frame.kind,
-            "topic": frame.topic,
-            "sender": frame.msg_id.sender,
-            "seq": frame.msg_id.seq,
-            "qos": frame.qos,
-            "retain": frame.retain,
-            "ts": frame.ts,
-            "payload": frame.payload,
-        },
-        separators=(",", ":"),
-        ensure_ascii=False,
-    ).encode("utf-8")
-    return struct.pack(">I", len(body)) + body
-
-
-def decode_wire_frame(buf: bytes) -> tuple[Frame, bytes]:
-    """Decode one frame from the head of ``buf``; returns (frame, rest)."""
-    if len(buf) < 4:
-        raise BusError("short buffer: missing length prefix")
-    (length,) = struct.unpack(">I", buf[:4])
-    if len(buf) < 4 + length:
-        raise BusError("short buffer: truncated body")
-    obj = json.loads(buf[4 : 4 + length].decode("utf-8"))
-    if obj.get("kind") not in KINDS:
-        raise BusError(f"unknown frame kind {obj.get('kind')!r}")
-    frame = Frame(
-        kind=obj["kind"],
-        topic=obj.get("topic", ""),
-        msg_id=MsgId(obj.get("sender", ""), int(obj.get("seq", 0))),
-        qos=int(obj.get("qos", 0)),
-        retain=bool(obj.get("retain", False)),
-        ts=float(obj.get("ts", 0.0)),
-        payload=obj.get("payload", ""),
-        version=int(obj.get("v", 1)),
-    )
-    return frame, buf[4 + length :]
 
 
 # -- broker --------------------------------------------------------------
@@ -327,11 +274,9 @@ class Broker:
         if not session.privileged and not _acl_allows(session.node_id, tsegs):
             raise NotAuthorized(f"{session.node_id} may not publish to {topic}")
         frame = Frame(
-            kind="PUB",
             topic=topic,
             msg_id=session.next_msg_id(),
             qos=qos,
-            retain=retain,
             ts=self._now(),
             payload=payload,
         )

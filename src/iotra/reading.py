@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -9,6 +10,17 @@ TOKEN_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 # Node/instance ids carry counter suffixes (n-000001) or hex forms
 # (150a3c6e-bef0e), so they get a wider lexical rule than plain tokens.
 ID_RE = re.compile(r"^[a-z0-9][a-z0-9_-]*$")
+
+
+# Threshold comparisons shared by edge rules, control conditions and
+# stream filters.
+COMPARATORS = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+}
 
 
 def is_token(text: str) -> bool:

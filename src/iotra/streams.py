@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .msgbus import TopicFilter
-from .reading import Reading
+from .reading import COMPARATORS, Reading
 from .tsdb import AGGREGATES, aggregate
 
 NODE_KINDS = {"source", "filter", "map", "window", "merge", "sink"}
@@ -25,14 +25,6 @@ SINK_DESTS = {"topic", "tsdb", "twin_desired", "notify"}
 ALLOWED_LATENESS_S = 1.0
 REPLAY_MAX_ENTRIES = 100_000
 REPLAY_MAX_SPAN_S = 60.0
-
-_CMP = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-}
 
 
 class StreamError(Exception):
@@ -75,12 +67,15 @@ class _Node:
     node_id: str
     kind: str
     params: dict
+    compiled: tuple = ()  # see _compile
 
 
 class _WindowState:
     def __init__(self, size_ms: int, slide_ms: int, agg: str):
         if agg not in AGGREGATES:
             raise BadPipeline(f"unknown window aggregate {agg!r}")
+        if size_ms <= 0 or slide_ms <= 0:
+            raise BadPipeline(f"window needs size_ms, slide_ms > 0: {size_ms}, {slide_ms}")
         self.size = size_ms / 1000.0
         self.slide = slide_ms / 1000.0
         self.agg = agg
@@ -176,7 +171,7 @@ class Pipeline:
             params = nd.get("params", {})
             if kind == "sink" and params.get("dest") not in SINK_DESTS:
                 raise BadPipeline(f"sink {nid} needs a dest in {sorted(SINK_DESTS)}")
-            self.nodes[nid] = _Node(nid, kind, params)
+            self.nodes[nid] = _Node(nid, kind, params, _compile(nid, kind, params))
         for a, b in spec.get("edges", []):
             if a not in self.nodes or b not in self.nodes:
                 raise BadPipeline(f"edge references unknown node: {a} -> {b}")
@@ -225,13 +220,11 @@ class Pipeline:
             raise ArityMismatch(f"{node.kind} node takes one input")
         if node.kind == "filter":
             item = inputs[0]
-            op = node.params.get("op", ">")
-            if op not in _CMP:
-                raise BadPipeline(f"unknown filter op {op!r}")
-            return [item] if _CMP[op](item.value, float(node.params["threshold"])) else []
+            cmp, threshold = node.compiled
+            return [item] if cmp(item.value, threshold) else []
         if node.kind == "map":
             item = inputs[0]
-            scale, offset, unit = _map_params(node.params)
+            scale, offset, unit = node.compiled
             return [
                 Item(
                     ts=item.ts,
@@ -320,19 +313,33 @@ def load_pipeline(path: Path) -> Pipeline:
     return Pipeline(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def _map_params(params: dict) -> tuple[float, float, str]:
+def _compile(nid: str, kind: str, params: dict) -> tuple:
+    """What a filter node (comparator, threshold) or a map node (scale,
+    offset, unit) evaluates with, checked once; raises BadPipeline."""
+    if kind == "filter":
+        op = params.get("op", ">")
+        if op not in COMPARATORS:
+            raise BadPipeline(f"filter {nid}: unknown op {op!r}")
+        return COMPARATORS[op], _number(nid, params, "threshold")
+    if kind != "map":
+        return ()
     preset = params.get("transform")
     if preset == "f_to_c":
         return 5.0 / 9.0, -160.0 / 9.0, params.get("to_unit", "°C")
     if preset == "c_to_f":
         return 9.0 / 5.0, 32.0, params.get("to_unit", "°F")
     if preset is not None:
-        raise BadPipeline(f"unknown map transform {preset!r}")
-    return (
-        float(params.get("scale", 1.0)),
-        float(params.get("offset", 0.0)),
-        params.get("to_unit", ""),
-    )
+        raise BadPipeline(f"map {nid}: unknown transform {preset!r}")
+    return (_number(nid, params, "scale", 1.0), _number(nid, params, "offset", 0.0),
+            params.get("to_unit", ""))
+
+
+def _number(nid: str, params: dict, key: str, default: float | None = None) -> float:
+    raw = params.get(key, default)
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise BadPipeline(f"{nid}: {key} must be a number, got {raw!r}") from None
 
 
 class ReplayStore:

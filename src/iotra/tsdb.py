@@ -245,7 +245,12 @@ class Store:
     # -- writes ----------------------------------------------------------
 
     def append(self, reading: Reading) -> tuple[int, int]:
-        """Append one reading; returns (segment number, offset in segment)."""
+        """Append one reading; returns (segment number, offset in segment).
+
+        The store keeps the caller's Reading and its ``tags`` dict (a
+        copy would cost every append), so the caller must not change them
+        after appending: queries would see it and the disk would not.
+        """
         ch = self._channels.get(reading.channel)
         if ch is None:
             ch = _Channel(reading.channel, self.root)

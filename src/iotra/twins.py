@@ -63,8 +63,6 @@ class TwinRecord:
 @dataclass(slots=True)
 class DesiredPatch:
     set: dict[str, TypedScalar]
-    origin: str = "operator"
-    ts: float = 0.0
 
     def __post_init__(self):
         if not self.set:
@@ -87,11 +85,9 @@ class TwinService:
         self,
         model: infomodel.ModelRegistry,
         publish: Callable[..., object] | None = None,
-        clock=None,
     ):
         self.model = model
         self.publish = publish  # publish(topic, payload, qos=1, retain=True)
-        self.clock = clock
         self._twins: dict[str, TwinRecord] = {}
 
     def register_node(self, node_id: str, class_name: str) -> TwinRecord:
@@ -173,9 +169,6 @@ class TwinService:
         if twin.ack_version != twin.desired_version:
             return False
         return all(twin.reported.get(k) == v for k, v in twin.desired.items())
-
-    def node_ids(self) -> list[str]:
-        return sorted(self._twins)
 
     # -- persistence (CLI workspace) -------------------------------------
 

@@ -227,6 +227,15 @@ def test_condition_combinators():
     assert either.evaluate(snap)
 
 
+@pytest.mark.parametrize("terms, combine", [
+    ([("temp", "~", 1.0)], "all"),
+    ([("temp", ">", 1.0)], "al"),
+])
+def test_bad_condition_rejected_at_construction(terms, combine):
+    with pytest.raises(edge.EdgeError):
+        Condition(terms, combine=combine)
+
+
 # -- ring buffer ---------------------------------------------------------
 
 

@@ -3,7 +3,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iotra import msgbus
 from iotra.msgbus import (
     ACK_TIMEOUT_S,
     MAX_DELIVERIES,
@@ -11,12 +10,8 @@ from iotra.msgbus import (
     BadFilter,
     BadTopic,
     Broker,
-    Frame,
-    MsgId,
     NotAuthorized,
     NotConnected,
-    decode_wire_frame,
-    encode_wire_frame,
     match_topic,
     validate_filter,
     validate_topic,
@@ -163,37 +158,6 @@ def test_trie_routing_matches_linear_scan(ops):
     for session in slots:
         broker.disconnect(session)
     assert not broker._root.children  # emptied trie nodes are pruned
-
-
-# -- wire format ---------------------------------------------------------
-
-
-def test_wire_round_trip():
-    frame = Frame(kind="PUB", topic="data/n-1/temp", msg_id=MsgId("n-1#1", 7),
-                  qos=1, retain=True, ts=12.5, payload='{"temp":"n:77.6"}')
-    buf = encode_wire_frame(frame) + b"trailing"
-    decoded, rest = decode_wire_frame(buf)
-    assert decoded == frame
-    assert rest == b"trailing"
-
-
-def test_wire_length_prefix_is_big_endian_of_body():
-    frame = Frame(kind="ACK", topic="t", msg_id=MsgId("s", 1))
-    buf = encode_wire_frame(frame)
-    assert int.from_bytes(buf[:4], "big") == len(buf) - 4
-
-
-def test_wire_truncated_body_rejected():
-    buf = encode_wire_frame(Frame(kind="PUB", topic="t", msg_id=MsgId("s", 1)))
-    with pytest.raises(msgbus.BusError):
-        decode_wire_frame(buf[:-1])
-
-
-def test_wire_unknown_kind_rejected():
-    import json, struct
-    body = json.dumps({"kind": "NOPE"}).encode()
-    with pytest.raises(msgbus.BusError):
-        decode_wire_frame(struct.pack(">I", len(body)) + body)
 
 
 # -- broker basics -------------------------------------------------------

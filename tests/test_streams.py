@@ -157,6 +157,23 @@ def test_map_c_to_f_inverts_f_to_c():
     assert back.value == pytest.approx(77.6)
 
 
+@pytest.mark.parametrize("middle", [
+    {"node_id": "f", "kind": "filter", "params": {"op": "~", "threshold": 1}},
+    {"node_id": "f", "kind": "filter", "params": {"op": ">"}},
+    {"node_id": "f", "kind": "filter", "params": {"threshold": "high"}},
+    {"node_id": "m", "kind": "map", "params": {"transform": "k_to_x"}},
+    {"node_id": "m", "kind": "map", "params": {"scale": "two"}},
+    {"node_id": "w", "kind": "window",
+     "params": {"size_ms": 1000, "slide_ms": 0, "agg": "avg"}},
+    {"node_id": "w", "kind": "window",
+     "params": {"size_ms": -1000, "slide_ms": 1000, "agg": "avg"}},
+])
+def test_bad_node_params_rejected_at_construction(middle):
+    # not when the first matching reading arrives, in the middle of a run
+    with pytest.raises(BadPipeline):
+        Pipeline(linear_spec(middle))
+
+
 def test_single_input_arity_enforced():
     p = Pipeline(linear_spec({"node_id": "f", "kind": "filter",
                               "params": {"threshold": 0}}))
