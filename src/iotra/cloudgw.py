@@ -21,6 +21,8 @@ from .reading import Reading
 
 DESTINATIONS = {"streams", "tsdb", "twin"}
 
+_AUDIT_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
 
 @dataclass(slots=True)
 class IngressDecision:
@@ -36,8 +38,8 @@ class IngressDecision:
 class DedupState:
     """Per-channel high watermark plus a sparse set of seen seqs above it.
 
-    The set stays empty while delivery is in order; out-of-order fresh
-    seqs park in the set until the watermark catches up.
+    A channel gets a set only when a seq arrives out of order; fresh
+    seqs above the watermark park there until the watermark catches up.
     """
 
     def __init__(self):
@@ -50,10 +52,13 @@ class DedupState:
             raise ValueError("seq must be >= 1")
         key = (node_id, channel)
         wm = self._watermark.get(key, 0)
-        above = self._above.setdefault(key, set())
+        above = self._above.get(key, ())
         if seq <= wm or seq in above:
             return False
-        above.add(seq)
+        if seq > wm + 1:  # out of order: park it
+            self._above.setdefault(key, set()).add(seq)
+            return True
+        wm = seq
         while wm + 1 in above:
             wm += 1
             above.discard(wm)
@@ -203,7 +208,7 @@ class CloudGateway:
                 "verdict": decision.verdict,
                 "reason": decision.reason,
             }
-            self._audit_fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
+            self._audit_fh.write(_AUDIT_ENCODER.encode(entry) + "\n")
             self._audit_fh.flush()
 
     def close(self) -> None:

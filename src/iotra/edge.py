@@ -369,6 +369,10 @@ class EdgeNode:
         self.channels: dict[str, ChannelState] = {
             c.sensor_name: ChannelState(c) for c in config.channels
         }
+        for rule in config.control_rules:
+            for channel, _, _ in rule.condition.terms:
+                if channel not in self.channels:
+                    raise UnknownChannelInCondition(channel)
         self.rules = RuleEngine(config.edge_rules)
         self.uplink = UplinkQueue()
         self.session = None

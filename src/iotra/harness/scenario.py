@@ -91,6 +91,19 @@ class Fault:
     params: dict = field(default_factory=dict)
 
 
+SPEC_KEYS = frozenset({"duration_s", "tick_s", "seed", "nodes", "pipeline",
+                       "route_rules", "faults", "actions", "assertions",
+                       "model_dir"})
+NODE_GROUP_KEYS = frozenset({"count", "name_prefix", "class_name", "channels",
+                             "edge_rules", "control_rules", "tags"})
+
+
+def _check_keys(doc: dict, known: frozenset, what: str) -> None:
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise BadScenario(f"unknown {what} key(s): {', '.join(unknown)}")
+
+
 @dataclass(slots=True)
 class ScenarioSpec:
     duration_s: float
@@ -106,13 +119,17 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioSpec":
+        """Spec from its JSON form; an unknown top-level or node-group
+        key raises BadScenario, so a misspelt key never runs defaults."""
         if "duration_s" not in doc:
             raise BadScenario("scenario needs duration_s")
+        _check_keys(doc, SPEC_KEYS, "scenario")
         spec = cls(duration_s=float(doc["duration_s"]))
-        for key in ("tick_s", "seed", "nodes", "pipeline", "route_rules", "faults",
-                    "actions", "assertions", "model_dir"):
+        for key in SPEC_KEYS - {"duration_s"}:
             if key in doc:
                 setattr(spec, key, doc[key])
+        for group in spec.nodes:
+            _check_keys(group, NODE_GROUP_KEYS, "node group")
         for f in spec.faults:
             if not (0 <= f.get("start", 0) <= f.get("end", 0) <= spec.duration_s):
                 raise BadScenario(f"fault window outside scenario duration: {f}")
@@ -337,8 +354,14 @@ class World:
         self._bucket_counts: dict[str, int] = {}
         self._dup_fault: Fault | None = None
         self._outage_pending_since: dict[str, float] = {}
-        self._boot_nodes()
-        self.faults = self._resolve_faults()
+        try:
+            self._boot_nodes()
+            self.faults = self._resolve_faults()
+        except Exception:
+            # a bad node or fault entry must not leak the files opened above
+            self.tsdb.close()
+            self.gateway.close()
+            raise
 
     # -- wiring ----------------------------------------------------------
 

@@ -4,6 +4,14 @@ Gives the fleet M2M semantic interoperability: a vocabulary of thing
 classes arranged in a single-parent taxonomy, typed-scalar payload
 encoding (``n:``/``s:``/``b:``/``t:`` prefixes), payload validation
 against class definitions, and tag/link resolution across instances.
+
+The report codec does no per-call setup: one shared JSON encoder, a
+constant datatype -> prefix table, and bounded memos
+(``TEXT_MEMO_SIZE`` entries each) that reuse the parsed ``TypedScalar``
+of a repeated node id, unit or tag value and the ``ChannelKey`` of a
+repeated node/channel pair. The memos are bounded because their keys
+are payload text that arrives from outside the program; a text that
+fails to parse is never cached.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
 
@@ -413,16 +422,19 @@ class ModelRegistry:
         return report
 
 
+# The scalar prefix each datatype travels under.
+_DATATYPE_PREFIX = {
+    "number": "n",
+    "integer": "n",
+    "string": "s",
+    "boolean": "b",
+    "timestamp": "t",
+    "enum": "s",
+}
+
+
 def _check_value(prop: PropertyDef, scalar: TypedScalar) -> list[Violation]:
-    expected = {
-        "number": "n",
-        "integer": "n",
-        "string": "s",
-        "boolean": "b",
-        "timestamp": "t",
-        "enum": "s",
-    }[prop.datatype]
-    if scalar.kind != expected:
+    if scalar.kind != _DATATYPE_PREFIX[prop.datatype]:
         return [Violation("type_mismatch", prop.name, f"expected {prop.datatype}")]
     out: list[Violation] = []
     if prop.datatype in ("number", "integer"):
@@ -472,6 +484,14 @@ def class_from_dict(doc: dict) -> ObjectClass:
 
 # -- report codec --------------------------------------------------------
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+
+# Parsed forms of texts that repeat from one report to the next (see the
+# module docstring); both result types are frozen, so sharing is safe.
+TEXT_MEMO_SIZE = 4096
+_repeated_scalar = lru_cache(maxsize=TEXT_MEMO_SIZE)(parse_scalar)
+_channel_key = lru_cache(maxsize=TEXT_MEMO_SIZE)(ChannelKey)
+
 
 def _encode_value(value) -> str:
     if isinstance(value, TypedScalar):
@@ -504,7 +524,7 @@ def encode_report(node_id: str, readings: list[Reading]) -> str:
             obj["seq"] = r.seq
         for k in sorted(r.tags):
             obj[k] = f"s:{r.tags[k]}"
-        lines.append(json.dumps(obj, separators=(",", ":"), ensure_ascii=False))
+        lines.append(_ENCODER.encode(obj))
     return "\n".join(lines)
 
 
@@ -563,20 +583,20 @@ def decode_report(text: str, with_scalars: bool = False):
                 elif key == "seq" and isinstance(raw, int):
                     scalar = TypedScalar("n", repr(raw))
                 else:
-                    scalar = parse_scalar(str(raw))
-            else:
+                    scalar = _repeated_scalar(str(raw))
+            elif value_key is None:
                 scalar = parse_scalar(str(raw))
-                if value_key is None:
-                    value_key = key
-                    value = _scalar_to_value(scalar)
-                else:
-                    tags[key] = scalar.text
+                value_key = key
+                value = _scalar_to_value(scalar)
+            else:
+                scalar = _repeated_scalar(str(raw))
+                tags[key] = scalar.text
             scalars[key] = scalar
         if value_key is None:
             raise MalformedText("report object carries no channel value")
         readings.append(
             Reading(
-                channel=ChannelKey(node_id, value_key),
+                channel=_channel_key(node_id, value_key),
                 value=value,
                 unit=unit,
                 ts=ts,

@@ -3,20 +3,49 @@
 All timestamps in the system are UTC. Internally they travel as float
 epoch seconds (millisecond granularity); on the wire they are RFC3339
 text like ``2020-07-15T14:50:07Z`` or ``2020-07-15T14:50:07.250Z``.
+
+Both directions compute the time of day with integer arithmetic and
+take the date part from a per-day memo, the only place that builds a
+``datetime`` (so it still rejects Feb 30 and year 0000). Consecutive
+readings share a day, so the memo nearly always hits. It is bounded
+(``DAY_MEMO_SIZE`` days) because ``parse_ts`` keys it with text that
+arrives from outside the program.
 """
 
 from __future__ import annotations
 
 import re
 from datetime import datetime, timezone
+from functools import lru_cache
 
 _RFC3339_RE = re.compile(
     r"^(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})(\.\d+)?Z$"
 )
 
+DAY_MEMO_SIZE = 256
+_DAY_S = 86400
+
 
 class BadTimestamp(ValueError):
     """Text does not parse as an RFC3339 UTC timestamp."""
+
+
+@lru_cache(maxsize=DAY_MEMO_SIZE)
+def _day_epoch(date: str) -> int:
+    """Epoch seconds at the start of ``YYYY-MM-DD``; raises BadTimestamp
+    for a date that does not exist."""
+    try:
+        dt = datetime(int(date[:4]), int(date[5:7]), int(date[8:10]),
+                      tzinfo=timezone.utc)
+    except ValueError as exc:
+        raise BadTimestamp(str(exc)) from None
+    return int(dt.timestamp())
+
+
+@lru_cache(maxsize=DAY_MEMO_SIZE)
+def _day_text(day: int) -> str:
+    """``YYYY-MM-DD`` of the day that starts at ``day * 86400``."""
+    return datetime.fromtimestamp(day * _DAY_S, tz=timezone.utc).strftime("%Y-%m-%d")
 
 
 def parse_ts(text: str) -> float:
@@ -28,13 +57,16 @@ def parse_ts(text: str) -> float:
     m = _RFC3339_RE.match(text)
     if not m:
         raise BadTimestamp(f"not an RFC3339 UTC timestamp: {text!r}")
-    y, mo, d, h, mi, s = (int(g) for g in m.groups()[:6])
-    frac = m.group(7)
-    try:
-        dt = datetime(y, mo, d, h, mi, s, tzinfo=timezone.utc)
-    except ValueError as exc:
-        raise BadTimestamp(str(exc)) from None
-    epoch = dt.timestamp()
+    h, mi, s, frac = m.group(4, 5, 6, 7)
+    day = _day_epoch(text[:10])  # the date first, in datetime()'s order
+    h, mi, s = int(h), int(mi), int(s)
+    if h > 23:
+        raise BadTimestamp("hour must be in 0..23")
+    if mi > 59:
+        raise BadTimestamp("minute must be in 0..59")
+    if s > 59:
+        raise BadTimestamp("second must be in 0..59")
+    epoch = float(day + h * 3600 + mi * 60 + s)
     if frac:
         epoch += float(frac)
     return round(epoch * 1000) / 1000.0
@@ -46,10 +78,11 @@ def format_ts(epoch: float) -> str:
     Whole seconds get no fractional part; otherwise milliseconds are
     emitted (the system's timestamp granularity).
     """
-    ms = round(epoch * 1000)
-    secs, rem = divmod(ms, 1000)
-    dt = datetime.fromtimestamp(secs, tz=timezone.utc)
-    base = dt.strftime("%Y-%m-%dT%H:%M:%S")
+    secs, rem = divmod(round(epoch * 1000), 1000)
+    day, sod = divmod(secs, _DAY_S)
+    h, sod = divmod(sod, 3600)
+    mi, s = divmod(sod, 60)
+    base = f"{_day_text(day)}T{h:02d}:{mi:02d}:{s:02d}"
     if rem:
         return f"{base}.{rem:03d}Z"
     return base + "Z"

@@ -113,12 +113,14 @@ def test_admit_fresh_report(tmp_path):
     decision = gw.admit("n-000001", "data/n-000001/temp", report())
     assert decision.admitted and decision.reason == "ok"
     assert decision.readings[0].value == 77.6
+    gw.close()
 
 
 def test_reject_unknown_node(tmp_path):
     gw, _ = make_gateway(tmp_path)
     decision = gw.admit("ghost", "data/ghost/temp", report(node="ghost"))
     assert (decision.verdict, decision.reason) == ("reject", "auth_failed")
+    gw.close()
 
 
 def test_reject_quarantined_and_not_active(tmp_path):
@@ -127,6 +129,7 @@ def test_reject_quarantined_and_not_active(tmp_path):
     assert gw.admit("n-000001", "t/x", report()).reason == "quarantined"
     registry.states["n-000001"] = "commissioned"
     assert gw.admit("n-000001", "t/x", report()).reason == "not_active"
+    gw.close()
 
 
 def test_reject_sender_mismatch(tmp_path):
@@ -135,11 +138,13 @@ def test_reject_sender_mismatch(tmp_path):
     registry.classes["n-000002"] = "sensor_node"
     decision = gw.admit("n-000002", "data/n-000002/temp", report(node="n-000001"))
     assert decision.reason == "schema_invalid"
+    gw.close()
 
 
 def test_reject_malformed_payload(tmp_path):
     gw, _ = make_gateway(tmp_path)
     assert gw.admit("n-000001", "t/x", "not json").reason == "schema_invalid"
+    gw.close()
 
 
 def report_line(**fields):
@@ -170,6 +175,7 @@ def test_strict_validation_rejects_out_of_range(tmp_path):
     gw, _ = make_gateway(tmp_path)
     decision = gw.admit("n-000001", "t/x", report(value=900.0))
     assert decision.reason == "schema_invalid"
+    gw.close()
 
 
 def test_duplicate_rejected_exactly_once_semantics(tmp_path):
@@ -177,6 +183,7 @@ def test_duplicate_rejected_exactly_once_semantics(tmp_path):
     payload = report(seq=1)
     assert gw.admit("n-000001", "t/x", payload).admitted
     assert gw.admit("n-000001", "t/x", payload).reason == "duplicate"
+    gw.close()
 
 
 def test_mixed_batch_admits_only_fresh(tmp_path):
@@ -190,6 +197,7 @@ def test_mixed_batch_admits_only_fresh(tmp_path):
     decision = gw.admit("n-000001", "t/x", both)
     assert decision.admitted
     assert [r.seq for r in decision.readings] == [2]
+    gw.close()
 
 
 def test_audit_log_records_every_decision(tmp_path):

@@ -211,6 +211,16 @@ def test_unknown_channel_in_condition():
         run_local_control([rule], {"temp": 81.0})
 
 
+def test_unknown_channel_in_condition_rejected_when_the_node_is_built():
+    rule = ControlRule("c1", Condition([("tmep", ">", 1)]), "fan", "power", "on")
+    config = edge.NodeConfig(
+        "n-1", "multi_sensor",
+        channels=[ChannelConfig("temp", "multi_sensor", unit="°F")],
+        control_rules=[rule])
+    with pytest.raises(UnknownChannelInCondition, match="tmep"):
+        edge.EdgeNode(config)
+
+
 def test_results_ordered_by_rule_id():
     rules = [
         ControlRule("z", Condition([("t", ">", 0)]), "a", "p", 1),

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from iotra import edge
 from iotra.harness import cli, scenario, waveforms
 from iotra.harness.scenario import ScenarioSpec, run_scenario
 from iotra.harness.waveforms import BadSpec, WaveformSpec, gen_waveform
@@ -69,6 +70,16 @@ def test_spec_default_assertions():
     assert spec.assertions == ["lossless", "seq_gap_free"]
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"duration_s": 1, "asertions": ["exact_multiset"]}, "asertions"),
+    ({"duration_s": 1, "nodes": [{"count": 1, "chanels": []}]}, "chanels"),
+    ({"duration_s": 1, "nodes": [{"buffer_capacity": 64}]}, "buffer_capacity"),
+], ids=["top_level", "node_group", "retired_node_key"])
+def test_spec_rejects_unknown_keys(doc, key):
+    with pytest.raises(scenario.BadScenario, match=key):
+        ScenarioSpec.from_dict(doc)
+
+
 # -- scenario runs -------------------------------------------------------
 
 
@@ -93,6 +104,16 @@ def nominal_spec(duration=5.0, **extra):
     }
     doc.update(extra)
     return ScenarioSpec.from_dict(doc)
+
+
+def test_control_rule_on_a_missing_channel_fails_at_construction(tmp_path):
+    spec = nominal_spec()
+    spec.nodes[0]["control_rules"] = [{
+        "rule_id": "fan_on", "actuator": "fan", "prop": "power", "value": True,
+        "condition": {"terms": [["tmep", ">", 78.0]]},
+    }]
+    with pytest.raises(edge.UnknownChannelInCondition, match="tmep"):
+        scenario.World(spec, tmp_path)
 
 
 def test_nominal_run_is_lossless(tmp_path):

@@ -332,6 +332,19 @@ def test_decode_scalars_are_payload_to_scalars(rs):
     assert scalars == [payload_to_scalars(line) for line in text.splitlines()]
 
 
+@pytest.mark.parametrize("with_scalars", [False, True])
+def test_each_decode_gets_its_own_tags(with_scalars):
+    r = Reading(channel=ChannelKey("n-1", "temp"), value=77.6, unit="°F",
+                ts=1594824607.0, seq=1, tags={"zone": "a"})
+    payload = encode_report("n-1", [r])
+    first = decode_report(payload, with_scalars=with_scalars)[1][0]
+    first.tags["zone"] = "b"
+    first.tags["site"] = "hq"
+    second = decode_report(payload, with_scalars=with_scalars)[1][0]
+    assert second == r
+    assert second.tags is not first.tags
+
+
 def test_decode_with_scalars_parses_the_unit():
     line = '{"id":"n-1","temp":"n:1","unit":"q:F","DateTime":"t:2020-07-15T14:50:07Z"}'
     assert decode_report(line)[1][0].unit == "q:F"

@@ -78,6 +78,7 @@ def test_append_and_count(tmp_path):
     fill(store, 10)
     assert store.count(ch()) == 10
     assert store.channels() == [ch()]
+    store.close()
 
 
 def test_segment_rolls_and_seals_at_capacity(tmp_path):
@@ -91,6 +92,7 @@ def test_segment_rolls_and_seals_at_capacity(tmp_path):
     footer = json.loads((seg_dir / "seg-0.idx").read_text())
     assert footer == {"min_ts": 0.0, "max_ts": float(SEGMENT_CAPACITY - 1),
                       "count": SEGMENT_CAPACITY}
+    store.close()
 
 
 def test_sealing_leaves_no_temp_file(tmp_path):
@@ -99,6 +101,7 @@ def test_sealing_leaves_no_temp_file(tmp_path):
     seg_dir = tmp_path / "n-000001" / "temp"
     assert sorted(p.name for p in seg_dir.iterdir()) == [
         "seg-0.idx", "seg-0.log", "seg-1.idx", "seg-1.log", "seg-2.log"]
+    store.close()
 
 
 def test_reopen_resumes_same_contents(tmp_path):
@@ -111,6 +114,7 @@ def test_reopen_resumes_same_contents(tmp_path):
     # appends continue in the unsealed tail segment
     reopened.append(reading(9999, seq=SEGMENT_CAPACITY + 6))
     assert reopened.count(ch()) == SEGMENT_CAPACITY + 6
+    reopened.close()
 
 
 # -- queries -------------------------------------------------------------
@@ -121,6 +125,7 @@ def test_query_half_open_sorted(tmp_path):
     for t in (5, 1, 3, 2, 4):
         store.append(reading(t, seq=t))
     assert [r.ts for r in store.query_range(ch(), 2, 5)] == [2.0, 3.0, 4.0]
+    store.close()
 
 
 def test_query_unknown_channel(tmp_path):
@@ -142,6 +147,7 @@ def test_query_matches_list_oracle(tmp_path):
         oracle = sorted((r for r in rows if t1 <= r.ts < t2),
                         key=lambda r: (r.ts, r.seq))
         assert store.query_range(ch(), t1, t2) == oracle
+    store.close()
 
 
 def test_in_order_multi_segment_query_does_not_sort(tmp_path, monkeypatch):
@@ -297,6 +303,7 @@ def test_downsample_avg_example(tmp_path):
     for t, v in ((0, 10), (5, 20), (10, 30), (15, 50)):
         store.append(reading(t, value=float(v), seq=t + 1))
     assert store.downsample(ch(), 0, 20, 10, "avg") == [(0.0, 15.0), (10.0, 40.0)]
+    store.close()
 
 
 def test_downsample_empty_buckets_omitted(tmp_path):
@@ -306,6 +313,7 @@ def test_downsample_empty_buckets_omitted(tmp_path):
     for agg in ("avg", "count"):
         rows = store.downsample(ch(), 0, 30, 10, agg)
         assert [b for b, _ in rows] == [0.0, 20.0]  # bucket 10 omitted
+    store.close()
 
 
 def test_downsample_all_aggregates_match_oracle(tmp_path):
@@ -333,6 +341,7 @@ def test_downsample_all_aggregates_match_oracle(tmp_path):
         assert [b for b, _ in got] == [b for b, _ in expect]
         for (_, g), (_, e) in zip(got, expect):
             assert g == pytest.approx(e, abs=1e-12)
+    store.close()
 
 
 def test_downsample_rejects_bad_interval(tmp_path):
@@ -342,6 +351,7 @@ def test_downsample_rejects_bad_interval(tmp_path):
         store.downsample(ch(), 0, 10, 0, "avg")
     with pytest.raises(BadInterval):
         store.downsample(ch(), 0, 10, 5, "median")
+    store.close()
 
 
 # -- tag index -----------------------------------------------------------
@@ -357,6 +367,7 @@ def test_find_channels_conjunctive(tmp_path):
     assert store.find_channels({"zone": "Z9"}) == []
     with pytest.raises(tsdb.TsdbError):
         store.find_channels({})
+    store.close()
 
 
 def test_tag_index_sees_a_reused_tags_dict_change(tmp_path):
@@ -366,6 +377,7 @@ def test_tag_index_sees_a_reused_tags_dict_change(tmp_path):
     tags["zone"] = "Z4"
     store.append(reading(2, seq=2, tags=tags))
     assert store.find_channels({"zone": "Z4"}) == [ch()]
+    store.close()
 
 
 def test_tag_index_survives_reopen(tmp_path):
@@ -392,6 +404,7 @@ def test_retention_drops_only_old_sealed_segments(tmp_path):
     # active segment is never deleted even when old
     assert store.apply_retention(now=1e9, policy=RetentionPolicy(max_age=1.0)) == 1
     assert (seg_dir / "seg-2.log").exists()
+    store.close()
 
 
 def test_retention_per_channel_policy(tmp_path):
