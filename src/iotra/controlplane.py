@@ -4,6 +4,17 @@ Node registry and lifecycle, commissioning with keyed-hash credentials
 (standing in for certificates at desk scale), firmware-version push over
 retained management commands, EWMA traffic-anomaly monitoring, and
 incident handling with quarantine/remediation.
+
+``Registry`` is the only store of control-plane state, nodes and
+incidents alike. Every change is one event: a public method checks its
+preconditions, builds the event and hands it to ``_record``, which
+applies it with ``_apply`` and then appends it to the JSON-lines log.
+Opening a log replays each line through the same ``_apply``, so live
+and replayed state cannot drift apart. A crash mid-append can tear only
+the final line: an open drops a final line that has no newline and
+truncates the file to its last complete line. Any other line that does
+not apply raises ``ControlPlaneError``. Nothing calls fsync, so this
+holds against a process crash, not against power loss.
 """
 
 from __future__ import annotations
@@ -11,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -74,14 +85,22 @@ class RegistryEntry:
     class_name: str
     credential: str
     lifecycle: str = "commissioned"
-    topics: tuple[str, ...] = ()
     firmware_version: str = "1.0"
     created_ts: float = 0.0
 
 
+@dataclass(slots=True)
+class Incident:
+    incident_id: str
+    node_id: str
+    kind: str  # traffic_flood | auth_probe | manual
+    opened_ts: float
+    state: str = "open"  # open | mitigated | closed
+
+
 class Registry:
-    """Registry of system nodes, persisted as a replayable JSON-lines
-    event log when given a path."""
+    """Nodes and incidents, persisted as a replayable JSON-lines event
+    log when given a path (see the module docstring)."""
 
     def __init__(
         self,
@@ -95,6 +114,9 @@ class Registry:
         self.clock = clock
         self._entries: dict[str, RegistryEntry] = {}
         self._counter = 0
+        self.incidents: dict[str, Incident] = {}
+        self.unclosed: dict[str, int] = {}  # node -> incidents not closed
+        self._incident_counter = 0
         self._log_path = Path(log_path) if log_path else None
         self.on_quarantine: Callable[[str], None] | None = None
         if self._log_path is not None and self._log_path.exists():
@@ -105,7 +127,41 @@ class Registry:
 
     # -- event log -------------------------------------------------------
 
-    def _append_event(self, event: dict) -> None:
+    def _apply(self, ev: dict) -> None:
+        kind = ev["event"]
+        if kind == "commissioned":
+            node_id = ev["node_id"]
+            self._entries[node_id] = RegistryEntry(
+                node_id, ev["name"], ev["class_name"], ev["credential"],
+                created_ts=ev["ts"],
+            )
+            self._counter = max(self._counter, int(node_id.split("-")[1]))
+        elif kind == "transition":
+            entry = self._entries[ev["node_id"]]
+            entry.lifecycle = ev["to"]
+            if ev["to"] == "decommissioned":
+                entry.credential = ""  # terminal: credential invalidated
+        elif kind == "firmware":
+            self._entries[ev["node_id"]].firmware_version = ev["version"]
+        elif kind == "incident_opened":
+            iid, node_id = ev["id"], ev["node_id"]
+            self.incidents[iid] = Incident(iid, node_id, ev["kind"], ev["ts"])
+            self._incident_counter = max(self._incident_counter,
+                                         int(iid.split("-")[1]))
+            self.unclosed[node_id] = self.unclosed.get(node_id, 0) + 1
+        elif kind == "incident_mitigated":
+            self.incidents[ev["id"]].state = "mitigated"
+        elif kind == "incident_closed":
+            incident = self.incidents[ev["id"]]
+            incident.state = "closed"
+            self.unclosed[incident.node_id] -= 1
+            if not self.unclosed[incident.node_id]:
+                del self.unclosed[incident.node_id]
+        else:
+            raise ControlPlaneError(f"unknown event {kind!r}")
+
+    def _record(self, event: dict) -> None:
+        self._apply(event)
         if self._log_path is None:
             return
         self._log_path.parent.mkdir(parents=True, exist_ok=True)
@@ -113,70 +169,39 @@ class Registry:
             fh.write(json.dumps(event, separators=(",", ":")) + "\n")
 
     def _replay_log(self) -> None:
-        for line in self._log_path.read_text(encoding="utf-8").splitlines():
+        data = self._log_path.read_bytes()
+        clean = data.rfind(b"\n") + 1
+        if clean < len(data):
+            # torn tail from a crash mid-append: repair in place
+            with open(self._log_path, "r+b") as fh:
+                fh.truncate(clean)
+        for lineno, line in enumerate(data[:clean].splitlines(), 1):
             if not line.strip():
                 continue
-            ev = json.loads(line)
-            kind = ev["event"]
-            if kind == "commissioned":
-                entry = RegistryEntry(
-                    node_id=ev["node_id"],
-                    name=ev["name"],
-                    class_name=ev["class_name"],
-                    credential=ev["credential"],
-                    lifecycle="commissioned",
-                    topics=tuple(ev.get("topics", ())),
-                    created_ts=ev.get("ts", 0.0),
-                )
-                self._entries[entry.node_id] = entry
-                self._counter = max(self._counter, int(entry.node_id.split("-")[1]))
-            elif kind == "transition":
-                e = self._entries.get(ev["node_id"])
-                if e is not None:
-                    e.lifecycle = ev["to"]
-                    if ev["to"] == "decommissioned":
-                        e.credential = ""
-            elif kind == "firmware":
-                e = self._entries.get(ev["node_id"])
-                if e is not None:
-                    e.firmware_version = ev["version"]
+            try:
+                self._apply(json.loads(line))
+            except (ControlPlaneError, ValueError, KeyError, TypeError,
+                    IndexError) as exc:
+                raise ControlPlaneError(
+                    f"{self._log_path}:{lineno}: bad event: {exc!r}") from None
 
     # -- commissioning and lifecycle -------------------------------------
 
     def commission(self, name: str, class_name: str,
                    model=None) -> RegistryEntry:
-        """Admit a new node: assign identity, credential, and endpoints."""
+        """Admit a new node: assign identity and credential."""
         if model is not None and not model.has_class(class_name):
             raise UnknownClass(class_name)
-        self._counter += 1
-        node_id = f"n-{self._counter:06d}"
-        entry = RegistryEntry(
-            node_id=node_id,
-            name=name,
-            class_name=class_name,
-            credential=make_credential(self.secret, node_id, self.key_epoch),
-            lifecycle="commissioned",
-            topics=(
-                f"data/{node_id}/#",
-                f"twin/{node_id}/reported",
-                f"twin/{node_id}/desired",
-                f"mgmt/{node_id}/status",
-            ),
-            created_ts=self._now(),
-        )
-        self._entries[node_id] = entry
-        self._append_event(
-            {
-                "event": "commissioned",
-                "node_id": node_id,
-                "name": name,
-                "class_name": class_name,
-                "credential": entry.credential,
-                "topics": list(entry.topics),
-                "ts": entry.created_ts,
-            }
-        )
-        return entry
+        node_id = f"n-{self._counter + 1:06d}"
+        self._record({
+            "event": "commissioned",
+            "node_id": node_id,
+            "name": name,
+            "class_name": class_name,
+            "credential": make_credential(self.secret, node_id, self.key_epoch),
+            "ts": self._now(),
+        })
+        return self._entries[node_id]
 
     def transition(self, node_id: str, target: str) -> RegistryEntry:
         entry = self.get(node_id)
@@ -184,15 +209,48 @@ class Registry:
             raise IllegalTransition(f"unknown lifecycle {target!r}")
         if (entry.lifecycle, target) not in ALLOWED_TRANSITIONS:
             raise IllegalTransition(f"{entry.lifecycle} -> {target}")
-        entry.lifecycle = target
-        if target == "decommissioned":
-            entry.credential = ""  # terminal: credential invalidated
-        self._append_event(
+        self._record(
             {"event": "transition", "node_id": node_id, "to": target, "ts": self._now()}
         )
         if target == "quarantined" and self.on_quarantine is not None:
             self.on_quarantine(node_id)
         return entry
+
+    def set_firmware(self, node_id: str, version: str) -> None:
+        self.get(node_id)
+        self._record(
+            {"event": "firmware", "node_id": node_id, "version": version,
+             "ts": self._now()}
+        )
+
+    # -- incidents -------------------------------------------------------
+
+    def open_incident(self, node_id: str, kind: str, now: float) -> Incident:
+        """Open an incident on a node; an active node is quarantined and
+        the incident mitigated."""
+        self.get(node_id)
+        iid = f"inc-{self._incident_counter + 1:04d}"
+        self._record({"event": "incident_opened", "id": iid, "node_id": node_id,
+                      "kind": kind, "ts": now})
+        if self.lifecycle_of(node_id) == "active":
+            self.transition(node_id, "quarantined")
+            self._record({"event": "incident_mitigated", "id": iid, "ts": now})
+        return self.incidents[iid]
+
+    def remediate(self, incident_id: str) -> Incident:
+        """Operator action: bring a quarantined node back and close the
+        incident."""
+        incident = self.incidents.get(incident_id)
+        if incident is None:
+            raise UnknownIncident(incident_id)
+        if incident.state == "closed":
+            raise UnknownIncident(f"{incident_id} already closed")
+        if self.lifecycle_of(incident.node_id) != "quarantined":
+            raise NodeNotQuarantined(incident.node_id)
+        self.transition(incident.node_id, "active")
+        self._record({"event": "incident_closed", "id": incident_id,
+                      "ts": self._now()})
+        return incident
 
     # -- queries ---------------------------------------------------------
 
@@ -220,14 +278,6 @@ class Registry:
             return False
         return hmac.compare_digest(entry.credential, credential)
 
-    def set_firmware(self, node_id: str, version: str) -> None:
-        entry = self.get(node_id)
-        entry.firmware_version = version
-        self._append_event(
-            {"event": "firmware", "node_id": node_id, "version": version,
-             "ts": self._now()}
-        )
-
 
 # -- anomaly monitoring --------------------------------------------------
 
@@ -239,28 +289,16 @@ class NodeMonitorState:
     consecutive_anomalous: int = 0
 
 
-@dataclass(slots=True)
-class Incident:
-    incident_id: str
-    node_id: str
-    kind: str  # traffic_flood | auth_probe | manual
-    opened_ts: float
-    state: str = "open"  # open | mitigated | closed
-    actions: list[str] = field(default_factory=list)
-
-
 class Monitor:
     """Per-node EWMA of per-second message counts. A bucket is anomalous
     when it exceeds max(floor, factor x baseline); the baseline only
     learns from normal buckets. Three anomalous buckets in a row open an
-    incident and quarantine the node."""
+    incident in the registry, which quarantines the node, unless the
+    node already has an incident that is not closed."""
 
     def __init__(self, registry: Registry):
         self.registry = registry
         self.states: dict[str, NodeMonitorState] = {}
-        self.incidents: dict[str, Incident] = {}
-        self._unclosed: dict[str, int] = {}  # node -> incidents not closed
-        self._incident_counter = 0
 
     def observe(self, node_id: str, bucket_count: float, now: float) -> str:
         """One call per 1 s bucket per node; returns the verdict."""
@@ -276,47 +314,19 @@ class Monitor:
         if bucket_count > threshold:
             st.consecutive_anomalous += 1
             if st.consecutive_anomalous >= INCIDENT_BUCKETS:
-                if node_id not in self._unclosed:
-                    self._open_incident(node_id, "traffic_flood", now)
+                if node_id not in self.registry.unclosed:
+                    self.registry.open_incident(node_id, "traffic_flood", now)
                     return "incident_opened"
             return "anomalous"
         st.consecutive_anomalous = 0
         st.ewma += EWMA_ALPHA * (bucket_count - st.ewma)
         return "normal"
 
-    def _open_incident(self, node_id: str, kind: str, now: float) -> Incident:
-        self._incident_counter += 1
-        iid = f"inc-{self._incident_counter:04d}"
-        incident = Incident(iid, node_id, kind, now)
-        incident.actions.append(f"opened kind={kind}")
-        self.incidents[iid] = incident
-        self._unclosed[node_id] = self._unclosed.get(node_id, 0) + 1
-        if self.registry.lifecycle_of(node_id) == "active":
-            self.registry.transition(node_id, "quarantined")
-            incident.actions.append("quarantined")
-            incident.state = "mitigated"
-        return incident
-
-    def open_manual_incident(self, node_id: str, now: float) -> Incident:
-        return self._open_incident(node_id, "manual", now)
-
     def remediate(self, incident_id: str) -> Incident:
-        """Operator action: bring a quarantined node back and close the
-        incident; monitor baseline starts over."""
-        incident = self.incidents.get(incident_id)
-        if incident is None:
-            raise UnknownIncident(incident_id)
-        if incident.state == "closed":
-            raise UnknownIncident(f"{incident_id} already closed")
-        if self.registry.lifecycle_of(incident.node_id) != "quarantined":
-            raise NodeNotQuarantined(incident.node_id)
-        self.registry.transition(incident.node_id, "active")
+        """Close the incident in the registry; the node's baseline starts
+        over."""
+        incident = self.registry.remediate(incident_id)
         self.states.pop(incident.node_id, None)
-        incident.actions.append("remediated: node reactivated, monitor reset")
-        incident.state = "closed"
-        self._unclosed[incident.node_id] -= 1
-        if not self._unclosed[incident.node_id]:
-            del self._unclosed[incident.node_id]
         return incident
 
 

@@ -376,7 +376,7 @@ class EdgeNode:
         self.rules = RuleEngine(config.edge_rules)
         self.uplink = UplinkQueue()
         self.session = None
-        self.actuator_state: dict[str, object] = {}
+        self.desired_state: dict[str, infomodel.TypedScalar] = {}
         self._latest: dict[str, float] = {}
         self._next_sample: dict[str, float] = {}
 
@@ -421,29 +421,18 @@ class EdgeNode:
     # -- local control ---------------------------------------------------
 
     def control_step(self) -> list[Actuation]:
-        acts = run_local_control(self.config.control_rules, dict(self._latest))
-        for act in acts:
-            self.actuator_state[f"{act.actuator}.{act.prop}"] = act.value
-        return acts
+        return run_local_control(self.config.control_rules, dict(self._latest))
 
     def apply_desired(self, desired: dict[str, infomodel.TypedScalar]) -> None:
         """Apply a desired-state command from the twin service."""
-        for prop, scalar in desired.items():
-            self.actuator_state[prop] = scalar
+        self.desired_state.update(desired)
         self.rules.reset()  # config change resets debounce state
 
     def local_state_doc(self) -> dict[str, infomodel.TypedScalar]:
-        doc: dict[str, infomodel.TypedScalar] = {}
-        for key, value in self.actuator_state.items():
-            if isinstance(value, infomodel.TypedScalar):
-                doc[key] = value
-            elif isinstance(value, bool):
-                doc[key] = infomodel.TypedScalar.boolean(value)
-            elif isinstance(value, (int, float)):
-                doc[key] = infomodel.TypedScalar.number(value)
-            else:
-                doc[key] = infomodel.TypedScalar.string(str(value))
-        return doc
+        """The reported document: the class properties this node received
+        as desired state. Local-control actuations are not reported; an
+        ``actuator.prop`` key is never a class property."""
+        return dict(self.desired_state)
 
     # -- uplink ----------------------------------------------------------
 

@@ -1,10 +1,14 @@
 """Operator CLI over a workspace directory.
 
 The workspace (``--data-dir``, default ``./iotra-data``) holds the
-replayable registry event log, the time-series store, the twin state
-snapshot, and incident/audit logs. ``run`` executes a scenario file
-against the workspace; the other commands are the central-control-point
-operations. Exit codes: 0 ok, 1 operation error, 2 usage error.
+replayable registry event log ``registry.jsonl`` (nodes and incidents),
+the time-series store, the twin state snapshot, and the audit and
+notification logs. ``run`` executes a scenario file against the
+workspace registry and store; it refuses a workspace whose registry
+already holds nodes or whose store is not empty, so each run starts
+from nothing. The other commands are the central-control-point
+operations over the same registry. Exit codes: 0 ok, 1 operation
+error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -70,20 +74,6 @@ class Workspace:
 
     def store(self) -> tsdb_mod.Store:
         return tsdb_mod.Store(self.root / "tsdb")
-
-    def incidents(self) -> dict[str, dict]:
-        out: dict[str, dict] = {}
-        path = self.root / "incidents.jsonl"
-        if path.exists():
-            for line in path.read_text(encoding="utf-8").splitlines():
-                if line.strip():
-                    ev = json.loads(line)
-                    out[ev["id"]] = ev
-        return out
-
-    def append_incident(self, event: dict) -> None:
-        with open(self.root / "incidents.jsonl", "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(event, separators=(",", ":")) + "\n")
 
 
 def _emit(args, obj, text: str) -> None:
@@ -210,10 +200,10 @@ def cmd_query(args, ws: Workspace) -> int:
 
 
 def cmd_tail(args, ws: Workspace) -> int:
-    """Print workspace log lines (audit + notifications) matching a
-    substring filter, newest last."""
+    """Print workspace log lines (audit, notifications and registry
+    events) matching a substring filter, newest last."""
     rows = []
-    for name in ("audit.jsonl", "notifications.jsonl", "incidents.jsonl"):
+    for name in ("audit.jsonl", "notifications.jsonl", "registry.jsonl"):
         path = ws.root / name
         if not path.exists():
             continue
@@ -241,32 +231,21 @@ def cmd_inject(args, ws: Workspace) -> int:
 
 
 def cmd_remediate(args, ws: Workspace) -> int:
-    incidents = ws.incidents()
-    incident = incidents.get(args.incident)
-    if incident is None:
-        raise CliError(f"unknown incident {args.incident}")
-    if incident.get("state") == "closed":
-        raise CliError(f"incident {args.incident} already closed")
-    node = incident["node"]
-    if ws.registry.lifecycle_of(node) != "quarantined":
-        raise CliError(f"node {node} is not quarantined")
-    ws.registry.transition(node, "active")
-    ws.append_incident({"id": args.incident, "node": node, "state": "closed",
-                        "event": "remediated"})
-    _emit(args, {"incident": args.incident, "node": node, "state": "closed"},
+    incident = ws.registry.remediate(args.incident)
+    node = incident.node_id
+    _emit(args, {"incident": args.incident, "node": node, "state": incident.state},
           f"{args.incident} closed; {node} -> active")
     return 0
 
 
 def cmd_run(args, ws: Workspace) -> int:
     spec = ScenarioSpec.from_file(Path(args.scenario))
-    report = run_scenario(spec, ws.root)
-    for inc in report.incidents:
-        if inc.get("event") == "incident":
-            ws.append_incident(
-                {"id": inc["id"], "node": inc["node"], "kind": inc["kind"],
-                 "state": inc["state"], "ts": inc["ts"]}
-            )
+    tsdb_dir = ws.root / "tsdb"
+    if ws.registry.entries() or (tsdb_dir.is_dir() and any(tsdb_dir.iterdir())):
+        raise CliError(
+            f"workspace {ws.root} already holds nodes or stored readings; "
+            "run a scenario in an empty --data-dir")
+    report = run_scenario(spec, ws.root, registry=ws.registry)
     doc = report.to_dict()
     if args.report:
         Path(args.report).write_text(
@@ -346,9 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    ws = Workspace(Path(args.data_dir))
     try:
-        return args.fn(args, ws)
+        return args.fn(args, Workspace(Path(args.data_dir)))
     except (CliError, controlplane.ControlPlaneError, twins_mod.TwinError,
             tsdb_mod.TsdbError, infomodel.ModelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -259,7 +259,7 @@ class Pipeline:
             value=float(reading.value),
             channel=str(reading.channel),
             unit=reading.unit,
-            meta={"seq": reading.seq, "tags": dict(reading.tags)},
+            meta={"seq": reading.seq},
         )
         self.replay_store.add(item.ts, "reading", item.channel, item.value,
                               {"unit": item.unit})

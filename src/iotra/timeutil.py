@@ -44,8 +44,10 @@ def _day_epoch(date: str) -> int:
 
 @lru_cache(maxsize=DAY_MEMO_SIZE)
 def _day_text(day: int) -> str:
-    """``YYYY-MM-DD`` of the day that starts at ``day * 86400``."""
-    return datetime.fromtimestamp(day * _DAY_S, tz=timezone.utc).strftime("%Y-%m-%d")
+    """``YYYY-MM-DD`` of the day that starts at ``day * 86400``; the year
+    is zero-padded to four digits, as ``parse_ts`` requires."""
+    dt = datetime.fromtimestamp(day * _DAY_S, tz=timezone.utc)
+    return f"{dt.year:04d}-{dt.month:02d}-{dt.day:02d}"
 
 
 def parse_ts(text: str) -> float:

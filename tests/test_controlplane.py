@@ -1,13 +1,18 @@
+import dataclasses
 import hashlib
 import hmac
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iotra.controlplane import (
     ALLOWED_TRANSITIONS,
     LIFECYCLES,
+    ControlPlaneError,
     IllegalTransition,
     Incident,
     ManagementService,
@@ -60,7 +65,6 @@ def test_commission_assigns_sequential_ids():
     assert (a.node_id, b.node_id) == ("n-000001", "n-000002")
     assert a.lifecycle == "commissioned"
     assert a.credential == make_credential(SECRET, "n-000001", 1)
-    assert f"data/{a.node_id}/#" in a.topics
 
 
 def test_commission_validates_class_against_model():
@@ -179,6 +183,117 @@ def test_registry_log_replay(tmp_path):
     assert replayed.commission("three", "sensor_node").node_id == "n-000003"
 
 
+def state_of(registry):
+    """Everything a registry holds, as plain data."""
+    return (
+        [dataclasses.asdict(e) for e in registry.entries()],
+        {iid: dataclasses.asdict(i) for iid, i in registry.incidents.items()},
+        dict(registry.unclosed),
+    )
+
+
+_ops = st.lists(st.one_of(
+    st.tuples(st.just("commission"), st.sampled_from(["sensor_node", "multi_sensor"])),
+    st.tuples(st.just("transition"), st.integers(0, 4), st.sampled_from(sorted(LIFECYCLES))),
+    st.tuples(st.just("firmware"), st.integers(0, 4), st.sampled_from(["1.1", "2.0"])),
+    st.tuples(st.just("incident"), st.integers(0, 4), st.sampled_from(["manual", "auth_probe"])),
+    st.tuples(st.just("remediate"), st.integers(1, 5)),
+), max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ops)
+def test_replayed_registry_equals_live_registry(ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "registry.jsonl"
+        live = make_registry(log_path=path)
+        for now, op in enumerate(ops):
+            nodes = [e.node_id for e in live.entries()]
+            try:
+                if op[0] == "commission":
+                    live.commission(f"node-{now}", op[1])
+                elif op[0] == "remediate":
+                    live.remediate(f"inc-{op[1]:04d}")
+                elif nodes:
+                    node = nodes[op[1] % len(nodes)]
+                    if op[0] == "transition":
+                        live.transition(node, op[2])
+                    elif op[0] == "firmware":
+                        live.set_firmware(node, op[2])
+                    else:
+                        live.open_incident(node, op[2], now=float(now))
+            except ControlPlaneError:
+                pass  # a refused change records nothing
+        replayed = make_registry(log_path=path)
+        assert state_of(replayed) == state_of(live)
+        # both counters resume past the replayed ids
+        assert (replayed.commission("next", "sensor_node").node_id
+                == f"n-{len(live.entries()) + 1:06d}")
+        node = replayed.entries()[0].node_id
+        assert (replayed.open_incident(node, "manual", now=0.0).incident_id
+                == f"inc-{len(live.incidents) + 1:04d}")
+        assert state_of(make_registry(log_path=path)) == state_of(replayed)
+
+
+def test_registry_log_torn_at_any_byte_of_its_last_line(tmp_path):
+    path = tmp_path / "registry.jsonl"
+    registry = make_registry(log_path=path)
+    a = registry.commission("one", "sensor_node")
+    registry.transition(a.node_id, "active")
+    registry.open_incident(a.node_id, "manual", now=1.0)
+    b = registry.commission("two", "sensor_node")
+    before = state_of(registry)
+    start = path.stat().st_size
+    registry.open_incident(b.node_id, "manual", now=2.0)  # one event: the last line
+    data = path.read_bytes()
+    assert data[start:].count(b"\n") == 1
+    for cut in range(start, len(data)):
+        path.write_bytes(data[:cut])
+        reopened = make_registry(log_path=path)
+        assert state_of(reopened) == before
+        assert path.read_bytes() == data[:start]  # truncated to the last full line
+        reopened.commission("three", "sensor_node")
+        assert state_of(make_registry(log_path=path)) == state_of(reopened)
+
+
+@pytest.mark.parametrize("bad", [b'{"event":"commissioned","node_id"',
+                                 b'{"event":"renamed","node_id":"n-000001"}'])
+@pytest.mark.parametrize("last", [False, True])
+def test_registry_log_corrupt_complete_line_raises(tmp_path, last, bad):
+    path = tmp_path / "registry.jsonl"
+    registry = make_registry(log_path=path)
+    registry.commission("one", "sensor_node")
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines.insert(len(lines) if last else 0, bad + b"\n")
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ControlPlaneError, match=r"registry\.jsonl:\d+: bad event"):
+        make_registry(log_path=path)
+
+
+def test_incidents_live_in_the_registry_log(tmp_path):
+    path = tmp_path / "registry.jsonl"
+    registry, entry = active_node(make_registry(log_path=path))
+    incident = registry.open_incident(entry.node_id, "manual", now=2.0)
+    assert (incident.incident_id, incident.state) == ("inc-0001", "mitigated")
+    registry.remediate("inc-0001")
+    events = [json.loads(line)["event"] for line in path.read_text().splitlines()]
+    assert events == ["commissioned", "transition", "incident_opened", "transition",
+                      "incident_mitigated", "transition", "incident_closed"]
+    reopened = make_registry(log_path=path)
+    assert reopened.incidents["inc-0001"].state == "closed"
+    with pytest.raises(UnknownIncident):
+        reopened.remediate("inc-0001")  # already closed
+
+
+def test_incident_on_a_node_that_is_not_active_stays_open():
+    registry, entry = commissioned()
+    incident = registry.open_incident(entry.node_id, "manual", now=1.0)
+    assert incident.state == "open"
+    assert registry.lifecycle_of(entry.node_id) == "commissioned"
+    with pytest.raises(UnknownNode):
+        registry.open_incident("ghost", "manual", now=1.0)
+
+
 # -- anomaly monitor -----------------------------------------------------
 
 
@@ -222,7 +337,7 @@ def test_three_consecutive_anomalous_buckets_open_incident_and_quarantine():
     assert monitor.observe(entry.node_id, 400.0, now=2.0) == "anomalous"
     assert monitor.observe(entry.node_id, 400.0, now=3.0) == "incident_opened"
     assert registry.lifecycle_of(entry.node_id) == "quarantined"
-    (incident,) = monitor.incidents.values()
+    (incident,) = registry.incidents.values()
     assert incident.kind == "traffic_flood"
     assert incident.state == "mitigated"
     assert incident.opened_ts == 3.0
@@ -234,7 +349,7 @@ def test_anomalous_run_interrupted_by_normal_resets():
     monitor.observe(entry.node_id, 4.0, now=0.0)
     for now, count in ((1, 400), (2, 400), (3, 4), (4, 400), (5, 400)):
         monitor.observe(entry.node_id, count, now=float(now))
-    assert monitor.incidents == {}
+    assert registry.incidents == {}
 
 
 def test_only_one_open_incident_per_node():
@@ -243,7 +358,7 @@ def test_only_one_open_incident_per_node():
     monitor.observe(entry.node_id, 2.0, now=0.0)
     for now in range(1, 9):
         monitor.observe(entry.node_id, 500.0, now=float(now))
-    assert len(monitor.incidents) == 1
+    assert len(registry.incidents) == 1
 
 
 def test_monitor_matches_scripted_ewma_oracle():
@@ -287,7 +402,7 @@ def flooded_monitor():
     monitor.observe(entry.node_id, 2.0, now=0.0)
     for now in (1, 2, 3):
         monitor.observe(entry.node_id, 999.0, now=float(now))
-    (iid,) = monitor.incidents
+    (iid,) = registry.incidents
     return registry, entry, monitor, iid
 
 
@@ -317,7 +432,7 @@ def test_remediate_errors():
 def test_manual_incident_quarantines_active_node():
     registry, entry = active_node()
     monitor = Monitor(registry)
-    incident = monitor.open_manual_incident(entry.node_id, now=5.0)
+    incident = registry.open_incident(entry.node_id, "manual", now=5.0)
     assert incident.kind == "manual"
     assert registry.lifecycle_of(entry.node_id) == "quarantined"
 
@@ -362,7 +477,7 @@ def test_status_report_records_version():
 def test_new_incident_only_once_the_open_one_closes():
     registry, entry, monitor, iid = flooded_monitor()
     monitor.remediate(iid)
-    manual = monitor.open_manual_incident(entry.node_id, now=4.0)
+    manual = registry.open_incident(entry.node_id, "manual", now=4.0)
     monitor.observe(entry.node_id, 2.0, now=5.0)
     verdicts = [monitor.observe(entry.node_id, 999.0, now=float(now)) for now in (6, 7, 8)]
     assert verdicts == ["anomalous"] * 3  # the manual incident is still open
@@ -370,4 +485,4 @@ def test_new_incident_only_once_the_open_one_closes():
     monitor.observe(entry.node_id, 2.0, now=9.0)
     verdicts = [monitor.observe(entry.node_id, 999.0, now=float(now)) for now in (10, 11, 12)]
     assert verdicts == ["anomalous", "anomalous", "incident_opened"]
-    assert len(monitor.incidents) == 3
+    assert len(registry.incidents) == 3

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from iotra import edge
+from iotra import controlplane, edge, twins
 from iotra.harness import cli, scenario, waveforms
 from iotra.harness.scenario import ScenarioSpec, run_scenario
 from iotra.harness.waveforms import BadSpec, WaveformSpec, gen_waveform
@@ -202,6 +202,45 @@ def test_running_a_spec_twice_gives_the_same_report(tmp_path):
     assert versions == [1, 1]
 
 
+def test_control_rule_and_desired_state_in_one_run(tmp_path):
+    # the device used to report its local-control key "fan.power" with
+    # the desired properties, and the twin rejected that report
+    spec = ScenarioSpec.from_dict({
+        "duration_s": 4.0,
+        "seed": 5,
+        "nodes": [{"count": 1, "class_name": "multi_sensor", "channels": [
+            {"sensor_name": "temp", "sample_period_ms": 500, "unit": "°F",
+             "waveform": {"kind": "constant", "base": 90}},
+        ], "control_rules": [{
+            "rule_id": "fan_on", "actuator": "fan", "prop": "power", "value": True,
+            "condition": {"terms": [["temp", ">", 80.0]]},
+        }]}],
+        "actions": [{"kind": "set_desired", "at": 1.0, "node": "n-000001",
+                     "set": {"setpoint": "n:68"}}],
+        "assertions": ["lossless", {"check": "all_converged"}],
+    })
+    report = run_scenario(spec, tmp_path)
+    assert report.ok, report.assertions
+    assert report.rejected == {}
+
+
+def test_bad_twin_report_is_counted_and_the_run_goes_on(tmp_path):
+    spec = nominal_spec(duration=3.0)
+    world = scenario.World(spec, tmp_path)
+    try:
+        node = world.node_by_id("n-000001")
+        for payload in ("not json", "[]", '{"doc": {"bogus": "n:1"}}',
+                        '{"doc": {"setpoint": "q:1"}}', '{"doc": {"setpoint": "s:x"}}'):
+            node.edge.uplink.enqueue(
+                edge.QueuedFrame(twins.reported_topic("n-000001"), payload))
+        report = world.run()
+    finally:
+        world.tsdb.close()
+        world.gateway.close()
+    assert report.ok, report.assertions
+    assert report.rejected == {"schema_invalid": 5}
+
+
 def test_pipeline_emissions_in_report(tmp_path):
     spec = nominal_spec(
         duration=6.0,
@@ -323,3 +362,85 @@ def test_cli_tail_filters_audit(tmp_path, capsys):
     assert run_cli(tmp_path, "tail", "admit") == 0
     rows = json.loads(capsys.readouterr().out)
     assert rows and all(r["verdict"] == "admit" for r in rows)
+
+
+FLOOD_SCENARIO = {
+    "duration_s": 10.0,
+    "seed": 7,
+    "nodes": [{"count": 2, "class_name": "multi_sensor", "channels": [
+        {"sensor_name": "temp", "sample_period_ms": 500, "unit": "°F",
+         "waveform": {"kind": "constant", "base": 71}},
+    ]}],
+    "faults": [{"kind": "flood", "nodes": [1], "start": 4, "end": 10,
+                "params": {"rate": 500}}],
+    "assertions": [{"check": "incident_opened", "node": "n-000001"},
+                   {"check": "lossless", "exclude": ["n-000001"]}],
+}
+
+
+def test_cli_walkthrough(tmp_path, capsys):
+    """The README's CLI section, step by step, in one workspace."""
+    def step(*argv):
+        code = run_cli(tmp_path, *argv)
+        out = capsys.readouterr()
+        return code, json.loads(out.out) if code == 0 else out.err
+
+    def lifecycles():
+        code, rows = step("list-nodes")
+        assert code == 0
+        return {r["node_id"]: r["lifecycle"] for r in rows}
+
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(FLOOD_SCENARIO))
+    code, report = step("run", str(scenario_path))
+    assert code == 0, report["assertions"]
+    # the run used the workspace registry: its nodes and incident persist
+    assert lifecycles() == {"n-000001": "quarantined", "n-000002": "active"}
+
+    assert step("remediate", "inc-0001") == (
+        0, {"incident": "inc-0001", "node": "n-000001", "state": "closed"})
+    assert lifecycles()["n-000001"] == "active"
+    code, err = step("remediate", "inc-0001")
+    assert code == 1 and "already closed" in err
+    code, err = step("run", str(scenario_path))
+    assert code == 1 and "empty --data-dir" in err
+
+    code, out = step("commission", "--name", "desk-a", "--class", "multi_sensor")
+    assert code == 0 and out["node_id"] == "n-000003"
+    assert step("activate", "n-000003")[0] == 0
+    assert lifecycles() == {"n-000001": "active", "n-000002": "active",
+                            "n-000003": "active"}
+
+    code, rows = step("query", "n-000002/temp", "0", "1000")
+    assert code == 0 and len(rows) == report["stored"]["n-000002/temp"] > 0
+    code, rows = step("tail", "inc-0001")
+    assert code == 0
+    assert sorted(r["event"] for r in rows) == [
+        "incident_closed", "incident_mitigated", "incident_opened"]
+
+    # a crash in the middle of the last append ("activate n-000003")
+    log = tmp_path / "ws" / "registry.jsonl"
+    data = log.read_bytes()
+    last = data.rstrip(b"\n").rfind(b"\n") + 1
+    log.write_bytes(data[: last + (len(data) - last) // 2])
+    assert lifecycles() == {"n-000001": "active", "n-000002": "active",
+                            "n-000003": "commissioned"}
+    assert step("commission", "--name", "desk-b", "--class", "multi_sensor")[0] == 0
+    replayed = controlplane.Registry(log_path=log)
+    assert [e.node_id for e in replayed.entries()] == [
+        "n-000001", "n-000002", "n-000003", "n-000004"]
+    assert log.read_bytes().endswith(b"\n")
+    # a bad line before the last one is an error, not a silent loss
+    log.write_bytes(b"{oops\n" + log.read_bytes())
+    code, err = step("list-nodes")
+    assert code == 1 and "registry.jsonl:1: bad event" in err
+
+
+def test_cli_run_refuses_a_workspace_with_stored_readings(tmp_path, capsys):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(FLOOD_SCENARIO))
+    assert run_cli(tmp_path, "run", str(scenario_path)) == 0
+    (tmp_path / "ws" / "registry.jsonl").unlink()
+    capsys.readouterr()
+    assert run_cli(tmp_path, "run", str(scenario_path)) == 1
+    assert "empty --data-dir" in capsys.readouterr().err

@@ -71,7 +71,8 @@ def ref_format_ts(epoch):
     ms = round(epoch * 1000)
     secs, rem = divmod(ms, 1000)
     dt = datetime.fromtimestamp(secs, tz=timezone.utc)
-    base = dt.strftime("%Y-%m-%dT%H:%M:%S")
+    # RFC 3339 years have four digits; strftime("%Y") does not pad on glibc
+    base = f"{dt.year:04d}" + dt.strftime("-%m-%dT%H:%M:%S")
     if rem:
         return f"{base}.{rem:03d}Z"
     return base + "Z"
@@ -103,6 +104,25 @@ _MAX_S = 253_402_300_799  # 9999-12-31T23:59:59Z
 @example(float(_MIN_S) - 0.001)
 def test_format_ts_matches_datetime(epoch):
     assert outcome(format_ts, epoch) == outcome(ref_format_ts, epoch)
+
+
+def test_every_year_round_trips():
+    # years before 1000 used to format unpadded ("933-10-11T..."), which
+    # parse_ts rejected
+    assert format_ts(-32_700_000_000.0) == "0933-10-11T18:40:00Z"
+    for year in range(1, 10000):
+        for dt in (datetime(year, 1, 1, tzinfo=timezone.utc),
+                   datetime(year, 12, 31, 23, 59, 59, 999000, tzinfo=timezone.utc)):
+            epoch = round(dt.timestamp() * 1000) / 1000.0
+            text = format_ts(epoch)
+            assert text[:5] == f"{year:04d}-"
+            assert parse_ts(text) == epoch
+
+
+@given(st.integers(min_value=_MIN_S * 1000, max_value=_MAX_S * 1000 + 999))
+def test_round_trip_years_1_to_9999(ms):
+    epoch = ms / 1000.0
+    assert parse_ts(format_ts(epoch)) == epoch
 
 
 @st.composite
