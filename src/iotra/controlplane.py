@@ -1,9 +1,10 @@
 """Security and management overlay.
 
 Node registry and lifecycle, commissioning with keyed-hash credentials
-(standing in for certificates at desk scale), firmware-version push over
-retained management commands, EWMA traffic-anomaly monitoring, and
-incident handling with quarantine/remediation.
+(standing in for certificates at desk scale), EWMA traffic-anomaly
+monitoring, and incident handling with quarantine/remediation. A
+firmware push is a twin desired-state change of the ``firmware``
+property; the registry keeps the version the node reports back.
 
 ``Registry`` is the only store of control-plane state, nodes and
 incidents alike. Every change is one event: a public method checks its
@@ -57,10 +58,6 @@ class UnknownClass(ControlPlaneError):
 
 
 class IllegalTransition(ControlPlaneError):
-    pass
-
-
-class NotActive(ControlPlaneError):
     pass
 
 
@@ -329,33 +326,3 @@ class Monitor:
         self.states.pop(incident.node_id, None)
         return incident
 
-
-# -- software update push ------------------------------------------------
-
-
-def update_topic(node_id: str) -> str:
-    return f"mgmt/{node_id}/update"
-
-
-class ManagementService:
-    """Pushes firmware-version updates over retained qos-1 commands and
-    applies agent status reports back into the registry."""
-
-    def __init__(self, registry: Registry, publish: Callable[..., object] | None = None):
-        self.registry = registry
-        self.publish = publish
-
-    def push_update(self, node_id: str, version: str, payload_digest: str) -> str:
-        entry = self.registry.get(node_id)
-        if entry.lifecycle != "active":
-            raise NotActive(f"{node_id} is {entry.lifecycle}")
-        if self.publish is not None:
-            payload = json.dumps(
-                {"version": version, "digest": payload_digest},
-                separators=(",", ":"),
-            )
-            self.publish(update_topic(node_id), payload, qos=1, retain=True)
-        return "pushed"
-
-    def apply_status_report(self, node_id: str, version: str) -> None:
-        self.registry.set_firmware(node_id, version)

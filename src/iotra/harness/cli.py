@@ -4,10 +4,12 @@ The workspace (``--data-dir``, default ``./iotra-data``) holds the
 replayable registry event log ``registry.jsonl`` (nodes and incidents),
 the time-series store, the twin state snapshot, and the audit and
 notification logs. ``run`` executes a scenario file against the
-workspace registry and store; it refuses a workspace whose registry
-already holds nodes or whose store is not empty, so each run starts
-from nothing. The other commands are the central-control-point
-operations over the same registry. Exit codes: 0 ok, 1 operation
+workspace registry and store and saves the run's twins; it refuses a
+workspace whose registry already holds nodes or whose store is not
+empty, so each run starts from nothing. The other commands are the
+central-control-point operations over the same registry. Registry
+events carry virtual time during a run and wall time otherwise, so an
+operator's events sort after the run's. Exit codes: 0 ok, 1 operation
 error, 2 usage error.
 """
 
@@ -17,12 +19,13 @@ import argparse
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 from .. import controlplane, infomodel, tsdb as tsdb_mod, twins as twins_mod
 from ..reading import ChannelKey
 from ..timeutil import BadTimestamp, format_ts, parse_ts
-from .scenario import ScenarioSpec, build_default_model, run_scenario
+from .scenario import ScenarioSpec, World, build_default_model
 
 
 class CliError(Exception):
@@ -40,6 +43,13 @@ def _parse_time(text: str) -> float:
         raise CliError(f"bad time {text!r} (want epoch seconds or RFC3339)") from None
 
 
+class WallClock:
+    """Wall time, rounded to the millisecond as VirtualClock rounds."""
+
+    def now(self) -> float:
+        return round(time.time() * 1000) / 1000.0
+
+
 class Workspace:
     def __init__(self, root: Path):
         self.root = root
@@ -50,7 +60,8 @@ class Workspace:
         if model_dir.is_dir():
             self.model.load_model_dir(model_dir)
         self.registry = controlplane.Registry(
-            secret=secret.encode("utf-8"), log_path=self.root / "registry.jsonl"
+            secret=secret.encode("utf-8"), log_path=self.root / "registry.jsonl",
+            clock=WallClock(),
         )
         self._twins: twins_mod.TwinService | None = None
 
@@ -245,7 +256,14 @@ def cmd_run(args, ws: Workspace) -> int:
         raise CliError(
             f"workspace {ws.root} already holds nodes or stored readings; "
             "run a scenario in an empty --data-dir")
-    report = run_scenario(spec, ws.root, registry=ws.registry)
+    world = World(spec, ws.root, registry=ws.registry)
+    try:
+        report = world.run()
+    finally:
+        world.tsdb.close()
+        world.gateway.close()
+    ws._twins = world.twins
+    ws.save_twins()
     doc = report.to_dict()
     if args.report:
         Path(args.report).write_text(

@@ -47,6 +47,7 @@ def build_default_model() -> infomodel.ModelRegistry:
                 infomodel.PropertyDef("unit", "string"),
                 infomodel.PropertyDef("zone", "string"),
                 infomodel.PropertyDef("site", "string"),
+                infomodel.PropertyDef("firmware", "string", writable=True),
             ],
         )
     )
@@ -68,7 +69,6 @@ def build_default_model() -> infomodel.ModelRegistry:
                 num("power", "W"),
                 num("setpoint", "°F", writable=True),
                 infomodel.PropertyDef("fan_power", "boolean", writable=True),
-                infomodel.PropertyDef("firmware", "string", writable=True),
             ],
             interactions=[
                 infomodel.InteractionDef("set_setpoint", "write", "setpoint"),
@@ -82,9 +82,13 @@ def build_default_model() -> infomodel.ModelRegistry:
 # -- scenario specification ----------------------------------------------
 
 
+FAULT_KINDS = frozenset({"uplink_outage", "flood", "duplicate_replay"})
+ACTION_KINDS = frozenset({"set_desired", "remediate"})
+
+
 @dataclass(slots=True)
 class Fault:
-    kind: str  # uplink_outage | flood | duplicate_replay
+    kind: str  # one of FAULT_KINDS
     nodes: list[str]
     start: float
     end: float
@@ -119,8 +123,9 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioSpec":
-        """Spec from its JSON form; an unknown top-level or node-group
-        key raises BadScenario, so a misspelt key never runs defaults."""
+        """Spec from its JSON form. An unknown top-level or node-group key,
+        fault kind or action kind raises BadScenario, so a misspelt name
+        never runs defaults or fails part way through a run."""
         if "duration_s" not in doc:
             raise BadScenario("scenario needs duration_s")
         _check_keys(doc, SPEC_KEYS, "scenario")
@@ -131,8 +136,13 @@ class ScenarioSpec:
         for group in spec.nodes:
             _check_keys(group, NODE_GROUP_KEYS, "node group")
         for f in spec.faults:
+            if f.get("kind") not in FAULT_KINDS:
+                raise BadScenario(f"unknown fault kind {f.get('kind')!r}")
             if not (0 <= f.get("start", 0) <= f.get("end", 0) <= spec.duration_s):
                 raise BadScenario(f"fault window outside scenario duration: {f}")
+        for a in spec.actions:
+            if a.get("kind") not in ACTION_KINDS:
+                raise BadScenario(f"unknown action kind {a.get('kind')!r}")
         return spec
 
     @classmethod
@@ -241,7 +251,6 @@ class SimNode:
             self.edge.session = None
             return False
         s.subscribe(twins_mod.desired_topic(self.node_id))
-        s.subscribe(controlplane.update_topic(self.node_id))
         self.edge.session = s
         return True
 
@@ -268,25 +277,20 @@ class SimNode:
             self.world.note_flush_complete(self.node_id, now)
 
     def _drain_commands(self, now: float) -> None:
+        """Apply each desired-state command (the node's only subscription)
+        and queue the twin report that acknowledges it."""
         session = self.edge.session
         for frame in session.drain():
-            if frame.topic == twins_mod.desired_topic(self.node_id):
-                desired, version = twins_mod.decode_desired_command(frame.payload)
-                self.edge.apply_desired(desired)
-                doc = {k: v.encode() for k, v in self.edge.local_state_doc().items()}
-                payload = json.dumps(
-                    {"doc": doc, "ack_version": version, "ts": now},
-                    separators=(",", ":"), ensure_ascii=False,
-                )
-                self.edge.uplink.enqueue(
-                    edge.QueuedFrame(twins_mod.reported_topic(self.node_id), payload)
-                )
-            elif frame.topic == controlplane.update_topic(self.node_id):
-                cmd = json.loads(frame.payload)
-                payload = json.dumps({"version": cmd["version"]}, separators=(",", ":"))
-                self.edge.uplink.enqueue(
-                    edge.QueuedFrame(f"mgmt/{self.node_id}/status", payload)
-                )
+            desired, version = twins_mod.decode_desired_command(frame.payload)
+            self.edge.apply_desired(desired)
+            doc = {k: v.encode() for k, v in self.edge.local_state_doc().items()}
+            payload = json.dumps(
+                {"doc": doc, "ack_version": version, "ts": now},
+                separators=(",", ":"), ensure_ascii=False,
+            )
+            self.edge.uplink.enqueue(
+                edge.QueuedFrame(twins_mod.reported_topic(self.node_id), payload)
+            )
             if frame.qos >= 1:
                 session.ack(frame.msg_id)
 
@@ -335,12 +339,9 @@ class World:
             route_rules=self._route_rules(),
         )
         self.cloud_session = self.broker.connect_service("cloud")
-        for f in ("data/#", "alerts/#", "twin/+/reported", "mgmt/+/status"):
+        for f in ("data/#", "alerts/#", "twin/+/reported"):
             self.cloud_session.subscribe(f)
-        self.twins = twins_mod.TwinService(self.model, publish=self._publish_cloud)
-        self.mgmt = controlplane.ManagementService(
-            self.registry, publish=self._publish_cloud
-        )
+        self.twins = twins_mod.TwinService(self.model, publish=self.cloud_session.publish)
         self.monitor = controlplane.Monitor(self.registry)
         self.pipeline = (
             streams_mod.Pipeline(spec.pipeline) if spec.pipeline else None
@@ -364,10 +365,6 @@ class World:
             raise
 
     # -- wiring ----------------------------------------------------------
-
-    def _publish_cloud(self, topic: str, payload: str, qos: int = 1,
-                       retain: bool = False):
-        return self.cloud_session.publish(topic, payload, qos=qos, retain=retain)
 
     def _route_rules(self) -> list[cloudgw.RouteRule]:
         rules = cloudgw.route_rules(self.spec.route_rules)
@@ -500,10 +497,6 @@ class World:
                     set={k: infomodel.parse_scalar(v) for k, v in action["set"].items()}
                 )
                 self.twins.set_desired(action["node"], patch)
-            elif kind == "push_update":
-                self.mgmt.push_update(
-                    action["node"], action["version"], action.get("digest", "")
-                )
             elif kind == "remediate":
                 self.monitor.remediate(action["incident"])
             else:
@@ -562,7 +555,7 @@ class World:
             try:
                 obj = json.loads(frame.payload)
                 doc = {k: infomodel.parse_scalar(v) for k, v in obj["doc"].items()}
-                self.twins.apply_report(
+                twin = self.twins.apply_report(
                     node_id, doc, ack_version=int(obj.get("ack_version", 0)),
                     ts=float(obj.get("ts", t)),
                 )
@@ -571,9 +564,11 @@ class World:
                 # a report that does not parse, or that the twin rejects
                 rejected = self.report.rejected
                 rejected["schema_invalid"] = rejected.get("schema_invalid", 0) + 1
-        elif kind == "mgmt" and len(parts) == 3 and parts[2] == "status":
-            if self.registry.lifecycle_of(node_id) == "active":
-                self.mgmt.apply_status_report(node_id, json.loads(frame.payload)["version"])
+                return
+            # the registry keeps the firmware version the node reports
+            firmware = twin.reported.get("firmware")
+            if firmware and firmware.text != self.registry.get(node_id).firmware_version:
+                self.registry.set_firmware(node_id, firmware.text)
 
     def _handle_emission(self, em: streams_mod.Emission) -> None:
         record = {
@@ -586,8 +581,8 @@ class World:
         }
         self.report.emissions.append(record)
         if em.dest == "topic":
-            self._publish_cloud(em.params.get("topic", "derived/out"),
-                                json.dumps(record, separators=(",", ":")), qos=0)
+            self.cloud_session.publish(em.params.get("topic", "derived/out"),
+                                       json.dumps(record, separators=(",", ":")), qos=0)
         elif em.dest == "notify":
             with open(self.notify_log, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(record, separators=(",", ":")) + "\n")
@@ -705,9 +700,8 @@ class World:
         raise BadScenario(f"unknown assertion {name!r}")
 
 
-def run_scenario(spec: ScenarioSpec, data_dir: Path,
-                 registry: controlplane.Registry | None = None) -> RunReport:
-    world = World(spec, Path(data_dir), registry=registry)
+def run_scenario(spec: ScenarioSpec, data_dir: Path) -> RunReport:
+    world = World(spec, Path(data_dir))
     try:
         return world.run()
     finally:

@@ -165,8 +165,9 @@ def _collect(node: _TrieNode, tsegs: list[str], i: int, out: list[Subscription])
 
 
 def _acl_allows(node_id: str, tsegs: list[str]) -> bool:
-    """A node may publish only to ``data/<node>/#``, ``twin/<node>/reported``,
-    ``mgmt/<node>/status`` and ``alerts/<node>``."""
+    """A node may publish only to ``data/<node>/#``, ``twin/<node>/reported``
+    and ``alerts/<node>``. Commands reach a node only as its twin's
+    retained desired state, so its one reply topic is the twin report."""
     if len(tsegs) < 2 or tsegs[1] != node_id:
         return False
     head = tsegs[0]
@@ -174,9 +175,7 @@ def _acl_allows(node_id: str, tsegs: list[str]) -> bool:
         return len(tsegs) >= 3
     if head == "alerts":
         return len(tsegs) == 2
-    if len(tsegs) == 3:
-        return (head, tsegs[2]) in (("twin", "reported"), ("mgmt", "status"))
-    return False
+    return head == "twin" and len(tsegs) == 3 and tsegs[2] == "reported"
 
 
 class Session:

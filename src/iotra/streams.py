@@ -156,7 +156,6 @@ class Pipeline:
             if n.kind == "window"
         }
         self.watermark = float("-inf")
-        self.replay_store = ReplayStore()
 
     # -- validation ------------------------------------------------------
 
@@ -253,7 +252,7 @@ class Pipeline:
 
     def process(self, reading: Reading) -> list[Emission]:
         """Inject a reading at every matching source and propagate it in
-        topological order; the reading also lands in the replay store."""
+        topological order."""
         item = Item(
             ts=reading.ts,
             value=float(reading.value),
@@ -261,8 +260,6 @@ class Pipeline:
             unit=reading.unit,
             meta={"seq": reading.seq},
         )
-        self.replay_store.add(item.ts, "reading", item.channel, item.value,
-                              {"unit": item.unit})
         staged = {nid: [item] for nid, flt in self._sources if flt.matches(item.channel)}
         emissions = self._propagate(staged)
         if item.ts > self.watermark + ALLOWED_LATENESS_S:

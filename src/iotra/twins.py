@@ -4,7 +4,9 @@ Holds a cloud replica per thing: reported state (what the device last
 said) and desired state (what operators want), with versioned
 convergence. Desired-state commands travel as a single retained qos-1
 message per node, so sleeping or disconnected devices pick up the latest
-command on reconnect. Reads never touch the device.
+command on reconnect. This is the only command channel to a device:
+a firmware push, too, is a desired change of the ``firmware`` property,
+acknowledged on the reported topic. Reads never touch the device.
 """
 
 from __future__ import annotations

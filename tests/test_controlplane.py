@@ -15,15 +15,12 @@ from iotra.controlplane import (
     ControlPlaneError,
     IllegalTransition,
     Incident,
-    ManagementService,
     Monitor,
     NodeNotQuarantined,
-    NotActive,
     Registry,
     UnknownIncident,
     UnknownNode,
     make_credential,
-    update_topic,
 )
 
 SECRET = b"test-secret"
@@ -443,35 +440,6 @@ def test_quarantine_hook_fires():
     registry.on_quarantine = dropped.append
     registry.transition(entry.node_id, "quarantined")
     assert dropped == [entry.node_id]
-
-
-# -- management service --------------------------------------------------
-
-
-def test_push_update_retained_qos1():
-    registry, entry = active_node()
-    calls = []
-    mgmt = ManagementService(
-        registry, publish=lambda t, p, qos, retain: calls.append((t, p, qos, retain)))
-    mgmt.push_update(entry.node_id, "2.0", "digest-abc")
-    topic, payload, qos, retain = calls[0]
-    assert topic == update_topic(entry.node_id) == f"mgmt/{entry.node_id}/update"
-    assert (qos, retain) == (1, True)
-    assert json.loads(payload) == {"version": "2.0", "digest": "digest-abc"}
-
-
-def test_push_update_requires_active():
-    registry, entry = commissioned()
-    mgmt = ManagementService(registry)
-    with pytest.raises(NotActive):
-        mgmt.push_update(entry.node_id, "2.0", "d")
-
-
-def test_status_report_records_version():
-    registry, entry = active_node()
-    mgmt = ManagementService(registry)
-    mgmt.apply_status_report(entry.node_id, "2.0")
-    assert registry.get(entry.node_id).firmware_version == "2.0"
 
 
 def test_new_incident_only_once_the_open_one_closes():

@@ -74,7 +74,14 @@ def test_spec_default_assertions():
     ({"duration_s": 1, "asertions": ["exact_multiset"]}, "asertions"),
     ({"duration_s": 1, "nodes": [{"count": 1, "chanels": []}]}, "chanels"),
     ({"duration_s": 1, "nodes": [{"buffer_capacity": 64}]}, "buffer_capacity"),
-], ids=["top_level", "node_group", "retired_node_key"])
+    ({"duration_s": 1, "faults": [{"kind": "uplink_outgae", "start": 0, "end": 1}]},
+     "uplink_outgae"),
+    ({"duration_s": 1, "actions": [{"kind": "set_desierd", "at": 0, "node": "n-000001",
+                                    "set": {"setpoint": "n:68"}}]}, "set_desierd"),
+    ({"duration_s": 1, "actions": [{"kind": "push_update", "at": 0, "node": "n-000001",
+                                    "version": "2.0"}]}, "push_update"),
+], ids=["top_level", "node_group", "retired_node_key", "fault_kind", "action_kind",
+        "retired_action_kind"])
 def test_spec_rejects_unknown_keys(doc, key):
     with pytest.raises(scenario.BadScenario, match=key):
         ScenarioSpec.from_dict(doc)
@@ -180,6 +187,52 @@ def test_set_desired_converges(tmp_path):
     report = run_scenario(spec, tmp_path)
     assert report.ok, report.assertions
     assert report.convergence["n-000001"] is True
+
+
+FIRMWARE_SCENARIO = {
+    "duration_s": 8.0,
+    "seed": 4,
+    "nodes": [
+        {"count": 1, "class_name": "temperature_sensor", "channels": [
+            {"sensor_name": "temp", "sample_period_ms": 500, "unit": "°F",
+             "waveform": {"kind": "constant", "base": 70}}]},
+        {"count": 1, "class_name": "multi_sensor", "channels": [
+            {"sensor_name": "temp", "sample_period_ms": 500, "unit": "°F",
+             "waveform": {"kind": "constant", "base": 71}}]},
+    ],
+    "faults": [{"kind": "uplink_outage", "nodes": "all", "start": 1, "end": 4}],
+    # the setpoint report repeats firmware 2.0, which must not add an event
+    "actions": [
+        {"kind": "set_desired", "at": 2.0, "node": "n-000001",
+         "set": {"firmware": "s:2.0"}},
+        {"kind": "set_desired", "at": 2.0, "node": "n-000002",
+         "set": {"firmware": "s:2.0"}},
+        {"kind": "set_desired", "at": 5.0, "node": "n-000002",
+         "set": {"setpoint": "n:68"}},
+    ],
+    "assertions": ["lossless", "seq_gap_free", {"check": "all_converged"}],
+}
+
+
+def test_firmware_push_rides_the_twin_to_the_registry(tmp_path):
+    log = tmp_path / "registry.jsonl"
+    registry = controlplane.Registry(log_path=log)
+    world = scenario.World(ScenarioSpec.from_dict(FIRMWARE_SCENARIO), tmp_path,
+                           registry=registry)
+    try:
+        report = world.run()
+    finally:
+        world.tsdb.close()
+        world.gateway.close()
+    assert report.ok, report.assertions
+    assert report.rejected == {}
+    nodes = ["n-000001", "n-000002"]
+    assert [registry.get(n).firmware_version for n in nodes] == ["2.0", "2.0"]
+    events = [json.loads(line) for line in log.read_text().splitlines()]
+    firmware = [(e["node_id"], e["version"]) for e in events if e["event"] == "firmware"]
+    assert sorted(firmware) == [("n-000001", "2.0"), ("n-000002", "2.0")]
+    replayed = controlplane.Registry(log_path=log)
+    assert [replayed.get(n).firmware_version for n in nodes] == ["2.0", "2.0"]
 
 
 def test_running_a_spec_twice_gives_the_same_report(tmp_path):
@@ -415,8 +468,9 @@ def test_cli_walkthrough(tmp_path, capsys):
     assert code == 0 and len(rows) == report["stored"]["n-000002/temp"] > 0
     code, rows = step("tail", "inc-0001")
     assert code == 0
-    assert sorted(r["event"] for r in rows) == [
-        "incident_closed", "incident_mitigated", "incident_opened"]
+    # the operator's remediate carries wall time, after the run's virtual time
+    assert [r["event"] for r in rows] == [
+        "incident_opened", "incident_mitigated", "incident_closed"]
 
     # a crash in the middle of the last append ("activate n-000003")
     log = tmp_path / "ws" / "registry.jsonl"
@@ -444,3 +498,35 @@ def test_cli_run_refuses_a_workspace_with_stored_readings(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(tmp_path, "run", str(scenario_path)) == 1
     assert "empty --data-dir" in capsys.readouterr().err
+
+
+def test_cli_firmware_push_and_the_run_twin_state(tmp_path, capsys):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(FIRMWARE_SCENARIO))
+    assert run_cli(tmp_path, "run", str(scenario_path)) == 0
+    capsys.readouterr()
+
+    assert cli.main(["--data-dir", str(tmp_path / "ws"), "list-nodes"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and all("fw=2.0" in line for line in lines)
+
+    for node in ("n-000001", "n-000002"):
+        assert run_cli(tmp_path, "get-twin", node) == 0
+        twin = json.loads(capsys.readouterr().out)
+        assert twin["reported"]["firmware"] == "s:2.0"
+        assert twin["converged"] is True
+        assert twin["desired_version"] == (1 if node == "n-000001" else 2)
+
+    assert run_cli(tmp_path, "tail", "firmware") == 0
+    rows = json.loads(capsys.readouterr().out)
+    log = (tmp_path / "ws" / "registry.jsonl").read_text().splitlines()
+    assert rows == [json.loads(line) for line in log if '"firmware"' in line]
+    assert sorted(r["node_id"] for r in rows) == ["n-000001", "n-000002"]
+
+    # an operator push after the run is a desired-state change like any other
+    assert run_cli(tmp_path, "set-desired", "n-000001", "firmware=s:2.1") == 0
+    capsys.readouterr()
+    assert run_cli(tmp_path, "get-twin", "n-000001") == 0
+    twin = json.loads(capsys.readouterr().out)
+    assert twin["desired"] == {"firmware": "s:2.1"}
+    assert twin["desired_version"] == 2 and twin["converged"] is False

@@ -214,10 +214,10 @@ def test_node_acl():
     broker = make_broker(authenticator=lambda n, c: True)
     s = broker.connect("n-000001", "x")
     for topic in ("data/n-000001/temp", "twin/n-000001/reported",
-                  "mgmt/n-000001/status", "alerts/n-000001"):
+                  "alerts/n-000001"):
         s.publish(topic, "p")
     for topic in ("data/n-000002/temp", "twin/n-000001/desired",
-                  "mgmt/n-000001/update", "cfg/x"):
+                  "mgmt/n-000001/status", "mgmt/n-000001/update", "cfg/x"):
         with pytest.raises(NotAuthorized):
             s.publish(topic, "p")
 

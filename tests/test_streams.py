@@ -328,11 +328,3 @@ def test_replay_span_bound():
 def test_replay_bad_range():
     with pytest.raises(streams.StreamError):
         ReplayStore().replay(5, 1)
-
-
-def test_pipeline_feeds_replay_store():
-    p = Pipeline(linear_spec())
-    p.process(reading(1.0, 70.0))
-    p.process(reading(2.0, 71.0))
-    rows = p.replay_store.replay(0, 10)
-    assert [(r[0], r[3]) for r in rows] == [(1.0, 70.0), (2.0, 71.0)]
