@@ -141,10 +141,15 @@ class TwinService:
     def set_desired(self, node_id: str, patch: DesiredPatch) -> int:
         twin = self._twin(node_id)
         props = self.model.effective_properties(twin.class_name)
-        for key in patch.set:
+        for key, value in patch.set.items():
             prop = props.get(key)
             if prop is None or not prop.writable:
                 raise NotWritable(key)
+            # the device echoes the value in its reports, which apply_report
+            # checks: a value it would reject must not be sent
+            bad = infomodel._check_value(prop, value)
+            if bad:
+                raise SchemaInvalid(f"{bad[0].kind}: {key} ({bad[0].detail})")
         twin.desired.update(patch.set)
         twin.desired_version += 1
         if self.publish is not None:

@@ -235,6 +235,34 @@ def test_firmware_push_rides_the_twin_to_the_registry(tmp_path):
     assert [replayed.get(n).firmware_version for n in nodes] == ["2.0", "2.0"]
 
 
+def test_a_desired_value_of_the_wrong_datatype_stops_the_run(tmp_path):
+    # firmware "n:2" used to be sent; the device echoed it in every later
+    # report, each was rejected as schema_invalid and the setpoint at 3 s
+    # never converged
+    spec = ScenarioSpec.from_dict({
+        "duration_s": 6.0,
+        "seed": 4,
+        "nodes": [{"count": 1, "class_name": "multi_sensor", "channels": [
+            {"sensor_name": "temp", "sample_period_ms": 500, "unit": "°F",
+             "waveform": {"kind": "constant", "base": 71}}]}],
+        "actions": [
+            {"kind": "set_desired", "at": 1.0, "node": "n-000001", "set": {"firmware": "n:2"}},
+            {"kind": "set_desired", "at": 3.0, "node": "n-000001", "set": {"setpoint": "n:68"}},
+        ],
+        "assertions": [{"check": "all_converged"}],
+    })
+    world = scenario.World(spec, tmp_path)
+    try:
+        with pytest.raises(twins.SchemaInvalid, match="firmware"):
+            world.run()
+    finally:
+        world.tsdb.close()
+        world.gateway.close()
+    twin = world.twins.get_twin("n-000001")
+    assert (twin.desired, twin.desired_version) == ({}, 0)
+    assert "twin/n-000001/desired" not in world.broker.retained
+
+
 def test_running_a_spec_twice_gives_the_same_report(tmp_path):
     spec = nominal_spec(
         duration=6.0,

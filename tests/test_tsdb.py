@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import struct
 import tempfile
 
@@ -81,17 +82,22 @@ def test_append_and_count(tmp_path):
     store.close()
 
 
+def block_header(data):
+    (length,) = struct.unpack(">I", data[:4])
+    return json.loads(data[4:4 + length])
+
+
 def test_segment_rolls_and_seals_at_capacity(tmp_path):
     store = Store(tmp_path)
     fill(store, SEGMENT_CAPACITY + 5)
     seg_dir = tmp_path / "n-000001" / "temp"
-    assert (seg_dir / "seg-0.log").exists()
-    assert (seg_dir / "seg-0.idx").exists()
+    assert (seg_dir / "seg-0.blk").exists()
+    assert not (seg_dir / "seg-0.log").exists()
     assert (seg_dir / "seg-1.log").exists()
-    assert not (seg_dir / "seg-1.idx").exists()
-    footer = json.loads((seg_dir / "seg-0.idx").read_text())
-    assert footer == {"min_ts": 0.0, "max_ts": float(SEGMENT_CAPACITY - 1),
-                      "count": SEGMENT_CAPACITY}
+    assert not (seg_dir / "seg-1.blk").exists()
+    header = block_header((seg_dir / "seg-0.blk").read_bytes())
+    assert {k: header[k] for k in ("min_ts", "max_ts", "count")} == {
+        "min_ts": 0.0, "max_ts": float(SEGMENT_CAPACITY - 1), "count": SEGMENT_CAPACITY}
     store.close()
 
 
@@ -100,7 +106,7 @@ def test_sealing_leaves_no_temp_file(tmp_path):
     fill(store, 2 * SEGMENT_CAPACITY + 5)
     seg_dir = tmp_path / "n-000001" / "temp"
     assert sorted(p.name for p in seg_dir.iterdir()) == [
-        "seg-0.idx", "seg-0.log", "seg-1.idx", "seg-1.log", "seg-2.log"]
+        "seg-0.blk", "seg-1.blk", "seg-2.log"]
     store.close()
 
 
@@ -246,12 +252,17 @@ def check_against_reference(store, ref, windows):
         assert store.find_channels(query) == ref.find_channels(query)
 
 
+# a block packs seq and value into columns only when every seq is an int
+# that fits in 64 bits and every value is a float; the rest go to JSON
+PROP_VALUES = {"float": float, "int": int, "bool": lambda i: i % 2 == 1, "str": str}
 _appends = st.tuples(
     st.just("append"),
     st.sampled_from(range(len(PROP_CHANNELS))),
     st.sampled_from((1, 0, 2, 1, 0, 1, -3)),  # ts step: ties, sometimes back
-    st.one_of(st.none(), st.integers(0, 4)),
+    st.one_of(st.none(), st.integers(0, 4), st.integers(0, 4),
+              st.integers(2**63, 2**63 + 4)),
     st.sampled_from(range(len(PROP_TAGS))),
+    st.sampled_from(("float", "float", "float", "int", "bool", "str")),
 )
 _ops = st.lists(st.one_of(_appends, _appends, _appends, st.just(("reopen",))),
                 min_size=8, max_size=60)
@@ -274,9 +285,9 @@ def test_store_matches_reference_model(ops, windows, cutoff):
                 store = Store(root)
                 ref.reopen()
                 continue
-            _, c, step, seq, tags = op
+            _, c, step, seq, tags, kind = op
             last_ts[c] += step
-            r = reading(last_ts[c], value=float(i), seq=seq,
+            r = reading(last_ts[c], value=PROP_VALUES[kind](i), seq=seq,
                         tags=dict(PROP_TAGS[tags]), channel=PROP_CHANNELS[c])
             store.append(r)
             ref.append(r)
@@ -293,6 +304,67 @@ def test_store_matches_reference_model(ops, windows, cutoff):
         ref.reopen()
         check_against_reference(store, ref, windows)
         store.close()
+
+
+# -- block format --------------------------------------------------------
+
+INT64 = range(-2**63, 2**63)
+
+
+def exact(r):
+    """A reading's fields, with floats compared by repr: NaN equals NaN,
+    -0.0 differs from 0.0, and 1 differs from 1.0 and True."""
+    return (r.channel, type(r.value), repr(r.value), r.unit, repr(r.ts),
+            type(r.seq), r.seq, r.tags)
+
+
+_block_rows = st.lists(st.tuples(
+    st.one_of(st.floats(), st.sampled_from((math.nan, math.inf, -math.inf, -0.0))),
+    st.one_of(st.floats(), st.floats(), st.integers(), st.booleans(), st.text(max_size=4)),
+    st.one_of(st.none(), st.integers(-5, 5), st.sampled_from((2**63 - 1, -2**63)),
+              st.integers(), st.integers(min_value=2**63)),
+    st.sampled_from(("°F", "%", "")),
+    st.sampled_from(range(len(PROP_TAGS))),
+), min_size=1, max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_block_rows)
+def test_block_codec_round_trips(rows):
+    seg = tsdb._Segment(0, None)
+    for ts, value, seq, unit, tags in rows:
+        seg.add(Reading(ch(), value, unit, ts, seq, dict(PROP_TAGS[tags])))
+    data, tables = tsdb._encode_block(seg)
+    readings, ts, decoded_tables = tsdb._decode_block(ch(), data)
+    assert [exact(r) for r in readings] == [exact(r) for r in seg.entries]
+    assert [repr(t) for t in ts] == [repr(r.ts) for r in readings]
+    # one dict per distinct tags dict, shared by its readings
+    distinct = [dict(t) for i, t in enumerate(PROP_TAGS) if i in {row[4] for row in rows}]
+    assert sorted(decoded_tables, key=repr) == sorted(distinct, key=repr) == sorted(tables, key=repr)
+    assert len({id(r.tags) for r in readings}) == len(decoded_tables)
+    assert len({id(r.unit) for r in readings}) == len({row[3] for row in rows})
+    header = block_header(data)
+    assert (header["count"], repr(header["min_ts"]), repr(header["max_ts"])) == (
+        len(rows), repr(seg.min_ts), repr(seg.max_ts))
+    packed_seq = all(type(r.seq) is int and r.seq in INT64 for r in readings)
+    packed_value = all(type(r.value) is float for r in readings)
+    assert ("seq" in header, "value" in header) == (not packed_seq, not packed_value)
+
+
+def test_block_columns_are_packed(tmp_path):
+    n = SEGMENT_CAPACITY
+    store = Store(tmp_path)
+    for i in range(n + 1):
+        store.append(reading(i, value=i / 4, seq=i + 1, tags={"zone": "Z3"}))
+    store.close()
+    data = (tmp_path / "n-000001" / "temp" / "seg-0.blk").read_bytes()
+    header = block_header(data)
+    assert header == {"count": n, "min_ts": 0.0, "max_ts": n - 1.0,
+                      "units": ["°F"], "tags": [{"zone": "Z3"}]}
+    # ts, seq and value at 8 bytes a reading each; no unit or tag column
+    columns = struct.unpack_from(f"<{n}d{n}q{n}d", data, len(data) - 24 * n)
+    assert len(data) == 4 + struct.unpack(">I", data[:4])[0] + 24 * n
+    assert columns == (*map(float, range(n)), *range(1, n + 1), *(i / 4 for i in range(n)))
 
 
 # -- downsample ----------------------------------------------------------
@@ -398,8 +470,8 @@ def test_retention_drops_only_old_sealed_segments(tmp_path):
     )
     assert deleted == 1  # only seg-0 (max_ts 999) is entirely older
     seg_dir = tmp_path / "n-000001" / "temp"
-    assert not (seg_dir / "seg-0.log").exists()
-    assert (seg_dir / "seg-1.log").exists()
+    assert not (seg_dir / "seg-0.blk").exists()
+    assert (seg_dir / "seg-1.blk").exists()
     assert store.count(ch()) == SEGMENT_CAPACITY + 5
     # active segment is never deleted even when old
     assert store.apply_retention(now=1e9, policy=RetentionPolicy(max_age=1.0)) == 1
@@ -463,3 +535,95 @@ def test_random_truncation_loses_at_most_one_record(tmp_path):
             whole += 1
             off += 4 + length
         assert count == whole
+
+
+def sealed_store(root, extra=0):
+    """A store whose seg-0 is sealed, plus extra readings in seg-1.log;
+    returns the channel's directory, every reading, and the log that
+    seg-0.blk replaced."""
+    rows = [reading(i, value=i + 0.5, seq=i + 1) for i in range(SEGMENT_CAPACITY + extra)]
+    store = Store(root)
+    for r in rows:
+        store.append(r)
+    store.close()
+    log = b"".join(_encode_record(r) for r in rows[:SEGMENT_CAPACITY])
+    return root / "n-000001" / "temp", rows, log
+
+
+def files(seg_dir):
+    return sorted(p.name for p in seg_dir.iterdir())
+
+
+@pytest.mark.parametrize("tmp_len", [0, 50, None])
+def test_seal_cut_before_the_rename_leaves_the_log_active(tmp_path, tmp_len):
+    seg_dir, rows, log = sealed_store(tmp_path)
+    blk = seg_dir / "seg-0.blk"
+    (seg_dir / "seg-0.blk.tmp").write_bytes(blk.read_bytes()[:tmp_len])
+    blk.unlink()
+    (seg_dir / "seg-0.log").write_bytes(log)
+    store = Store(tmp_path)
+    assert files(seg_dir) == ["seg-0.log"]
+    assert store.query_range(ch(), -math.inf, math.inf) == rows
+    last = reading(SEGMENT_CAPACITY, value=0.5, seq=SEGMENT_CAPACITY + 1)
+    assert store.append(last) == (0, SEGMENT_CAPACITY)  # the full log seals now
+    store.close()
+    assert files(seg_dir) == ["seg-0.blk"]
+    reopened = Store(tmp_path)
+    assert reopened.query_range(ch(), -math.inf, math.inf) == rows + [last]
+    reopened.close()
+
+
+def test_seal_cut_before_the_unlink_keeps_the_block(tmp_path):
+    seg_dir, rows, log = sealed_store(tmp_path, extra=5)
+    (seg_dir / "seg-0.log").write_bytes(log)
+    store = Store(tmp_path)
+    assert files(seg_dir) == ["seg-0.blk", "seg-1.log"]
+    assert store.query_range(ch(), -math.inf, math.inf) == rows  # each once
+    store.close()
+
+
+def test_a_cut_block_fails_the_open_and_names_the_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(tsdb, "SEGMENT_CAPACITY", 4)
+    store = Store(tmp_path)
+    # seg-0 packs every column, with two units and two tags dicts;
+    # seg-1 keeps seq and value in its JSON header
+    for i, (value, unit, seq) in enumerate([
+        (1.5, "°F", 1), (2.5, "%", 2), (3.5, "°F", 3), (4.5, "%", 4),
+        (5, "°F", None), (True, "°F", 2**64), ("x", "°F", 7), (8.5, "°F", 8),
+    ]):
+        store.append(Reading(ch(), value, unit, float(i), seq, {"zone": "ab"[i % 2]}))
+    store.close()
+    seg_dir = tmp_path / "n-000001" / "temp"
+    for name in ("seg-0.blk", "seg-1.blk"):
+        blk = seg_dir / name
+        data = blk.read_bytes()
+        for cut in range(len(data)):
+            blk.write_bytes(data[:cut])
+            with pytest.raises(tsdb.TsdbError, match=re.escape(str(blk))):
+                Store(tmp_path)
+        blk.write_bytes(data)
+    assert files(seg_dir) == ["seg-0.blk", "seg-1.blk"]
+    reopened = Store(tmp_path)
+    assert reopened.count(ch()) == 8
+    reopened.close()
+
+
+def test_an_open_decodes_json_only_for_active_logs(tmp_path, monkeypatch):
+    monkeypatch.setattr(tsdb, "SEGMENT_CAPACITY", 10)
+    channels = [ch(sensor=name) for name in ("temp", "humidity", "power")]
+    store = Store(tmp_path)
+    for c in channels:
+        for i in range(25):  # two sealed blocks and an active log each
+            store.append(reading(i, seq=i + 1, channel=c, tags={"zone": "a"}))
+    store.close()
+    calls = []
+    read_records = tsdb._read_records
+    monkeypatch.setattr(tsdb, "_read_records", lambda data: calls.append(data) or read_records(data))
+    reopened = Store(tmp_path)
+    assert len(calls) == 3
+    for c in channels:
+        for t1 in (0, 10):  # one block: the readings share one tags dict
+            rows = reopened.query_range(c, t1, t1 + 10)
+            assert len(rows) == 10 and all(r.tags is rows[0].tags for r in rows)
+    assert reopened.find_channels({"zone": "a"}) == sorted(channels, key=str)
+    reopened.close()

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from iotra import infomodel, twins
+from iotra.harness.scenario import build_default_model
 from iotra.infomodel import TypedScalar
 from iotra.twins import (
     DesiredPatch,
@@ -136,6 +137,30 @@ def test_set_desired_rejects_non_writable():
         svc.set_desired("n-000001", DesiredPatch({"temp": n(70)}))
     with pytest.raises(NotWritable):
         svc.set_desired("n-000001", DesiredPatch({"ghost": n(70)}))
+
+
+def test_set_desired_rejects_a_value_of_the_wrong_datatype():
+    # firmware is a string: "n:2" used to be sent, echoed in every later
+    # device report and rejected with it, so no later change converged
+    svc = TwinService(build_default_model(), publish=(spy := PublishSpy()))
+    svc.register_node("n-000001", "multi_sensor")
+    with pytest.raises(SchemaInvalid, match="firmware"):
+        svc.set_desired("n-000001", DesiredPatch({"firmware": n(2)}))
+    twin = svc.get_twin("n-000001")
+    assert (twin.desired, twin.desired_version, spy.calls) == ({}, 0, [])
+    assert svc.set_desired("n-000001", DesiredPatch({"setpoint": n(68)})) == 1
+    desired, version = decode_desired_command(spy.calls[-1][1])
+    svc.apply_report("n-000001", desired, ack_version=version, ts=3.0)
+    assert svc.converged("n-000001")
+
+
+def test_set_desired_checks_every_key_before_changing_anything():
+    svc, spy = make_service()
+    with pytest.raises(SchemaInvalid, match="setpoint"):
+        svc.set_desired("n-000001", DesiredPatch(
+            {"fan_power": TypedScalar.string("on"), "setpoint": TypedScalar.string("hot")}))
+    twin = svc.get_twin("n-000001")
+    assert (twin.desired, twin.desired_version, spy.calls) == ({}, 0, [])
 
 
 def test_empty_patch_rejected():
