@@ -9,8 +9,10 @@ workspace whose registry already holds nodes or whose store is not
 empty, so each run starts from nothing. The other commands are the
 central-control-point operations over the same registry. Registry
 events carry virtual time during a run and wall time otherwise, so an
-operator's events sort after the run's. Exit codes: 0 ok, 1 operation
-error, 2 usage error.
+operator's events sort after the run's. The twin snapshot ``twins.json``
+is written whole to ``twins.json.tmp`` and renamed into place, so a
+crash or a failed write mid-save leaves the previous snapshot, which the
+next command loads. Exit codes: 0 ok, 1 operation error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -78,10 +80,16 @@ class Workspace:
 
     def save_twins(self) -> None:
         if self._twins is not None:
-            (self.root / "twins.json").write_text(
-                json.dumps(self._twins.dump(), indent=2, ensure_ascii=False),
-                encoding="utf-8",
-            )
+            path = self.root / "twins.json"
+            tmp = path.with_name("twins.json.tmp")
+            try:
+                tmp.write_text(
+                    json.dumps(self._twins.dump(), indent=2, ensure_ascii=False),
+                    encoding="utf-8",
+                )
+                os.replace(tmp, path)
+            finally:
+                tmp.unlink(missing_ok=True)
 
     def store(self) -> tsdb_mod.Store:
         return tsdb_mod.Store(self.root / "tsdb")

@@ -2,8 +2,18 @@
 
 On disk, under ``<root>/<node>/<sensor>/``:
 
-- ``seg-<n>.log``, the active segment: length-prefixed JSON-line
-  records, appended one per reading.
+- ``seg-<n>.log``, the active segment, one record appended per
+  reading. A record is a 4-byte big-endian body length and a body of one
+  of two kinds. A *full* record's body is a JSON line of ``ts``,
+  ``seq``, ``v``, ``unit`` and ``tags``. A *short* record's body is 24
+  bytes, big-endian: ``ts`` as float64, ``seq`` as int64 and ``value``
+  as float64; it takes unit and tags from the record before it. A
+  reading is written short when the previous record's unit and tags
+  equal its own, its value is exactly a float and its seq an int that
+  fits in 64 bits; a segment's first record, and every other reading,
+  is full. A JSON body of those five keys is always longer than 24
+  bytes, so the length tells the kinds apart; a short record with no
+  full record before it is corrupt.
 - ``seg-<n>.blk``, a sealed segment. When the active segment reaches
   SEGMENT_CAPACITY entries it is written once as a packed-column block:
   a 4-byte big-endian header length, a JSON header, then the columns.
@@ -17,14 +27,23 @@ On disk, under ``<root>/<node>/<sensor>/``:
   str keep their types); then a uint32 index into ``units`` and one into
   ``tags``, each only when the block has more than one distinct entry.
 
-Sealed records are not human-readable; ``iotra query`` is the
+Short records and blocks are not human-readable; ``iotra query`` is the
 inspection tool.
 
 Durability, against a process crash (nothing calls fsync, so not against
 power loss or an OS crash):
 
-- An append can tear at most the tail record of the active segment; an
-  open truncates the torn tail and appends continue after it.
+- An append reaches the file only when the channel's write buffer
+  fills (Python 3.11 sizes it to the file system's block, commonly
+  4 KiB, which holds about 145 short records), or at ``flush()`` or
+  ``close()``; the scenario ``World`` flushes once, when a run ends. A
+  process crash loses the readings still buffered and can tear the
+  tail record of the active segment; an open truncates the torn tail
+  and appends continue after it. Once ``flush()`` returns, a Store
+  opened on the same root sees every appended reading.
+- Neither short records nor blocks carry a checksum: the length framing
+  finds a record cut short, not bytes garbled in place, as power loss
+  can leave them. A full record that does not parse is treated as torn.
 - Sealing writes ``seg-<n>.blk.tmp``, renames it to ``seg-<n>.blk``
   and then unlinks ``seg-<n>.log``. A crash before the rename leaves the
   whole log, which stays the active segment (an open removes the
@@ -37,10 +56,15 @@ power loss or an OS crash):
 An open decodes every block eagerly into the same resident lists the
 active segment uses: ``array`` turns each column into a list and
 ``map`` builds the readings, with no per-record JSON. All readings of
-one block share the block's unit string and ``tags`` dict (readings
-appended in one session share the caller's dict, see Store.append), and
-the tag index is built from each block's tags table, not from every
-reading. Decoding on first touch was measured and not taken: one
+one block share the block's unit string and ``tags`` dict. In an active
+log, a run of short records shares the unit string and ``tags`` dict of
+the full record that starts it, and consecutive full records with equal
+tags share one dict (readings appended in one session share the
+caller's dict, see Store.append). The tag index is built from each
+block's tags table, not from every reading. An active log's full
+records are decoded with one ``json.loads`` over their joined bodies, so
+a log written before short records existed (every record full) opens as
+fast as it did. Decoding on first touch was measured and not taken: one
 1,000-reading block costs about 1.2 ms to read and decode with the
 garbage collector running, as in an open, more than four times the
 0.28 ms p99 of the benchmark's ``history-read`` queries (2-vCPU host,
@@ -81,6 +105,10 @@ AGGREGATES = ("min", "max", "avg", "count", "first", "last")
 # json.dumps with keyword arguments builds a new encoder on every call
 _ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
 _LENGTH = struct.Struct(">I")
+# a short record: its length prefix (24), ts, seq and value
+_SHORT = struct.Struct(">Idqd")
+_SHORT_BODY = struct.Struct(">dqd")
+_SHORT_LENGTH = _SHORT_BODY.size
 _SWAP = sys.byteorder == "big"  # block columns are little-endian
 
 
@@ -125,45 +153,84 @@ def aggregate(agg: str, vals: list[float]) -> float:
     return vals[-1]
 
 
-def _encode_record(r: Reading) -> bytes:
+def _encode_record(r: Reading, prev: Reading | None = None) -> bytes:
+    """r's record in a log whose last record holds prev: short when prev
+    has r's unit and tags (identity first, as in _encode_block) and r's
+    seq and value pack, else full."""
+    seq, value = r.seq, r.value
+    if (prev is not None and type(value) is float and type(seq) is int
+            and -2**63 <= seq < 2**63
+            and (r.unit is prev.unit or r.unit == prev.unit)
+            and (r.tags is prev.tags or r.tags == prev.tags)):
+        return _SHORT.pack(_SHORT_LENGTH, r.ts, seq, value)
     body = _ENCODER.encode(
-        {"ts": r.ts, "seq": r.seq, "v": r.value, "unit": r.unit, "tags": r.tags}
+        {"ts": r.ts, "seq": seq, "v": value, "unit": r.unit, "tags": r.tags}
     ).encode("utf-8") + b"\n"
     return _LENGTH.pack(len(body)) + body
 
 
-def _read_records(data: bytes) -> tuple[list[dict], int]:
+def _read_records(data: bytes) -> tuple[list, int]:
     """Parse length-prefixed records; returns (records, clean_offset).
 
-    Stops at the first torn or corrupt record, so a truncated tail costs
-    at most one record. When the records fill the data exactly, one
-    json.loads decodes their joined bodies; an error or a count mismatch
-    there falls back to decoding one record at a time.
+    A full record comes back as its JSON dict, a short one as a
+    (ts, seq, value) tuple. Stops at the first torn or corrupt record,
+    so a truncated tail costs at most one record; a short record with no
+    full record before it is corrupt. One json.loads decodes the joined
+    bodies of the full records; an error or a count mismatch there falls
+    back to decoding one record at a time.
     """
+    records: list = []  # a full record's offset holds its place until decoded
     bodies: list[bytes] = []
-    off = 0
-    while off + 4 <= len(data):
+    off, size = 0, len(data)
+    while off + 4 <= size:
         (length,) = _LENGTH.unpack_from(data, off)
         end = off + 4 + length
-        if end > len(data):
+        if end > size:
             break
-        bodies.append(data[off + 4 : end])
+        if length != _SHORT_LENGTH:
+            records.append(off)
+            bodies.append(data[off + 4 : end])
+        elif bodies:
+            records.append(_SHORT_BODY.unpack_from(data, off + 4))
+        else:
+            break
         off = end
-    if off == len(data):
-        try:
-            records = json.loads((b"[" + b",".join(bodies) + b"]").decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            records = None
-        if records is not None and len(records) == len(bodies):
-            return records, off
-    records, off = [], 0
-    for body in bodies:
-        try:
-            records.append(json.loads(body.decode("utf-8")))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            break
-        off += 4 + len(body)
-    return records, off
+    try:
+        decoded = json.loads((b"[" + b",".join(bodies) + b"]").decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        decoded = None
+    if decoded is None or len(decoded) != len(bodies):
+        decoded = []
+        for body in bodies:
+            try:
+                decoded.append(json.loads(body.decode("utf-8")))
+            except (json.JSONDecodeError, UnicodeDecodeError):
+                index = [i for i, rec in enumerate(records) if type(rec) is int][len(decoded)]
+                off = records[index]
+                del records[index:]
+                break
+    if len(decoded) == len(records):  # every record is full
+        return decoded, off
+    full = iter(decoded)
+    return [next(full) if type(rec) is int else rec for rec in records], off
+
+
+def _log_readings(key: ChannelKey, records: list) -> list[Reading]:
+    """The readings of a log's records. Consecutive readings with equal
+    tags share one dict, and a run of short records shares the unit
+    string and tags dict of the full record that starts it."""
+    readings = []
+    unit = tags = None
+    for rec in records:
+        if type(rec) is tuple:
+            ts, seq, value = rec
+        else:
+            ts, seq, value = float(rec["ts"]), rec.get("seq"), rec["v"]
+            unit = rec.get("unit", "")
+            if (rec_tags := rec.get("tags") or {}) != tags:
+                tags = rec_tags
+        readings.append(Reading(key, value, unit, ts, seq, tags))
+    return readings
 
 
 def _pack(typecode: str, values) -> bytes:
@@ -366,11 +433,7 @@ class Store:
                     # torn tail from a crash mid-append: repair in place
                     with open(log, "r+b") as fh:
                         fh.truncate(clean)
-                readings = [
-                    Reading(key, rec["v"], rec.get("unit", ""), float(rec["ts"]),
-                            rec.get("seq"), rec.get("tags") or {})
-                    for rec in records
-                ]
+                readings = _log_readings(key, records)
                 seg.fill(readings, [r.ts for r in readings])
             ch.segments.append(seg)
         if ch.segments and not ch.segments[-1].sealed:
@@ -386,8 +449,9 @@ class Store:
 
         The store keeps the caller's Reading and its ``tags`` dict (a
         copy would cost every append), so the caller must not change them
-        after appending: queries would see it at once, the disk only in
-        the block the segment seals into.
+        after appending: queries would see the change at once, the disk
+        perhaps never, as a record or a block written later takes an
+        identical dict for unchanged tags.
         """
         ch = self._channels.get(reading.channel)
         if ch is None:
@@ -402,7 +466,7 @@ class Store:
             ch.close()
         if ch._fh is None:
             ch._fh = open(seg.path, "ab")
-        ch._fh.write(_encode_record(reading))
+        ch._fh.write(_encode_record(reading, seg.entries[-1] if seg.entries else None))
         seg.add(reading)
         self._index_tags(ch, reading.tags)
         position = (seg.number, len(seg.entries) - 1)

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -376,6 +377,29 @@ def test_cli_twin_round_trip(tmp_path, capsys):
     assert doc["desired"] == {"setpoint": "n:68"}
     assert doc["desired_version"] == 1
     assert doc["converged"] is False
+
+
+def test_cli_twin_save_cut_short_keeps_the_old_snapshot(tmp_path, capsys, monkeypatch):
+    run_cli(tmp_path, "commission", "--name", "a", "--class", "multi_sensor")
+    assert run_cli(tmp_path, "set-desired", "n-000001", "setpoint=n:68") == 0
+    capsys.readouterr()
+    ws = tmp_path / "ws"
+    before = (ws / "twins.json").read_bytes()
+
+    def write_half(self, text, encoding=None):
+        with open(self, "w", encoding=encoding) as fh:
+            fh.write(text[: len(text) // 2])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", write_half)
+    with pytest.raises(OSError):
+        run_cli(tmp_path, "set-desired", "n-000001", "setpoint=n:70")
+    monkeypatch.undo()
+    assert sorted(p.name for p in ws.iterdir() if p.name.startswith("twins")) == ["twins.json"]
+    assert (ws / "twins.json").read_bytes() == before
+    assert run_cli(tmp_path, "get-twin", "n-000001") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["desired"] == {"setpoint": "n:68"} and doc["desired_version"] == 1
 
 
 def test_cli_set_desired_bad_pair(tmp_path, capsys):

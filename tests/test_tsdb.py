@@ -54,6 +54,44 @@ def test_record_layout():
     assert obj == {"ts": 1.5, "seq": 3, "v": 77.6, "unit": "°F", "tags": {}}
 
 
+def test_short_record_layout():
+    prev = reading(1.0, value=2.5, seq=3, tags={"zone": "Z3"})
+    data = _encode_record(reading(1.5, value=77.6, seq=4, tags={"zone": "Z3"}), prev)
+    assert data == struct.pack(">Idqd", 24, 1.5, 4, 77.6)
+    assert _read_records(_encode_record(prev) + data) == (
+        [json.loads(_encode_record(prev)[4:]), (1.5, 4, 77.6)], len(_encode_record(prev)) + 28)
+
+
+@pytest.mark.parametrize("change, kind", [
+    ({}, "short"),
+    ({"tags": {"zone": "Z3"}}, "short"),  # equal, not the same dict
+    ({"seq": -2**63}, "short"),
+    ({"seq": 2**63 - 1}, "short"),
+    ({"value": math.nan}, "short"),
+    ({"unit": "°C"}, "full"),
+    ({"tags": {"zone": "Z4"}}, "full"),
+    ({"tags": {}}, "full"),
+    ({"value": 77}, "full"),
+    ({"value": True}, "full"),
+    ({"value": "77.6"}, "full"),
+    ({"seq": None}, "full"),
+    ({"seq": 2**63}, "full"),
+    ({"seq": -2**63 - 1}, "full"),
+    ({"seq": True}, "full"),
+])
+def test_record_kind(change, kind):
+    tags = {"zone": "Z3"}
+    prev = Reading(ch(), 2.5, "°F", 1.0, 3, tags)
+    fields = {"channel": ch(), "value": 77.6, "unit": "°F", "ts": 1.5, "seq": 4, "tags": tags}
+    r = Reading(**{**fields, **change})
+    data = _encode_record(r, prev)
+    assert (len(data) == 28) == (kind == "short")
+    records, clean = _read_records(_encode_record(prev) + data)
+    assert clean == len(_encode_record(prev)) + len(data)
+    readings = tsdb._log_readings(ch(), records)
+    assert [exact(x) for x in readings] == [exact(prev), exact(r)]
+
+
 def test_read_records_stops_at_torn_tail():
     good = _encode_record(reading(1)) + _encode_record(reading(2))
     torn = _encode_record(reading(3))[:-5]
@@ -69,6 +107,14 @@ def test_read_records_stops_at_corrupt_record(body):
     records, clean = _read_records(data)
     assert records == [json.loads(first[4:])]
     assert clean == len(first)
+
+
+def test_read_records_drops_the_short_records_after_a_corrupt_one():
+    first, second = reading(1, value=1.5, seq=1), reading(2, value=2.5, seq=2)
+    good = _encode_record(first) + _encode_record(second, first)
+    bad = struct.pack(">I", 4) + b"{x\n\n"
+    data = good + bad + _encode_record(reading(3, value=3.5, seq=3), second)
+    assert _read_records(data) == ([json.loads(good[4:-28]), (2.0, 2, 2.5)], len(good))
 
 
 # -- append / segments ---------------------------------------------------
@@ -174,8 +220,9 @@ def test_in_order_multi_segment_query_does_not_sort(tmp_path, monkeypatch):
 
 # -- reference model -----------------------------------------------------
 
-PROP_CAPACITY = 3
+PROP_CAPACITY = 4
 PROP_TAGS = ({}, {"zone": "a"}, {"zone": "b"}, {"zone": "a", "site": "x"})
+PROP_UNITS = ("°F", "°F", "%")
 PROP_CHANNELS = (ch(), ch("n-000002", "temp"))
 
 
@@ -231,8 +278,24 @@ class RefStore:
             key=str)
 
 
+def short_record(prev, r):
+    """Whether r follows prev in a log as a short record."""
+    return (prev is not None and type(r.value) is float and type(r.seq) is int
+            and -2**63 <= r.seq < 2**63 and r.unit == prev.unit and r.tags == prev.tags)
+
+
 def check_against_reference(store, ref, windows):
     assert store.channels() == sorted(ref.known, key=str)
+    store.flush()
+    for key in ref.known:  # each active log holds the record kinds the rule gives
+        chunks = ref.chunks[key]
+        if chunks and len(chunks[-1]) < PROP_CAPACITY:
+            chunk = chunks[-1]
+            log = store._channels[key].active.path
+            records, clean = _read_records(log.read_bytes())
+            assert clean == log.stat().st_size
+            assert [type(rec) is tuple for rec in records] == [
+                short_record(prev, r) for prev, r in zip([None] + chunk, chunk)]
     for channel in store._channels.values():  # the ordered-segment invariant
         for seg in channel.segments:
             assert seg.ts == [r.ts for r in seg.entries]
@@ -263,6 +326,8 @@ _appends = st.tuples(
               st.integers(2**63, 2**63 + 4)),
     st.sampled_from(range(len(PROP_TAGS))),
     st.sampled_from(("float", "float", "float", "int", "bool", "str")),
+    st.sampled_from(PROP_UNITS),
+    st.booleans(),  # pass the channel's shared tags dict, not a copy
 )
 _ops = st.lists(st.one_of(_appends, _appends, _appends, st.just(("reopen",))),
                 min_size=8, max_size=60)
@@ -279,16 +344,17 @@ def test_store_matches_reference_model(ops, windows, cutoff):
         mp.setattr(tsdb, "SEGMENT_CAPACITY", PROP_CAPACITY)
         store, ref = Store(root), RefStore()
         last_ts = [10] * len(PROP_CHANNELS)
+        shared = [dict(tags) for tags in PROP_TAGS]
         for i, op in enumerate(ops):
             if op[0] == "reopen":
                 store.close()
                 store = Store(root)
                 ref.reopen()
                 continue
-            _, c, step, seq, tags, kind = op
+            _, c, step, seq, tags, kind, unit, share = op
             last_ts[c] += step
-            r = reading(last_ts[c], value=PROP_VALUES[kind](i), seq=seq,
-                        tags=dict(PROP_TAGS[tags]), channel=PROP_CHANNELS[c])
+            r = Reading(PROP_CHANNELS[c], PROP_VALUES[kind](i), unit, float(last_ts[c]), seq,
+                        shared[tags] if share else dict(PROP_TAGS[tags]))
             store.append(r)
             ref.append(r)
         check_against_reference(store, ref, windows)
@@ -614,16 +680,134 @@ def test_an_open_decodes_json_only_for_active_logs(tmp_path, monkeypatch):
     store = Store(tmp_path)
     for c in channels:
         for i in range(25):  # two sealed blocks and an active log each
-            store.append(reading(i, seq=i + 1, channel=c, tags={"zone": "a"}))
+            store.append(reading(i, value=i + 0.5, seq=i + 1, channel=c, tags={"zone": "a"}))
     store.close()
-    calls = []
+    full = []  # per call of the reader: the full records it decoded
     read_records = tsdb._read_records
-    monkeypatch.setattr(tsdb, "_read_records", lambda data: calls.append(data) or read_records(data))
+
+    def counting(data):
+        records, clean = read_records(data)
+        full.append(sum(type(rec) is dict for rec in records))
+        return records, clean
+
+    monkeypatch.setattr(tsdb, "_read_records", counting)
     reopened = Store(tmp_path)
-    assert len(calls) == 3
+    assert full == [1, 1, 1]  # one JSON record per active log, none per block
     for c in channels:
-        for t1 in (0, 10):  # one block: the readings share one tags dict
+        # two blocks and a short run: the readings of each share one tags dict
+        for t1, n in ((0, 10), (10, 10), (20, 5)):
             rows = reopened.query_range(c, t1, t1 + 10)
-            assert len(rows) == 10 and all(r.tags is rows[0].tags for r in rows)
+            assert len(rows) == n and all(r.tags is rows[0].tags for r in rows)
+            assert rows == [reading(i, value=i + 0.5, seq=i + 1, channel=c, tags={"zone": "a"})
+                            for i in range(t1, t1 + n)]
     assert reopened.find_channels({"zone": "a"}) == sorted(channels, key=str)
     reopened.close()
+
+
+def log_rows():
+    """Readings whose log ends in a short record (the first list) and in a
+    full one (the second): unit and tags change, a value is an int."""
+    a, b = {"zone": "a"}, {"zone": "b"}
+    ends_short = [Reading(ch(), 1.5, "°F", 1.0, 1, a), Reading(ch(), 2.5, "°F", 2.0, 2, a),
+                  Reading(ch(), 3.5, "%", 3.0, 3, a), Reading(ch(), 4.5, "%", 4.0, 4, b),
+                  Reading(ch(), 5.5, "%", 5.0, 5, b)]
+    ends_full = [Reading(ch(), 1.5, "°F", 1.0, 1, a), Reading(ch(), 2.5, "°F", 2.0, 2, a),
+                 Reading(ch(), 3, "°F", 3.0, 3, a)]
+    return ends_short, ends_full
+
+
+def write_log(root, rows):
+    """Append rows to a new store at root; returns the log's bytes and the
+    offset after each record."""
+    store = Store(root)
+    for r in rows:
+        store.append(r)
+    store.close()
+    data = (root / "n-000001" / "temp" / "seg-0.log").read_bytes()
+    ends, prev = [], None
+    for r in rows:
+        ends.append((ends[-1] if ends else 0) + len(_encode_record(r, prev)))
+        prev = r
+    assert ends[-1] == len(data)
+    return data, ends
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["ends-short", "ends-full"])
+def test_a_log_cut_at_every_byte_keeps_its_complete_records(tmp_path, which):
+    rows = log_rows()[which]
+    data, ends = write_log(tmp_path / "whole", rows)
+    shorts = [end - start == 28 for start, end in zip([0] + ends, ends)]
+    assert shorts == ([False, True, False, False, True], [False, True, False])[which]
+    after = Reading(ch(), 9.5, rows[-1].unit, 9.0, 9, dict(rows[-1].tags))
+    for cut in range(len(data) + 1):
+        root = tmp_path / f"cut-{cut}"
+        log = root / "n-000001" / "temp" / "seg-0.log"
+        log.parent.mkdir(parents=True)
+        log.write_bytes(data[:cut])
+        kept = sum(end <= cut for end in ends)
+        clean = ends[kept - 1] if kept else 0
+        store = Store(root)
+        assert store.count(ch()) == kept
+        assert log.stat().st_size == clean  # the cut record is truncated
+        if kept:
+            assert store.query_range(ch(), -math.inf, math.inf) == rows[:kept]
+        store.append(after)
+        store.close()
+        prev = rows[kept - 1] if kept else None
+        assert log.read_bytes() == data[:clean] + _encode_record(after, prev)
+        reopened = Store(root)
+        assert reopened.query_range(ch(), -math.inf, math.inf) == rows[:kept] + [after]
+        reopened.close()
+
+
+def test_a_log_that_starts_with_a_short_record_opens_with_no_rows_from_it(tmp_path):
+    rows = log_rows()[0]
+    data, ends = write_log(tmp_path / "whole", rows)
+    # the short record alone, and followed by full records and a short one
+    for end in (ends[1], ends[-1]):
+        root = tmp_path / f"to-{end}"
+        log = root / "n-000001" / "temp" / "seg-0.log"
+        log.parent.mkdir(parents=True)
+        log.write_bytes(data[ends[0]:end])
+        store = Store(root)
+        assert store.channels() == []
+        assert log.stat().st_size == 0
+        store.close()
+
+
+def test_a_log_of_full_records_opens_and_appends_short_ones(tmp_path):
+    # as written before short records existed: every record is JSON
+    rows = [reading(i, value=i + 0.5, seq=i + 1, tags={"zone": "a"}) for i in range(5)]
+    log = tmp_path / "n-000001" / "temp" / "seg-0.log"
+    log.parent.mkdir(parents=True)
+    old = b"".join(map(_encode_record, rows))
+    log.write_bytes(old)
+    store = Store(tmp_path)
+    opened = store.query_range(ch(), -math.inf, math.inf)
+    assert opened == rows
+    assert all(r.tags is opened[0].tags for r in opened)  # equal tags, one dict
+    more = [reading(i, value=i + 0.5, seq=i + 1, tags={"zone": "a"}) for i in range(5, 8)]
+    for r in more:
+        store.append(r)
+    store.close()
+    assert log.read_bytes() == old + b"".join(struct.pack(">Idqd", 24, r.ts, r.seq, r.value)
+                                              for r in more)
+    reopened = Store(tmp_path)
+    assert reopened.query_range(ch(), -math.inf, math.inf) == rows + more
+    reopened.close()
+
+
+def test_a_flushed_store_is_seen_whole_by_a_second_open(tmp_path):
+    store = Store(tmp_path)
+    rows = [reading(i, value=i + 0.5, seq=i + 1, channel=c, tags={"zone": "a"})
+            for i in range(SEGMENT_CAPACITY + 300) for c in (ch(), ch(sensor="humidity"))]
+    for r in rows:
+        store.append(r)
+    store.flush()
+    other = Store(tmp_path)  # the first store is still open
+    try:
+        for c in (ch(), ch(sensor="humidity")):
+            assert other.query_range(c, -math.inf, math.inf) == [r for r in rows if r.channel == c]
+    finally:
+        other.close()
+        store.close()
