@@ -6,6 +6,11 @@ deduplicates per (node, channel, seq) so at-least-once transport becomes
 exactly-once at the stores, routes admitted readings to their
 destinations by the rules ``route_rules`` parses, and audit-logs every
 decision.
+
+The audit log is one JSON line per decision, flushed as it is written
+and never fsynced. A process crash therefore tears at most the last
+line (readers skip a final line with no newline); a host crash may also
+lose lines the OS had not yet written back.
 """
 
 from __future__ import annotations

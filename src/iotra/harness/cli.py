@@ -10,9 +10,12 @@ empty, so each run starts from nothing. The other commands are the
 central-control-point operations over the same registry. Registry
 events carry virtual time during a run and wall time otherwise, so an
 operator's events sort after the run's. The twin snapshot ``twins.json``
-is written whole to ``twins.json.tmp`` and renamed into place, so a
-crash or a failed write mid-save leaves the previous snapshot, which the
-next command loads. Exit codes: 0 ok, 1 operation error, 2 usage error.
+and a scenario file edited by ``inject`` are written whole to
+``<name>.tmp`` and renamed into place, so a crash or a failed write
+leaves the previous file, which the next command loads; ``inject``
+writes only a scenario that ``run`` accepts. ``tail`` skips a final log
+line with no newline, which is what a crash mid-write leaves. Exit
+codes: 0 ok, 1 operation error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from pathlib import Path
 from .. import controlplane, infomodel, tsdb as tsdb_mod, twins as twins_mod
 from ..reading import ChannelKey
 from ..timeutil import BadTimestamp, format_ts, parse_ts
-from .scenario import ScenarioSpec, World, build_default_model
+from .scenario import BadScenario, BootFailure, ScenarioSpec, World, build_default_model
 
 
 class CliError(Exception):
@@ -80,19 +83,21 @@ class Workspace:
 
     def save_twins(self) -> None:
         if self._twins is not None:
-            path = self.root / "twins.json"
-            tmp = path.with_name("twins.json.tmp")
-            try:
-                tmp.write_text(
-                    json.dumps(self._twins.dump(), indent=2, ensure_ascii=False),
-                    encoding="utf-8",
-                )
-                os.replace(tmp, path)
-            finally:
-                tmp.unlink(missing_ok=True)
+            _replace_file(self.root / "twins.json",
+                          json.dumps(self._twins.dump(), indent=2, ensure_ascii=False))
 
     def store(self) -> tsdb_mod.Store:
         return tsdb_mod.Store(self.root / "tsdb")
+
+
+def _replace_file(path: Path, text: str) -> None:
+    """Write ``path`` whole through ``<name>.tmp`` and a rename."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _emit(args, obj, text: str) -> None:
@@ -226,7 +231,9 @@ def cmd_tail(args, ws: Workspace) -> int:
         path = ws.root / name
         if not path.exists():
             continue
-        for line in path.read_text(encoding="utf-8").splitlines():
+        # [:-1] drops what follows the last newline: b"" or a torn line
+        for raw in path.read_bytes().split(b"\n")[:-1]:
+            line = raw.decode("utf-8")
             if args.filter in line:
                 rows.append(json.loads(line))
     rows.sort(key=lambda r: r.get("ts", 0.0))
@@ -243,7 +250,8 @@ def cmd_inject(args, ws: Workspace) -> int:
     if "kind" not in fault:
         raise CliError("fault JSON needs a 'kind'")
     doc.setdefault("faults", []).append(fault)
-    path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    ScenarioSpec.from_dict(doc)
+    _replace_file(path, json.dumps(doc, indent=2))
     _emit(args, {"scenario": str(path), "faults": len(doc["faults"])},
           f"added {fault['kind']} fault to {path}")
     return 0
@@ -353,8 +361,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args, Workspace(Path(args.data_dir)))
-    except (CliError, controlplane.ControlPlaneError, twins_mod.TwinError,
-            tsdb_mod.TsdbError, infomodel.ModelError, ValueError) as exc:
+    except (CliError, BadScenario, BootFailure, controlplane.ControlPlaneError,
+            twins_mod.TwinError, tsdb_mod.TsdbError, infomodel.ModelError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -581,13 +581,13 @@ class World:
         }
         self.report.emissions.append(record)
         if em.dest == "topic":
-            self.cloud_session.publish(em.params.get("topic", "derived/out"),
+            self.cloud_session.publish(em.params.get("topic", streams_mod.DEFAULT_TOPIC),
                                        json.dumps(record, separators=(",", ":")), qos=0)
         elif em.dest == "notify":
             with open(self.notify_log, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(record, separators=(",", ":")) + "\n")
         elif em.dest == "tsdb":
-            ch = ChannelKey.parse(em.params.get("channel", "derived/stream"))
+            ch = ChannelKey.parse(em.params.get("channel", streams_mod.DEFAULT_CHANNEL))
             self.tsdb.append(Reading(channel=ch, value=em.item.value, ts=em.item.ts))
         elif em.dest == "twin_desired":
             patch = twins_mod.DesiredPatch(

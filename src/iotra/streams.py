@@ -3,24 +3,31 @@ time-indexed replay store.
 
 Pipelines are declared as JSON {nodes[], edges[]} and validated up
 front (acyclic, sources have no inputs, sinks no outputs, everything
-reachable from a source). Windows run on event time with a watermark
+reachable from a source, params well formed). Each node is compiled once
+into an operator from one item to one item or None. Items move one at a
+time, so any node may have several inputs; ``merge`` only tags each item
+with ``merged_from``. Windows run on event time with a watermark
 trailing the newest timestamp by a fixed allowed lateness; readings
 older than any window they could still join are dropped and counted.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
-from .msgbus import TopicFilter
-from .reading import COMPARATORS, Reading
+from .msgbus import BadTopic, TopicFilter, validate_topic
+from .reading import COMPARATORS, ChannelKey, Reading
 from .tsdb import AGGREGATES, aggregate
 
 NODE_KINDS = {"source", "filter", "map", "window", "merge", "sink"}
 SINK_DESTS = {"topic", "tsdb", "twin_desired", "notify"}
+DEFAULT_TOPIC = "derived/out"  # where a topic sink with no topic publishes
+DEFAULT_CHANNEL = "derived/stream"  # where a tsdb sink with no channel stores
 
 ALLOWED_LATENESS_S = 1.0
 REPLAY_MAX_ENTRIES = 100_000
@@ -32,10 +39,6 @@ class StreamError(Exception):
 
 
 class BadPipeline(StreamError):
-    pass
-
-
-class ArityMismatch(StreamError):
     pass
 
 
@@ -60,14 +63,6 @@ class Emission:
     dest: str
     params: dict
     item: Item
-
-
-@dataclass(slots=True)
-class _Node:
-    node_id: str
-    kind: str
-    params: dict
-    compiled: tuple = ()  # see _compile
 
 
 class _WindowState:
@@ -136,130 +131,84 @@ class Pipeline:
     input order must be preserved by the caller."""
 
     def __init__(self, spec: dict):
-        self.nodes: dict[str, _Node] = {}
-        self.edges: list[tuple[str, str]] = []
-        self._build(spec)
-        self._sources = [
-            (nid, _selector_filter(n.params.get("selector", "#")))
-            for nid, n in self.nodes.items()
-            if n.kind == "source"
-        ]
-        self._order = self._topo_order()
-        self._downstream: dict[str, list[str]] = {}
-        for a, b in self.edges:
-            self._downstream.setdefault(a, []).append(b)
-        self._windows: dict[str, _WindowState] = {
-            n.node_id: _WindowState(
-                int(n.params["size_ms"]), int(n.params["slide_ms"]), n.params["agg"]
-            )
-            for n in self.nodes.values()
-            if n.kind == "window"
-        }
-        self.watermark = float("-inf")
-
-    # -- validation ------------------------------------------------------
-
-    def _build(self, spec: dict) -> None:
+        kinds: dict[str, str] = {}
+        self._ops: dict[str, Callable[[Item], Item | None]] = {}
+        self._sinks: dict[str, dict] = {}  # sink id -> params
+        self._sources: list[tuple[str, TopicFilter]] = []
+        self._windows: dict[str, _WindowState] = {}
         for nd in spec.get("nodes", []):
             kind = nd.get("kind")
             if kind not in NODE_KINDS:
                 raise UnknownKind(str(kind))
             nid = nd["node_id"]
-            if nid in self.nodes:
+            if nid in kinds:
                 raise BadPipeline(f"duplicate node id {nid}")
+            kinds[nid] = kind
             params = nd.get("params", {})
-            if kind == "sink" and params.get("dest") not in SINK_DESTS:
-                raise BadPipeline(f"sink {nid} needs a dest in {sorted(SINK_DESTS)}")
-            self.nodes[nid] = _Node(nid, kind, params, _compile(nid, kind, params))
+            if kind == "sink":
+                _check_sink(nid, params)
+                self._sinks[nid] = params
+            else:
+                self._ops[nid] = self._operator(nid, kind, params)
+        self._children: dict[str, list[str]] = {nid: [] for nid in kinds}
+        indeg = dict.fromkeys(kinds, 0)
         for a, b in spec.get("edges", []):
-            if a not in self.nodes or b not in self.nodes:
+            if a not in kinds or b not in kinds:
                 raise BadPipeline(f"edge references unknown node: {a} -> {b}")
-            self.edges.append((a, b))
-        indeg = {n: 0 for n in self.nodes}
-        outdeg = {n: 0 for n in self.nodes}
-        for a, b in self.edges:
-            outdeg[a] += 1
+            self._children[a].append(b)
             indeg[b] += 1
-        for n, node in self.nodes.items():
-            if node.kind == "source" and indeg[n] != 0:
-                raise BadPipeline(f"source {n} has inputs")
-            if node.kind == "sink" and outdeg[n] != 0:
-                raise BadPipeline(f"sink {n} has outputs")
-            if node.kind != "source" and indeg[n] == 0:
-                raise BadPipeline(f"{n} is unreachable from any source")
+        for nid, kind in kinds.items():
+            if kind == "source" and indeg[nid]:
+                raise BadPipeline(f"source {nid} has inputs")
+            if kind == "sink" and self._children[nid]:
+                raise BadPipeline(f"sink {nid} has outputs")
+            if kind != "source" and not indeg[nid]:
+                raise BadPipeline(f"{nid} is unreachable from any source")
+        self._order = _topo_order(self._children, indeg)
+        self.watermark = float("-inf")
 
-    def _topo_order(self) -> list[str]:
-        indeg = {n: 0 for n in self.nodes}
-        for _, b in self.edges:
-            indeg[b] += 1
-        ready = sorted(n for n, d in indeg.items() if d == 0)
-        order = []
-        adj: dict[str, list[str]] = {}
-        for a, b in self.edges:
-            adj.setdefault(a, []).append(b)
-        while ready:
-            n = ready.pop(0)
-            order.append(n)
-            for m in adj.get(n, []):
-                indeg[m] -= 1
-                if indeg[m] == 0:
-                    ready.append(m)
-            ready.sort()
-        if len(order) != len(self.nodes):
-            raise BadPipeline("pipeline graph has a cycle")
-        return order
+    def _operator(self, nid: str, kind: str, params: dict) -> Callable[[Item], Item | None]:
+        """Node ``nid`` compiled to what it does with one item: the item
+        it passes on, or None. Raises BadPipeline on bad params."""
+        if kind == "source":
+            self._sources.append((nid, _selector_filter(params.get("selector", "#"))))
+            return lambda item: item
+        if kind == "merge":
+            return lambda item: Item(item.ts, item.value, item.channel, item.unit,
+                                     {**item.meta, "merged_from": item.channel})
+        if kind == "window":
+            state = self._windows[nid] = _WindowState(
+                int(params["size_ms"]), int(params["slide_ms"]), params["agg"])
 
-    # -- evaluation ------------------------------------------------------
+            def buffer(item: Item) -> None:
+                state.add(item)  # not its bool: a window emits on watermark steps
 
-    def eval_node(self, node_id: str, inputs: list[Item]) -> list[Item]:
-        node = self.nodes.get(node_id)
-        if node is None:
-            raise UnknownKind(node_id)
-        if node.kind != "merge" and len(inputs) > 1:
-            raise ArityMismatch(f"{node.kind} node takes one input")
-        if node.kind == "filter":
-            item = inputs[0]
-            cmp, threshold = node.compiled
-            return [item] if cmp(item.value, threshold) else []
-        if node.kind == "map":
-            item = inputs[0]
-            scale, offset, unit = node.compiled
-            return [
-                Item(
-                    ts=item.ts,
-                    value=item.value * scale + offset,
-                    channel=item.channel,
-                    unit=unit or item.unit,
-                    meta=dict(item.meta),
-                )
-            ]
-        if node.kind == "merge":
-            out = []
-            for item in inputs:
-                merged = Item(item.ts, item.value, item.channel, item.unit,
-                              dict(item.meta))
-                merged.meta.setdefault("merged_from", item.channel)
-                out.append(merged)
-            return out
-        if node.kind == "window":
-            # windows buffer on add and emit on watermark advance
-            state = self._windows[node_id]
-            state.add(inputs[0])
-            return []
-        if node.kind in ("source", "sink"):
-            return list(inputs)
-        raise UnknownKind(node.kind)
+            return buffer
+        if kind == "filter":
+            op = params.get("op", ">")
+            if op not in COMPARATORS:
+                raise BadPipeline(f"filter {nid}: unknown op {op!r}")
+            cmp, threshold = COMPARATORS[op], _number(nid, params, "threshold")
+            return lambda item: item if cmp(item.value, threshold) else None
+        preset = params.get("transform")
+        if preset == "f_to_c":
+            scale, offset, unit = 5.0 / 9.0, -160.0 / 9.0, params.get("to_unit", "°C")
+        elif preset == "c_to_f":
+            scale, offset, unit = 9.0 / 5.0, 32.0, params.get("to_unit", "°F")
+        elif preset is not None:
+            raise BadPipeline(f"map {nid}: unknown transform {preset!r}")
+        else:
+            scale = _number(nid, params, "scale", 1.0)
+            offset = _number(nid, params, "offset", 0.0)
+            unit = params.get("to_unit", "")
+        return lambda item: Item(item.ts, item.value * scale + offset, item.channel,
+                                 unit or item.unit, dict(item.meta))
 
     def process(self, reading: Reading) -> list[Emission]:
         """Inject a reading at every matching source and propagate it in
         topological order."""
-        item = Item(
-            ts=reading.ts,
-            value=float(reading.value),
-            channel=str(reading.channel),
-            unit=reading.unit,
-            meta={"seq": reading.seq},
-        )
+        item = Item(reading.ts, float(reading.value), str(reading.channel),
+                    reading.unit, {"seq": reading.seq})
         staged = {nid: [item] for nid, flt in self._sources if flt.matches(item.channel)}
         emissions = self._propagate(staged)
         if item.ts > self.watermark + ALLOWED_LATENESS_S:
@@ -268,30 +217,33 @@ class Pipeline:
         return emissions
 
     def _propagate(self, staged: dict[str, list[Item]]) -> list[Emission]:
+        """Visit nodes in topological order; each applies its operator to
+        every item that reached it, by whatever edge."""
         emissions: list[Emission] = []
         for nid in self._order:
-            inputs = staged.pop(nid, None)
-            if not inputs:
+            items = staged.pop(nid, None)
+            if not items:
                 continue
-            node = self.nodes[nid]
-            if node.kind == "sink":
-                for item in inputs:
-                    emissions.append(
-                        Emission(nid, node.params["dest"], dict(node.params), item)
-                    )
+            op = self._ops.get(nid)
+            if op is None:
+                params = self._sinks[nid]
+                emissions.extend(Emission(nid, params["dest"], dict(params), item)
+                                 for item in items)
                 continue
-            outputs = self.eval_node(nid, inputs)
-            for child in self._downstream.get(nid, []):
-                staged.setdefault(child, []).extend(outputs)
+            children = self._children[nid]
+            for item in items:
+                out = op(item)
+                if out is not None:
+                    for child in children:
+                        staged.setdefault(child, []).append(out)
         return emissions
 
     def _flush_windows(self, watermark: float) -> list[Emission]:
         staged: dict[str, list[Item]] = {}
         for nid, state in self._windows.items():
             outs = state.flush(watermark, channel=nid)
-            if outs:
-                for child in self._downstream.get(nid, []):
-                    staged.setdefault(child, []).extend(outs)
+            for child in self._children[nid]:
+                staged.setdefault(child, []).extend(outs)
         return self._propagate(staged)
 
     def window_flush(self, now: float) -> list[Emission]:
@@ -310,25 +262,37 @@ def load_pipeline(path: Path) -> Pipeline:
     return Pipeline(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def _compile(nid: str, kind: str, params: dict) -> tuple:
-    """What a filter node (comparator, threshold) or a map node (scale,
-    offset, unit) evaluates with, checked once; raises BadPipeline."""
-    if kind == "filter":
-        op = params.get("op", ">")
-        if op not in COMPARATORS:
-            raise BadPipeline(f"filter {nid}: unknown op {op!r}")
-        return COMPARATORS[op], _number(nid, params, "threshold")
-    if kind != "map":
-        return ()
-    preset = params.get("transform")
-    if preset == "f_to_c":
-        return 5.0 / 9.0, -160.0 / 9.0, params.get("to_unit", "°C")
-    if preset == "c_to_f":
-        return 9.0 / 5.0, 32.0, params.get("to_unit", "°F")
-    if preset is not None:
-        raise BadPipeline(f"map {nid}: unknown transform {preset!r}")
-    return (_number(nid, params, "scale", 1.0), _number(nid, params, "offset", 0.0),
-            params.get("to_unit", ""))
+def _topo_order(children: dict[str, list[str]], indeg: dict[str, int]) -> list[str]:
+    """Kahn's order, smallest ready id first; consumes ``indeg``."""
+    ready = [n for n, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        n = heapq.heappop(ready)
+        order.append(n)
+        for m in children[n]:
+            indeg[m] -= 1
+            if indeg[m] == 0:
+                heapq.heappush(ready, m)
+    if len(order) != len(indeg):
+        raise BadPipeline("pipeline graph has a cycle")
+    return order
+
+
+def _check_sink(nid: str, params: dict) -> None:
+    """Reject a sink whose emissions could not be delivered."""
+    dest = params.get("dest")
+    if dest not in SINK_DESTS:
+        raise BadPipeline(f"sink {nid} needs a dest in {sorted(SINK_DESTS)}")
+    if dest == "twin_desired" and not (params.get("node") and params.get("prop")):
+        raise BadPipeline(f"sink {nid}: twin_desired needs a node and a prop")
+    try:
+        if dest == "topic":
+            validate_topic(params.get("topic", DEFAULT_TOPIC))
+        elif dest == "tsdb":
+            ChannelKey.parse(params.get("channel", DEFAULT_CHANNEL))
+    except (BadTopic, ValueError, AttributeError) as exc:
+        raise BadPipeline(f"sink {nid}: {exc}") from None
 
 
 def _number(nid: str, params: dict, key: str, default: float | None = None) -> float:

@@ -469,6 +469,67 @@ def test_cli_tail_filters_audit(tmp_path, capsys):
     assert rows and all(r["verdict"] == "admit" for r in rows)
 
 
+TAIL_LOGS = {
+    "audit.jsonl": [{"ts": 1.0, "node": "n-000001", "verdict": "admit"},
+                    {"ts": 3.0, "node": "n-000002", "verdict": "reject"}],
+    "notifications.jsonl": [{"ts": 2.0, "sink": "out", "unit": "°F"},
+                            {"ts": 4.0, "sink": "out", "unit": "°C"}],
+}
+
+
+@pytest.mark.parametrize("torn", sorted(TAIL_LOGS))
+def test_cli_tail_skips_a_torn_last_line(tmp_path, capsys, torn):
+    ws = tmp_path / "ws"
+    ws.mkdir()
+    blobs = {name: b"".join(json.dumps(r, ensure_ascii=False).encode() + b"\n"
+                            for r in rows)
+             for name, rows in TAIL_LOGS.items()}
+    for name, blob in blobs.items():
+        (ws / name).write_bytes(blob)
+    blob = blobs[torn]
+    last = blob.rindex(b"\n", 0, len(blob) - 1) + 1
+    for cut in range(last, len(blob) + 1):  # every byte of the last line
+        (ws / torn).write_bytes(blob[:cut])
+        assert run_cli(tmp_path, "tail", "") == 0
+        complete = [r for name, rows in TAIL_LOGS.items()
+                    for r in (rows if name != torn or cut == len(blob) else rows[:-1])]
+        assert json.loads(capsys.readouterr().out) == sorted(complete, key=lambda r: r["ts"])
+    # a bad line that ends in a newline is not a torn tail
+    (ws / torn).write_bytes(blob[:last] + b'{"ts": 9\n' + blob[last:])
+    assert run_cli(tmp_path, "tail", "") == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("fault", [
+    {"kind": "meteor", "start": 50, "end": 99},
+    {"kind": "flood", "nodes": [1], "start": 1, "end": 99},
+])
+def test_cli_inject_refuses_a_fault_that_run_would_reject(tmp_path, capsys, fault):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps({"duration_s": 5, "nodes": []}))
+    before = scenario_path.read_bytes()
+    assert run_cli(tmp_path, "inject", "--scenario", str(scenario_path),
+                   json.dumps(fault)) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert scenario_path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json", "ws"]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"duration_s": 5, "nodes": []}, "no nodes"),
+    ({"duration_s": 5, "nodes": [{"count": 1}], "faults": [{"kind": "meteor"}]},
+     "unknown fault kind"),
+])
+def test_cli_run_reports_a_bad_scenario_without_a_traceback(tmp_path, capsys, doc,
+                                                            message):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(doc))
+    assert run_cli(tmp_path, "run", str(scenario_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 FLOOD_SCENARIO = {
     "duration_s": 10.0,
     "seed": 7,

@@ -1,13 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iotra import streams
 from iotra.msgbus import BadFilter
-from iotra.reading import ChannelKey, Reading
+from iotra.reading import COMPARATORS, ChannelKey, Reading
 from iotra.streams import (
     ALLOWED_LATENESS_S,
-    ArityMismatch,
     BadPipeline,
     Emission,
     Item,
@@ -125,23 +125,24 @@ def item(ts=0.0, value=0.0, channel="n-000001/temp", unit="°F"):
 def test_filter_threshold():
     p = Pipeline(linear_spec({"node_id": "f", "kind": "filter",
                               "params": {"op": ">", "threshold": 80}}))
-    assert p.eval_node("f", [item(value=81)]) == [item(value=81)]
-    assert p.eval_node("f", [item(value=80)]) == []
+    (em,) = p.process(reading(0.0, 81))
+    assert em.item == Item(0.0, 81.0, "n-000001/temp", "°F", {"seq": None})
+    assert p.process(reading(0.0, 80)) == []
 
 
 def test_map_affine():
     p = Pipeline(linear_spec({"node_id": "m", "kind": "map",
                               "params": {"scale": 2.0, "offset": 1.0}}))
-    (out,) = p.eval_node("m", [item(value=10)])
-    assert out.value == 21.0
+    (em,) = p.process(reading(0.0, 10))
+    assert em.item.value == 21.0
 
 
 def test_map_f_to_c_preset():
     p = Pipeline(linear_spec({"node_id": "m", "kind": "map",
                               "params": {"transform": "f_to_c"}}))
-    (out,) = p.eval_node("m", [item(value=77.6)])
-    assert out.value == pytest.approx((77.6 - 32) * 5 / 9)
-    assert out.unit == "°C"
+    (em,) = p.process(reading(0.0, 77.6))
+    assert em.item.value == pytest.approx((77.6 - 32) * 5 / 9)
+    assert em.item.unit == "°C"
 
 
 def test_map_c_to_f_inverts_f_to_c():
@@ -152,9 +153,8 @@ def test_map_c_to_f_inverts_f_to_c():
         {"node_id": "k", "kind": "sink", "params": {"dest": "notify"}},
     ], "edges": [["s", "m1"], ["m1", "m2"], ["m2", "k"]]}
     p = Pipeline(spec)
-    (mid,) = p.eval_node("m1", [item(value=77.6)])
-    (back,) = p.eval_node("m2", [mid])
-    assert back.value == pytest.approx(77.6)
+    (em,) = p.process(reading(0.0, 77.6))
+    assert em.item.value == pytest.approx(77.6)
 
 
 @pytest.mark.parametrize("middle", [
@@ -167,18 +167,76 @@ def test_map_c_to_f_inverts_f_to_c():
      "params": {"size_ms": 1000, "slide_ms": 0, "agg": "avg"}},
     {"node_id": "w", "kind": "window",
      "params": {"size_ms": -1000, "slide_ms": 1000, "agg": "avg"}},
+    # a sink replaces the "out" sink
+    {"node_id": "out", "kind": "sink", "params": {"dest": "tsdb", "channel": "stream"}},
+    {"node_id": "out", "kind": "sink", "params": {"dest": "tsdb", "channel": "d/b+d"}},
+    {"node_id": "out", "kind": "sink", "params": {"dest": "topic", "topic": "derived/+"}},
+    {"node_id": "out", "kind": "sink", "params": {"dest": "topic", "topic": "a//b"}},
+    {"node_id": "out", "kind": "sink", "params": {"dest": "topic", "topic": 5}},
+    {"node_id": "out", "kind": "sink", "params": {"dest": "twin_desired",
+                                                  "prop": "setpoint"}},
+    {"node_id": "out", "kind": "sink", "params": {"dest": "twin_desired",
+                                                  "node": "n-000001"}},
 ])
 def test_bad_node_params_rejected_at_construction(middle):
     # not when the first matching reading arrives, in the middle of a run
+    if middle["kind"] == "sink":
+        spec = linear_spec()
+        spec["nodes"][-1] = middle
+    else:
+        spec = linear_spec(middle)
     with pytest.raises(BadPipeline):
-        Pipeline(linear_spec(middle))
+        Pipeline(spec)
 
 
-def test_single_input_arity_enforced():
-    p = Pipeline(linear_spec({"node_id": "f", "kind": "filter",
-                              "params": {"threshold": 0}}))
-    with pytest.raises(ArityMismatch):
-        p.eval_node("f", [item(), item()])
+@pytest.mark.parametrize("params", [
+    {"dest": "tsdb"},
+    {"dest": "tsdb", "channel": "derived/temp_avg"},
+    {"dest": "topic"},
+    {"dest": "topic", "topic": "derived/t"},
+    {"dest": "twin_desired", "node": "n-000001", "prop": "setpoint"},
+    {"dest": "notify"},
+])
+def test_good_sink_params_accepted(params):
+    spec = linear_spec()
+    spec["nodes"][-1]["params"] = params
+    (em,) = Pipeline(spec).process(reading(0.0, 1.0))
+    assert em.params == params
+
+
+def test_a_reading_matching_two_sources_passes_the_filter_once_per_source():
+    p = Pipeline({"nodes": [
+        {"node_id": "a", "kind": "source", "params": {"selector": "*/temp"}},
+        {"node_id": "b", "kind": "source", "params": {"selector": "n-000001/*"}},
+        {"node_id": "f", "kind": "filter", "params": {"threshold": 0}},
+        {"node_id": "out", "kind": "sink", "params": {"dest": "notify"}},
+    ], "edges": [["a", "f"], ["b", "f"], ["f", "out"]]})
+    assert [e.item.value for e in p.process(reading(1.0, 5.0))] == [5.0, 5.0]
+    assert [e.item.value for e in p.process(reading(2.0, 6.0, node="n-000002"))] == [6.0]
+    assert p.process(reading(3.0, -1.0)) == []
+
+
+def test_merge_tags_the_channel_each_item_came_from():
+    p = Pipeline({"nodes": [
+        {"node_id": "a", "kind": "source", "params": {"selector": "*/temp"}},
+        {"node_id": "b", "kind": "source", "params": {"selector": "*/hum"}},
+        {"node_id": "m", "kind": "merge"},
+        {"node_id": "out", "kind": "sink", "params": {"dest": "notify"}},
+    ], "edges": [["a", "m"], ["b", "m"], ["m", "out"]]})
+    (em,) = p.process(reading(1.0, 5.0, sensor="hum", seq=7))
+    assert list(em.item.meta.items()) == [("seq", 7), ("merged_from", "n-000001/hum")]
+    assert em.item.channel == "n-000001/hum"
+
+
+def test_sinks_emit_in_topological_order():
+    # smallest ready node id first, whatever the order of the edges
+    p = Pipeline({"nodes": [
+        {"node_id": "s", "kind": "source"},
+        {"node_id": "z", "kind": "sink", "params": {"dest": "notify"}},
+        {"node_id": "k", "kind": "sink", "params": {"dest": "notify"}},
+        {"node_id": "b", "kind": "sink", "params": {"dest": "notify"}},
+    ], "edges": [["s", "z"], ["s", "k"], ["s", "b"]]})
+    assert [e.sink_id for e in p.process(reading(1.0, 5.0))] == ["b", "k", "z"]
 
 
 def test_end_to_end_emission():
@@ -232,7 +290,7 @@ def test_late_reading_dropped_and_counted():
     p.process(reading(25.0, 1.0))  # boundaries advance past early windows
     p.window_flush(30.0)
     assert p.late_count == 0
-    p.process(reading(3.0, 99.0))  # older than any open window
+    assert p.process(reading(3.0, 99.0)) == []  # older than any open window
     assert p.late_count == 1
     ems = p.window_flush(40.0)
     assert all(e.item.value != 99.0 for e in ems)
@@ -261,6 +319,21 @@ def test_sliding_window_overlap():
     # boundaries 10,20,30 with 20 s windows: [-10,10)=2, [0,20)=3, [10,30)=1
     assert [(e.item.ts, e.item.value) for e in ems] == [
         (10.0, 2.0), (20.0, 3.0), (30.0, 1.0)
+    ]
+
+
+def test_windows_closing_in_one_step_each_reach_the_map():
+    # readings at 0 and 0.5 s, then one at 10 s, close five 5 s windows
+    # sliding by 1 s in one watermark step
+    spec = window_spec(size_ms=5_000, slide_ms=1_000)
+    spec["nodes"].insert(2, {"node_id": "m", "kind": "map", "params": {"scale": 2.0}})
+    spec["edges"] = [["src", "w"], ["w", "m"], ["m", "out"]]
+    p = Pipeline(spec)
+    assert p.process(reading(0.0, 1.0)) == []
+    assert p.process(reading(0.5, 3.0)) == []
+    ems = p.process(reading(10.0, 9.0))
+    assert [(e.item.ts, e.item.value) for e in ems] == [
+        (1.0, 4.0), (2.0, 4.0), (3.0, 4.0), (4.0, 4.0), (5.0, 4.0)
     ]
 
 
@@ -294,6 +367,87 @@ def test_window_avg_matches_oracle_on_random_trace():
     for e, (b, avg) in zip(got, expect):
         assert e.item.ts == b
         assert e.item.value == pytest.approx(avg, abs=1e-9)
+
+
+# -- composed pipelines --------------------------------------------------
+
+OPS = st.one_of(
+    st.tuples(st.just("filter"), st.fixed_dictionaries({
+        "op": st.sampled_from(sorted(COMPARATORS)), "threshold": st.integers(-20, 20)})),
+    st.tuples(st.just("map"), st.fixed_dictionaries({
+        "scale": st.sampled_from([-2.0, 0.5, 1.0, 3.0]), "offset": st.integers(-5, 5)})),
+)
+
+
+def run_ops(ops, value):
+    """A value through filter and map nodes in turn; None once filtered out."""
+    for kind, params in ops:
+        if kind == "filter" and not COMPARATORS[params["op"]](value, params["threshold"]):
+            return None
+        if kind == "map":
+            value = value * params["scale"] + params["offset"]
+    return value
+
+
+def chain_oracle(readings, pre, size, slide, agg, post, t_end):
+    """(ts, value) out of source -> pre -> window -> post -> sink, taking one
+    item at a time: each copy of a reading through ``pre``, then the
+    windows [b - size, b) from the first boundary after the first item
+    the window buffered, each aggregate through ``post``."""
+    entries = [(ts, v) for ts, value, copies in readings for _ in range(copies)
+               if (v := run_ops(pre, value)) is not None]
+    out = []
+    if not entries:
+        return out
+    b = (entries[0][0] // slide) * slide + slide
+    while b <= t_end:
+        vals = [v for ts, v in entries if b - size <= ts < b]
+        if vals or agg == "count":
+            value = sum(vals) / len(vals) if agg == "avg" else float(len(vals))
+            if (value := run_ops(post, value)) is not None:
+                out.append((b, value))
+        b += slide
+    return out
+
+
+def chain_spec(sources, ops):
+    nodes = [{"node_id": sid, "kind": "source", "params": {"selector": sel}}
+             for sid, sel in sources]
+    ids = [f"x{i}" for i in range(len(ops))]
+    nodes += [{"node_id": nid, "kind": kind, "params": params}
+              for nid, (kind, params) in zip(ids, ops)]
+    nodes.append({"node_id": "out", "kind": "sink", "params": {"dest": "notify"}})
+    edges = [[sid, ids[0]] for sid, _ in sources] + list(zip(ids, ids[1:] + ["out"]))
+    return {"nodes": nodes, "edges": edges}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pre=st.lists(OPS, max_size=2),
+    post=st.lists(OPS, max_size=2),
+    size_ms=st.integers(1, 20).map(lambda k: k * 250),
+    slide_ms=st.integers(1, 20).map(lambda k: k * 250),
+    agg=st.sampled_from(["avg", "count"]),
+    fan_in=st.booleans(),
+    samples=st.lists(st.tuples(st.integers(0, 30_000), st.integers(-30, 30),
+                               st.booleans()), min_size=1, max_size=40),
+)
+def test_composed_chain_matches_item_by_item_oracle(pre, post, size_ms, slide_ms,
+                                                    agg, fan_in, samples):
+    # with fan_in, a reading of n-000001 matches both sources, so it
+    # reaches the first node after them twice
+    sources = [("a", "*/temp")] + ([("b", "n-000001/*")] if fan_in else [])
+    window = ("window", {"size_ms": size_ms, "slide_ms": slide_ms, "agg": agg})
+    p = Pipeline(chain_spec(sources, pre + [window] + post))
+    got, readings = [], []
+    for ms, value, first_node in sorted(samples):
+        got += p.process(reading(ms / 1000, value, node="n-000001" if first_node
+                                 else "n-000002"))
+        readings.append((ms / 1000, float(value), 2 if fan_in and first_node else 1))
+    got += p.window_flush(45.0)
+    assert all(e.sink_id == "out" for e in got)
+    assert [(e.item.ts, e.item.value) for e in got] == chain_oracle(
+        readings, pre, size_ms / 1000, slide_ms / 1000, agg, post, 45.0)
 
 
 # -- replay store --------------------------------------------------------
