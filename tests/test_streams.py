@@ -118,10 +118,6 @@ def test_load_pipeline_file(tmp_path):
 # -- node evaluation -----------------------------------------------------
 
 
-def item(ts=0.0, value=0.0, channel="n-000001/temp", unit="°F"):
-    return Item(ts=ts, value=value, channel=channel, unit=unit)
-
-
 def test_filter_threshold():
     p = Pipeline(linear_spec({"node_id": "f", "kind": "filter",
                               "params": {"op": ">", "threshold": 80}}))
