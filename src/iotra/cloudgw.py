@@ -1,7 +1,7 @@
 """Cloud-edge gateway: the ingress security boundary.
 
-Authenticates senders against the node registry, validates every
-payload against its sender's class in the information model,
+Authenticates senders against the node registry, decodes and
+validates every payload against its sender's class in one pass,
 deduplicates per (node, channel, seq) so at-least-once transport becomes
 exactly-once at the stores, routes admitted readings to their
 destinations by the rules ``route_rules`` parses, and audit-logs every
@@ -174,19 +174,15 @@ class CloudGateway:
         if state != "active":
             return IngressDecision("reject", "not_active")
 
-        class_name = self.registry.class_of(node_id)
+        plan = self.model.report_plan(self.registry.class_of(node_id))
         try:
-            # one parse yields the readings and each line's scalars
-            sender, readings, line_scalars = infomodel.decode_report(
-                payload, with_scalars=True)
+            # one pass parses and validates against the sender's class
+            sender, readings = infomodel.decode_report(payload, plan)
         except (infomodel.ModelError, ValueError):
             # ValueError: a bad DateTime (BadTimestamp) or channel name
             return IngressDecision("reject", "schema_invalid")
         if sender != node_id:
             return IngressDecision("reject", "schema_invalid")
-        for scalars in line_scalars:
-            if not self.model.validate_payload(class_name, scalars).ok:
-                return IngressDecision("reject", "schema_invalid")
 
         fresh: list[Reading] = []
         for r in readings:

@@ -124,8 +124,9 @@ class ScenarioSpec:
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioSpec":
         """Spec from its JSON form. An unknown top-level or node-group key,
-        fault kind or action kind raises BadScenario, so a misspelt name
-        never runs defaults or fails part way through a run."""
+        fault kind or action kind, or a fault node index outside the
+        fleet, raises BadScenario, so a misspelt name never runs defaults
+        or fails part way through a run."""
         if "duration_s" not in doc:
             raise BadScenario("scenario needs duration_s")
         _check_keys(doc, SPEC_KEYS, "scenario")
@@ -135,11 +136,15 @@ class ScenarioSpec:
                 setattr(spec, key, doc[key])
         for group in spec.nodes:
             _check_keys(group, NODE_GROUP_KEYS, "node group")
+        fleet = sum(int(g.get("count", 1)) for g in spec.nodes)
         for f in spec.faults:
             if f.get("kind") not in FAULT_KINDS:
                 raise BadScenario(f"unknown fault kind {f.get('kind')!r}")
             if not (0 <= f.get("start", 0) <= f.get("end", 0) <= spec.duration_s):
                 raise BadScenario(f"fault window outside scenario duration: {f}")
+            for s in f.get("nodes", ()):
+                if isinstance(s, int) and not 1 <= s <= fleet:
+                    raise BadScenario(f"fault node index {s} outside the fleet of {fleet}")
         for a in spec.actions:
             if a.get("kind") not in ACTION_KINDS:
                 raise BadScenario(f"unknown action kind {a.get('kind')!r}")
@@ -358,6 +363,7 @@ class World:
         try:
             self._boot_nodes()
             self.faults = self._resolve_faults()
+            self._check_twin_sinks()
         except Exception:
             # a bad node or fault entry must not leak the files opened above
             self.tsdb.close()
@@ -412,6 +418,21 @@ class World:
                 )
             )
         return out
+
+    def _check_twin_sinks(self) -> None:
+        """Each twin_desired sink must name a booted node and a writable
+        numeric property of its class, or set_desired would refuse its
+        first emission mid-run."""
+        for nd in (self.spec.pipeline or {}).get("nodes", ()):
+            params = nd.get("params", {})
+            if nd.get("kind") != "sink" or params.get("dest") != "twin_desired":
+                continue
+            node = self.node_by_id(params["node"])
+            class_name = node.edge.config.class_name
+            prop = self.model.effective_properties(class_name).get(params["prop"])
+            if prop is None or not prop.writable or prop.datatype not in ("number", "integer"):
+                raise BadScenario(f"sink {nd['node_id']}: {params['prop']} is not a "
+                                  f"writable numeric property of {class_name}")
 
     def node_by_id(self, node_id: str) -> SimNode:
         node = self._nodes_by_id.get(node_id)

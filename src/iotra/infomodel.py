@@ -5,13 +5,27 @@ classes arranged in a single-parent taxonomy, typed-scalar payload
 encoding (``n:``/``s:``/``b:``/``t:`` prefixes), payload validation
 against class definitions, and tag/link resolution across instances.
 
-The report codec does no per-call setup: one shared JSON encoder, a
-constant datatype -> prefix table, and bounded memos
-(``TEXT_MEMO_SIZE`` entries each) that reuse the parsed ``TypedScalar``
-of a repeated node id, unit or tag value and the ``ChannelKey`` of a
-repeated node/channel pair. The memos are bounded because their keys
-are payload text that arrives from outside the program; a text that
-fails to parse is never cached.
+The report codec resolves what repeats once and handles per frame only
+what changes:
+
+- Edge: ``encode_report`` writes a reading with a float value and an
+  int seq from the frame template of its (node, channel, unit, tags):
+  the JSON text around the value, ``DateTime`` and ``seq``, built once
+  by the one shared JSON encoder. Any other reading, or one whose unit
+  or tag is not a str or whose tag key is ``id``, ``unit``,
+  ``DateTime``, ``seq`` or the channel's own, is encoded whole.
+- Gateway: ``ModelRegistry.report_plan`` resolves a class into its
+  effective properties and the names of the required ones on the
+  class's first report, and ``decode_report`` checks each key against
+  that plan as it parses it, so a frame is parsed and validated in one
+  pass.
+
+The templates, the parsed ``TypedScalar`` of a repeated unit or tag
+value and the ``ChannelKey`` of a repeated node/channel pair sit in
+memos of ``TEXT_MEMO_SIZE`` entries each. They are bounded because
+their keys come from outside the program (payload text, and the units
+and tags a fleet is configured with); a text that fails to parse is
+never cached.
 """
 
 from __future__ import annotations
@@ -270,6 +284,7 @@ class ModelRegistry:
     def __init__(self):
         self._classes: dict[str, ObjectClass] = {}
         self._effective: dict[str, Mapping[str, PropertyDef]] = {}
+        self._plans: dict[str, tuple] = {}
         self._instances: dict[str, ThingInstance] = {}
 
     # -- vocabulary ------------------------------------------------------
@@ -336,6 +351,16 @@ class ModelRegistry:
                 merged[p.name] = p
         view = self._effective[name] = MappingProxyType(merged)
         return view
+
+    def report_plan(self, name: str) -> tuple[Mapping[str, PropertyDef], tuple[str, ...]]:
+        """(effective properties, names of the required ones): the class
+        resolved for validation, cached like effective_properties."""
+        plan = self._plans.get(name)
+        if plan is None:
+            props = self.effective_properties(name)
+            required = tuple(p.name for p in props.values() if p.required)
+            plan = self._plans[name] = (props, required)
+        return plan
 
     # -- instances and links ---------------------------------------------
 
@@ -406,19 +431,13 @@ class ModelRegistry:
     def validate_payload(
         self, class_name: str, payload: dict[str, TypedScalar]
     ) -> ValidationReport:
-        props = self.effective_properties(class_name)  # raises UnknownClass
+        props, required = self.report_plan(class_name)  # raises UnknownClass
         report = ValidationReport()
         for key, scalar in payload.items():
-            if key in RESERVED_KEYS:
-                continue
-            prop = props.get(key)
-            if prop is None:
-                report.violations.append(Violation("unknown_key", key))
-                continue
-            report.violations.extend(_check_value(prop, scalar))
-        for prop in props.values():
-            if prop.required and prop.name not in payload:
-                report.violations.append(Violation("missing_required", prop.name))
+            if key not in RESERVED_KEYS:
+                report.violations.extend(_key_violations(props, key, scalar))
+        report.violations.extend(Violation("missing_required", name)
+                                 for name in required if name not in payload)
         return report
 
 
@@ -431,6 +450,12 @@ _DATATYPE_PREFIX = {
     "timestamp": "t",
     "enum": "s",
 }
+
+
+def _key_violations(props: Mapping[str, PropertyDef], key: str,
+                    scalar: TypedScalar) -> list[Violation]:
+    prop = props.get(key)
+    return [Violation("unknown_key", key)] if prop is None else _check_value(prop, scalar)
 
 
 def _check_value(prop: PropertyDef, scalar: TypedScalar) -> list[Violation]:
@@ -486,8 +511,9 @@ def class_from_dict(doc: dict) -> ObjectClass:
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
 
-# Parsed forms of texts that repeat from one report to the next (see the
-# module docstring); both result types are frozen, so sharing is safe.
+# Parsed forms of texts that repeat from one report to the next, and the
+# frame templates (see the module docstring); every result type is
+# immutable, so sharing is safe.
 TEXT_MEMO_SIZE = 4096
 _repeated_scalar = lru_cache(maxsize=TEXT_MEMO_SIZE)(parse_scalar)
 _channel_key = lru_cache(maxsize=TEXT_MEMO_SIZE)(ChannelKey)
@@ -516,6 +542,18 @@ def encode_report(node_id: str, readings: list[Reading]) -> str:
             raise ValueError(
                 f"reading on {r.channel} does not belong to node {node_id}"
             )
+        template = None
+        if type(r.value) is float and type(r.seq) is int:
+            try:
+                template = _frame_template(node_id, r.channel.sensor_name, r.unit,
+                                           tuple(r.tags.items()))
+            except TypeError:  # an unhashable tag value
+                pass
+        if template is not None:
+            head, mid, tail = template
+            lines.append(f"{head}{number_text(r.value)}{mid}{format_ts(r.ts)}"
+                         f'","seq":{r.seq}{tail}')
+            continue
         obj: dict[str, object] = {"id": node_id}
         obj[r.channel.sensor_name] = _encode_value(r.value)
         obj["unit"] = r.unit
@@ -528,21 +566,37 @@ def encode_report(node_id: str, readings: list[Reading]) -> str:
     return "\n".join(lines)
 
 
-def decode_report(text: str, with_scalars: bool = False):
+@lru_cache(maxsize=TEXT_MEMO_SIZE)
+def _frame_template(node_id: str, sensor: str, unit: str,
+                    tags: tuple[tuple[str, str], ...]) -> tuple[str, str, str] | None:
+    """The fixed text around a float value, DateTime and int seq in a
+    frame of this channel, unit and tags: head, middle and tail. None
+    when a key would collide or a unit or tag is not exactly a str (1,
+    1.0 and True are equal memo keys but encode apart)."""
+    tag_map = dict(tags)
+    if (type(unit) is not str
+            or any(type(k) is not str or type(v) is not str for k, v in tags)
+            or not tag_map.keys().isdisjoint(("id", "unit", "DateTime", "seq", sensor))):
+        return None
+    # the value, timestamp and seq texts never need JSON escaping
+    head = _ENCODER.encode({"id": node_id, sensor: "n:"})[:-2]
+    mid = _ENCODER.encode({"unit": unit, "DateTime": "t:"})[1:-2]
+    tail = _ENCODER.encode({k: f"s:{tag_map[k]}" for k in sorted(tag_map)})[1:]
+    return head, f'",{mid}', f",{tail}" if tag_map else tail
+
+
+def decode_report(text: str, plan: tuple | None = None):
     """Decode a report payload back into (node_id, readings).
 
     Inverse of encode_report for everything it produces; additionally
     accepts the legacy ``t:...Z UTC`` timestamp form by stripping the
     suffix.
 
-    With ``with_scalars`` the result is (node_id, readings, scalars):
-    per line, the key -> TypedScalar map that payload_to_scalars gives
-    and validate_payload consumes, taken from the same parse. Its keys
-    ``id`` and ``unit`` are then parsed as scalars too, so a bad prefix
-    there raises as well.
+    With the report_plan of the sender's class, each line is validated in
+    the same pass as validate_payload validates its payload_to_scalars
+    map; a violation raises ModelError.
     """
     readings: list[Reading] = []
-    line_scalars: list[dict[str, TypedScalar]] = []
     node_id: str | None = None
     for line in text.splitlines():
         if not line.strip():
@@ -563,7 +617,7 @@ def decode_report(text: str, with_scalars: bool = False):
         if not raw_ts.startswith("t:"):
             parse_scalar(raw_ts)  # a bad prefix or number raises its own error
             raise BadTimestamp(f"DateTime is not t-typed: {obj['DateTime']!r}")
-        ts_text, ts = _parse_t_body(raw_ts[2:])
+        ts = _parse_t_body(raw_ts[2:])[1]
 
         unit = str(obj.get("unit", ""))
         seq = obj.get("seq")
@@ -573,17 +627,12 @@ def decode_report(text: str, with_scalars: bool = False):
         value_key: str | None = None
         value = None
         tags: dict[str, str] = {}
-        scalars: dict[str, TypedScalar] = {}
         for key, raw in obj.items():
-            if key in RESERVED_KEYS or key == "unit":
-                if not with_scalars:
-                    continue
-                if key == "DateTime":
-                    scalar = TypedScalar("t", ts_text)
-                elif key == "seq" and isinstance(raw, int):
-                    scalar = TypedScalar("n", repr(raw))
-                else:
-                    scalar = _repeated_scalar(str(raw))
+            # a unit is parsed only to be checked; an id like x:... fails ChannelKey
+            if key in RESERVED_KEYS or (key == "unit" and plan is None):
+                continue
+            if key == "unit":
+                scalar = _repeated_scalar(str(raw))
             elif value_key is None:
                 scalar = parse_scalar(str(raw))
                 value_key = key
@@ -591,9 +640,13 @@ def decode_report(text: str, with_scalars: bool = False):
             else:
                 scalar = _repeated_scalar(str(raw))
                 tags[key] = scalar.text
-            scalars[key] = scalar
+            bad = plan is not None and _key_violations(plan[0], key, scalar)
+            if bad:
+                raise ModelError(f"{bad[0].kind}: {key}")
         if value_key is None:
             raise MalformedText("report object carries no channel value")
+        if plan is not None and not all(name in obj for name in plan[1]):
+            raise ModelError(f"missing_required: one of {plan[1]}")
         readings.append(
             Reading(
                 channel=_channel_key(node_id, value_key),
@@ -604,11 +657,8 @@ def decode_report(text: str, with_scalars: bool = False):
                 tags=tags,
             )
         )
-        line_scalars.append(scalars)
     if node_id is None:
         raise MalformedText("empty report")
-    if with_scalars:
-        return node_id, readings, line_scalars
     return node_id, readings
 
 

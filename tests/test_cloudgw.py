@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iotra import cloudgw, infomodel
 from iotra.cloudgw import CloudGateway, DedupState, RouteRule, route, route_rules
@@ -212,6 +213,115 @@ def test_audit_log_records_every_decision(tmp_path):
     assert [e["reason"] for e in lines] == ["ok", "duplicate", "auth_failed"]
     assert all(set(e) == {"ts", "node", "topic", "verdict", "reason"}
                for e in lines)
+
+
+# -- admission against decode, payload_to_scalars and validate_payload ----
+
+
+def oracle_model():
+    model = infomodel.ModelRegistry()
+    model.register_class(infomodel.ObjectClass("probe", properties=[
+        infomodel.PropertyDef("temp", "number", min=-100, max=300),
+        infomodel.PropertyDef("count", "integer"),
+        infomodel.PropertyDef("mode", "enum", enum_values=("auto", "off")),
+        infomodel.PropertyDef("label", "string"),
+        infomodel.PropertyDef("fan", "boolean"),
+        infomodel.PropertyDef("unit", "string"),
+        infomodel.PropertyDef("zone", "string", required=True),
+        infomodel.PropertyDef("site", "string"),
+    ]))
+    return model
+
+
+def oracle_decide(model, dedup, node_id, payload):
+    """CloudGateway._decide for an active probe, as a plain decode, then
+    payload_to_scalars and validate_payload of every line."""
+    try:
+        sender, readings = infomodel.decode_report(payload)
+        if sender != node_id or not all(
+                model.validate_payload("probe", infomodel.payload_to_scalars(line)).ok
+                for line in payload.splitlines() if line.strip()):
+            return ("reject", "schema_invalid", [])
+    except (infomodel.ModelError, ValueError):
+        return ("reject", "schema_invalid", [])
+    fresh = [r for r in readings
+             if r.seq is None or dedup.check(node_id, r.channel.sensor_name, r.seq)]
+    return ("admit", "ok", fresh) if fresh else ("reject", "duplicate", [])
+
+
+_oracle_values = {
+    "temp": st.floats(min_value=-200, max_value=400),
+    "count": st.one_of(st.integers(-5, 5).map(float), st.floats(-5, 5)),
+    "mode": st.sampled_from(["auto", "off", "turbo"]),
+    "label": st.text(max_size=4),
+    "fan": st.booleans(),
+}
+
+
+@st.composite
+def oracle_reading(draw, node="n-000001"):
+    sensor = draw(st.sampled_from(sorted(_oracle_values)))
+    tags = {"zone": draw(st.sampled_from(["a", "b"]))}
+    if draw(st.booleans()):
+        tags["site"] = draw(st.sampled_from(["hq", "lab"]))
+    return Reading(channel=ChannelKey(node, sensor), value=draw(_oracle_values[sensor]),
+                   unit=draw(st.sampled_from(["°F", "", "%"])),
+                   ts=draw(st.integers(0, 10**6)) / 10.0,
+                   seq=draw(st.one_of(st.integers(1, 6), st.none())), tags=tags)
+
+
+def _swap(key, value):
+    return lambda obj: {**obj, key: value}
+
+
+# each maps one report object to a broken (or, for utc, legacy) one
+MUTATIONS = {
+    "id_prefix": _swap("id", "x:n-000001"),
+    "id_number": _swap("id", "n:abc"),
+    "unit_prefix": _swap("unit", "q:F"),
+    "unit_number": _swap("unit", "n:5"),
+    "unknown_key": _swap("bogus", "s:x"),
+    "out_of_range": _swap("temp", "n:900"),
+    "not_integer": _swap("count", "n:2.5"),
+    "enum_miss": _swap("mode", "s:turbo"),
+    "missing_required": lambda obj: {k: v for k, v in obj.items() if k != "zone"},
+    "float_seq": _swap("seq", 1.5),
+    "zero_seq": _swap("seq", 0),
+    "utc": lambda obj: {**obj, "DateTime": f"{obj.get('DateTime')} UTC"},
+    "mixed_ids": _swap("id", "n-000002"),
+    "tag_type": _swap("site", "n:1"),
+    "no_datetime": lambda obj: {k: v for k, v in obj.items() if k != "DateTime"},
+}
+
+
+@st.composite
+def oracle_payloads(draw):
+    rs = draw(st.lists(oracle_reading(), min_size=1, max_size=3))
+    objs = [json.loads(line) for line in infomodel.encode_report("n-000001", rs).split("\n")]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(objs) - 1))
+        objs[i] = MUTATIONS[draw(st.sampled_from(sorted(MUTATIONS)))](objs[i])
+    return "\n".join(json.dumps(o, ensure_ascii=False, separators=(",", ":"))
+                     for o in objs)
+
+
+@settings(max_examples=300)
+@given(st.lists(oracle_payloads(), min_size=1, max_size=6))
+def test_admit_matches_decode_then_validate(payloads):
+    registry = FakeRegistry()
+    registry.states["n-000001"] = "active"
+    registry.classes["n-000001"] = "probe"
+    gw = CloudGateway(oracle_model(), registry)
+    model, dedup = oracle_model(), DedupState()
+    for payload in payloads:
+        try:
+            want = oracle_decide(model, dedup, "n-000001", payload)
+        except Exception as exc:  # e.g. ValueError from a seq below 1
+            with pytest.raises(type(exc)):
+                gw.admit("n-000001", "data/n-000001/temp", payload)
+            continue
+        got = gw.admit("n-000001", "data/n-000001/temp", payload)
+        assert (got.verdict, got.reason, got.readings) == want
 
 
 # -- routing -------------------------------------------------------------

@@ -66,6 +66,17 @@ def test_spec_rejects_fault_outside_duration():
         })
 
 
+@pytest.mark.parametrize("index", [0, 3, -1])
+def test_spec_rejects_a_fault_node_index_outside_the_fleet(index):
+    doc = {"duration_s": 10,
+           "nodes": [{"count": 1, "channels": []}, {"channels": []}],
+           "faults": [{"kind": "flood", "nodes": [1, index], "start": 1, "end": 5}]}
+    with pytest.raises(scenario.BadScenario, match=f"index {index}"):
+        ScenarioSpec.from_dict(doc)
+    doc["faults"][0]["nodes"] = [1, 2, "n-000002"]
+    assert ScenarioSpec.from_dict(doc).faults[0]["nodes"] == [1, 2, "n-000002"]
+
+
 def test_spec_default_assertions():
     spec = ScenarioSpec.from_dict({"duration_s": 1})
     assert spec.assertions == ["lossless", "seq_gap_free"]
@@ -122,6 +133,35 @@ def test_control_rule_on_a_missing_channel_fails_at_construction(tmp_path):
     }]
     with pytest.raises(edge.UnknownChannelInCondition, match="tmep"):
         scenario.World(spec, tmp_path)
+
+
+TWIN_SINK_PIPELINE = {"nodes": [
+    {"node_id": "src", "kind": "source", "params": {"selector": "*/temp"}},
+    {"node_id": "out", "kind": "sink",
+     "params": {"dest": "twin_desired", "node": "n-000001", "prop": "setpoint"}},
+], "edges": [["src", "out"]]}
+
+
+@pytest.mark.parametrize("sink, message", [
+    ({"node": "n-000009"}, "n-000009"),
+    ({"prop": "humidity"}, "humidity"),
+    ({"prop": "fan_power"}, "fan_power"),
+    ({"prop": "nonesuch"}, "nonesuch"),
+], ids=["node_outside_fleet", "read_only_prop", "non_numeric_prop", "unknown_prop"])
+def test_twin_desired_sink_is_checked_against_the_fleet_at_construction(
+        tmp_path, sink, message):
+    pipeline = json.loads(json.dumps(TWIN_SINK_PIPELINE))
+    pipeline["nodes"][1]["params"].update(sink)
+    spec = nominal_spec(pipeline=pipeline)
+    with pytest.raises(scenario.BadScenario, match=message):
+        scenario.World(spec, tmp_path)
+
+
+def test_twin_desired_sink_on_a_booted_node_runs(tmp_path):
+    report = run_scenario(nominal_spec(duration=4.0, pipeline=TWIN_SINK_PIPELINE),
+                          tmp_path)
+    assert report.ok, report.assertions
+    assert report.emissions and all(e["dest"] == "twin_desired" for e in report.emissions)
 
 
 def test_nominal_run_is_lossless(tmp_path):
@@ -445,7 +485,7 @@ def test_cli_run_and_query(tmp_path, capsys):
 
 def test_cli_inject_appends_fault(tmp_path, capsys):
     scenario_path = tmp_path / "scenario.json"
-    scenario_path.write_text(json.dumps({"duration_s": 5, "nodes": []}))
+    scenario_path.write_text(json.dumps({"duration_s": 5, "nodes": [{"count": 1}]}))
     fault = json.dumps({"kind": "flood", "nodes": [1], "start": 1, "end": 4})
     assert run_cli(tmp_path, "inject", "--scenario", str(scenario_path),
                    fault) == 0
@@ -503,10 +543,11 @@ def test_cli_tail_skips_a_torn_last_line(tmp_path, capsys, torn):
 @pytest.mark.parametrize("fault", [
     {"kind": "meteor", "start": 50, "end": 99},
     {"kind": "flood", "nodes": [1], "start": 1, "end": 99},
+    {"kind": "flood", "nodes": [2], "start": 1, "end": 4},
 ])
 def test_cli_inject_refuses_a_fault_that_run_would_reject(tmp_path, capsys, fault):
     scenario_path = tmp_path / "scenario.json"
-    scenario_path.write_text(json.dumps({"duration_s": 5, "nodes": []}))
+    scenario_path.write_text(json.dumps({"duration_s": 5, "nodes": [{"count": 1}]}))
     before = scenario_path.read_bytes()
     assert run_cli(tmp_path, "inject", "--scenario", str(scenario_path),
                    json.dumps(fault)) == 1

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -323,33 +324,68 @@ def test_round_trip_property(rs):
     assert back == rs
 
 
-@settings(max_examples=100)
+def plan_registry():
+    """A class whose properties cover every key readings() can put in a
+    report, with bounds that some generated values break."""
+    reg = ModelRegistry()
+    reg.register_class(ObjectClass("probe", properties=[
+        PropertyDef("temp", "number", min=-1e6, max=1e6),
+        PropertyDef("humidity", "integer"),
+        PropertyDef("pressure", "string"),
+        PropertyDef("power", "boolean"),
+        PropertyDef("flow", "enum", enum_values=("", "a")),
+        PropertyDef("unit", "string", required=True),
+        *(PropertyDef(k, "string") for k in ("zone", "site", "asset", "floor")),
+    ]))
+    return reg
+
+
+@settings(max_examples=200)
 @given(st.lists(readings(), min_size=1, max_size=5))
-def test_decode_scalars_are_payload_to_scalars(rs):
+def test_decode_with_a_plan_is_decode_then_validate(rs):
+    reg = plan_registry()
     text = encode_report("n-000007", rs)
-    node, back, scalars = decode_report(text, with_scalars=True)
-    assert (node, back) == decode_report(text)
-    assert scalars == [payload_to_scalars(line) for line in text.splitlines()]
+    node, back = decode_report(text)
+    ok = all(reg.validate_payload("probe", payload_to_scalars(line)).ok
+             for line in text.splitlines())
+    if ok:
+        assert decode_report(text, reg.report_plan("probe")) == (node, back)
+    else:
+        with pytest.raises(infomodel.ModelError):
+            decode_report(text, reg.report_plan("probe"))
 
 
-@pytest.mark.parametrize("with_scalars", [False, True])
-def test_each_decode_gets_its_own_tags(with_scalars):
+def test_report_plan_is_cached_per_class():
+    reg = plan_registry()
+    plan = reg.report_plan("probe")
+    assert reg.report_plan("probe") is plan
+    assert plan == (reg.effective_properties("probe"), ("unit",))
+    with pytest.raises(UnknownClass):
+        reg.report_plan("ghost")
+
+
+@pytest.mark.parametrize("with_plan", [False, True])
+def test_each_decode_gets_its_own_tags(with_plan):
+    plan = plan_registry().report_plan("probe") if with_plan else None
     r = Reading(channel=ChannelKey("n-1", "temp"), value=77.6, unit="°F",
                 ts=1594824607.0, seq=1, tags={"zone": "a"})
     payload = encode_report("n-1", [r])
-    first = decode_report(payload, with_scalars=with_scalars)[1][0]
+    first = decode_report(payload, plan)[1][0]
     first.tags["zone"] = "b"
     first.tags["site"] = "hq"
-    second = decode_report(payload, with_scalars=with_scalars)[1][0]
+    second = decode_report(payload, plan)[1][0]
     assert second == r
     assert second.tags is not first.tags
 
 
-def test_decode_with_scalars_parses_the_unit():
+def test_decode_with_a_plan_parses_the_unit():
+    plan = plan_registry().report_plan("probe")
     line = '{"id":"n-1","temp":"n:1","unit":"q:F","DateTime":"t:2020-07-15T14:50:07Z"}'
     assert decode_report(line)[1][0].unit == "q:F"
     with pytest.raises(UnknownPrefix):
-        decode_report(line, with_scalars=True)
+        decode_report(line, plan)
+    with pytest.raises(infomodel.ModelError, match="type_mismatch: unit"):
+        decode_report(line.replace("q:F", "n:5"), plan)
 
 
 def test_validation_soundness_of_encoder_output(registry):
@@ -466,3 +502,93 @@ def test_parse_scalar_bare_string_has_no_prefix():
     assert parse_scalar("n:1.5") == TypedScalar("n", "1.5")
     with pytest.raises(UnknownPrefix):
         parse_scalar("x:5")
+
+
+# -- encoder against the one-dict-per-reading encoder ---------------------
+
+_ORACLE_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+
+
+def oracle_encode_report(node_id, readings):
+    """encode_report as it was before frame templates: one dict per
+    reading, JSON-encoded whole. Frozen here as the reference."""
+    lines = []
+    for r in readings:
+        if r.channel.node_id != node_id:
+            raise ValueError(f"reading on {r.channel} does not belong to node {node_id}")
+        obj = {"id": node_id}
+        value = r.value
+        if isinstance(value, TypedScalar):
+            text = value.encode()
+        elif isinstance(value, bool):
+            text = TypedScalar.boolean(value).encode()
+        elif isinstance(value, (int, float)):
+            text = f"n:{infomodel.number_text(value)}"
+        else:
+            text = f"s:{value}"
+        obj[r.channel.sensor_name] = text
+        obj["unit"] = r.unit
+        obj["DateTime"] = f"t:{infomodel.format_ts(r.ts)}"
+        if r.seq is not None:
+            obj["seq"] = r.seq
+        for k in sorted(r.tags):
+            obj[k] = f"s:{r.tags[k]}"
+        lines.append(_ORACLE_ENCODER.encode(obj))
+    return "\n".join(lines)
+
+
+_odd_texts = st.one_of(
+    st.sampled_from(["", "°F", "%", "a", "\u0000", "\x1f\x7f", "\U0001f321", "q\"\\", "n:1"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+_codec_sensors = ("temp", "flow")
+# every key a tag may collide with, beside ordinary tag keys
+_codec_tag_keys = st.sampled_from(["zone", "site", "id", "unit", "DateTime", "seq",
+                                   *_codec_sensors])
+
+
+@st.composite
+def codec_readings(draw):
+    value = draw(st.one_of(
+        st.floats(width=64),
+        st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e15, 72.5]),
+        st.booleans(),
+        st.integers(min_value=-2**64, max_value=2**64),
+        _odd_texts,
+    ))
+    tags = draw(st.dictionaries(
+        _codec_tag_keys,
+        st.one_of(_odd_texts, st.sampled_from([1, 1.0, True])),
+        max_size=3))
+    seq = draw(st.one_of(st.none(), st.sampled_from([0, 1, 2**63, True]),
+                         st.integers(min_value=0, max_value=2**64)))
+    return Reading(
+        channel=ChannelKey("n-000007", draw(st.sampled_from(_codec_sensors))),
+        value=value,
+        unit=draw(st.one_of(_odd_texts, st.sampled_from([1, 1.0, True]))),
+        ts=draw(st.integers(min_value=-62_135_596_800_000,
+                            max_value=253_402_300_799_999)) / 1000.0,
+        seq=seq,
+        tags=tags,
+    )
+
+
+@settings(max_examples=300)
+@given(st.lists(codec_readings(), min_size=1, max_size=6))
+def test_encode_report_matches_the_oracle(rs):
+    # the same readings with their tags inserted in reverse order, and
+    # with each tag value moved to the next key
+    flipped = [Reading(r.channel, r.value, r.unit, r.ts, r.seq,
+                       dict(reversed(r.tags.items()))) for r in rs]
+    rotated = [Reading(r.channel, r.value, r.unit, r.ts, r.seq,
+                       dict(zip(r.tags, [*r.tags.values()][1:] + [*r.tags.values()][:1])))
+               for r in rs]
+    for batch in (rs, flipped, rotated, rs + flipped + rotated):
+        assert encode_report("n-000007", batch) == oracle_encode_report("n-000007", batch)
+    for r in rs:
+        assert encode_report("n-000007", [r]) == oracle_encode_report("n-000007", [r])
+
+
+def test_encode_report_matches_the_oracle_on_unhashable_tags():
+    r = Reading(ChannelKey("n-1", "temp"), 1.5, "°F", 1.0, 1, {"zone": ["a"]})
+    assert encode_report("n-1", [r]) == oracle_encode_report("n-1", [r])
