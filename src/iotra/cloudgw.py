@@ -7,16 +7,26 @@ exactly-once at the stores, routes admitted readings to their
 destinations by the rules ``route_rules`` parses, and audit-logs every
 decision.
 
-The audit log is one JSON line per decision, flushed as it is written
-and never fsynced. A process crash therefore tears at most the last
-line (readers skip a final line with no newline); a host crash may also
-lose lines the OS had not yet written back.
+The audit log is one compact JSON line per decision, written with one
+unbuffered write before ``admit`` returns and never fsynced. A process
+crash therefore tears at most the last line (readers skip a final line
+with no newline); a host crash may also lose lines the OS had not yet
+written back.
+
+What repeats from frame to frame is resolved once: the escaped text of
+an audit line's node, topic, verdict and reason, and per (topic, class)
+the route plan, which is the union of the destinations of the rules
+that match without a tag and the tag rules left to test per reading.
+Both memos are keyed by outside input (topics under ``data/<node>/#``),
+so each holds at most ``infomodel.TEXT_MEMO_SIZE`` entries.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import IO
 
@@ -25,8 +35,32 @@ from .msgbus import TopicFilter
 from .reading import Reading
 
 DESTINATIONS = {"streams", "tsdb", "twin"}
+DEFAULT_DESTINATIONS = frozenset({"tsdb"})  # where a reading no rule matches goes
 
 _AUDIT_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+@lru_cache(maxsize=infomodel.TEXT_MEMO_SIZE)
+def _audit_tail(node_id: str, topic: str, verdict: str, reason: str) -> bytes:
+    """An audit line after its ``ts`` value, newline included."""
+    return b"," + _AUDIT_ENCODER.encode(
+        {"node": node_id, "topic": topic, "verdict": verdict, "reason": reason}
+    )[1:].encode() + b"\n"
+
+
+def audit_line(ts, node_id: str, topic: str, verdict: str, reason: str) -> bytes:
+    """``_AUDIT_ENCODER.encode(entry) + "\\n"`` of an audit entry, as bytes."""
+    # the encoder writes a finite float as its repr; anything else goes through it
+    ts_text = repr(ts) if type(ts) is float and math.isfinite(ts) else _AUDIT_ENCODER.encode(ts)
+    return b'{"ts":' + ts_text.encode() + _audit_tail(node_id, topic, verdict, reason)
+
+
+def write_line(fh: IO[bytes], line: bytes) -> None:
+    """Write ``line`` to an unbuffered file: one write(2), and more only
+    after a short write."""
+    done = fh.write(line)
+    while done < len(line):
+        done += fh.write(line[done:])
 
 
 @dataclass(slots=True)
@@ -90,14 +124,12 @@ class RouteRule:
         if self.topic is not None:
             self._filter = TopicFilter(self.topic)
 
-    def matches(self, topic: str, class_name: str | None, tags: dict[str, str]) -> bool:
+    def matches(self, topic: str, class_name: str | None) -> bool:
+        """Whether the topic filter and class selector match; the tag is
+        tested per reading (``CloudGateway.route``)."""
         if self._filter is not None and not self._filter.matches(topic):
             return False
-        if self.class_name is not None and self.class_name != class_name:
-            return False
-        if self.tag is not None and tags.get(self.tag[0]) != self.tag[1]:
-            return False
-        return True
+        return self.class_name is None or self.class_name == class_name
 
 
 def route_rules(docs: list[dict]) -> list[RouteRule]:
@@ -125,16 +157,6 @@ def route_rules(docs: list[dict]) -> list[RouteRule]:
     return rules
 
 
-def route(topic: str, class_name: str | None, tags: dict[str, str],
-          rules: list[RouteRule]) -> frozenset[str]:
-    """Union of destinations over matching rules; {tsdb} by default."""
-    dests: set[str] = set()
-    for rule in rules:
-        if rule.matches(topic, class_name, tags):
-            dests |= rule.destinations
-    return frozenset(dests) if dests else frozenset({"tsdb"})
-
-
 class CloudGateway:
     """Gating point between edge traffic and the trusted cloud side."""
 
@@ -151,11 +173,13 @@ class CloudGateway:
         self.clock = clock
         self.dedup_state = DedupState()
         self.route_rules = list(route_rules or [])
+        # (topic, class) -> (destinations, ((tag, destinations), ...))
+        self._route_plans: dict[tuple[str, str | None], tuple] = {}
         self.audit_entries = 0
-        self._audit_fh: IO[str] | None = None
+        self._audit_fh: IO[bytes] | None = None
         if audit_path is not None:
             audit_path.parent.mkdir(parents=True, exist_ok=True)
-            self._audit_fh = open(audit_path, "a", encoding="utf-8")
+            self._audit_fh = open(audit_path, "ab", buffering=0)
 
     # -- admission -------------------------------------------------------
 
@@ -195,22 +219,45 @@ class CloudGateway:
         return IngressDecision("admit", "ok", fresh)
 
     def route(self, topic: str, node_id: str, tags: dict[str, str]) -> frozenset[str]:
-        return route(topic, self.registry.class_of(node_id), tags, self.route_rules)
+        """Union of destinations over the rules matching this reading;
+        {tsdb} when none does."""
+        key = (topic, self.registry.class_of(node_id))
+        plan = self._route_plans.get(key)
+        if plan is None:
+            plan = self._route_plan(*key)
+        dests, tag_rules = plan
+        if tag_rules:
+            matched = set(dests)
+            for (k, v), extra in tag_rules:
+                if tags.get(k) == v:
+                    matched |= extra
+            dests = frozenset(matched)
+        return dests or DEFAULT_DESTINATIONS
+
+    def _route_plan(self, topic: str, class_name: str | None) -> tuple:
+        """The rules matching ``topic`` and ``class_name``, resolved into
+        the destinations they give every reading and the tag rules to
+        test per reading, memoised."""
+        dests: set[str] = set()
+        tag_rules = []
+        for rule in self.route_rules:
+            if not rule.matches(topic, class_name):
+                continue
+            if rule.tag is None:
+                dests |= rule.destinations
+            else:
+                tag_rules.append((rule.tag, rule.destinations))
+        return infomodel.remember(self._route_plans, (topic, class_name),
+                                  (frozenset(dests), tuple(tag_rules)))
 
     # -- audit -----------------------------------------------------------
 
     def _audit(self, node_id: str, topic: str, decision: IngressDecision) -> None:
         self.audit_entries += 1
         if self._audit_fh is not None:
-            entry = {
-                "ts": self.clock.now() if self.clock else 0.0,
-                "node": node_id,
-                "topic": topic,
-                "verdict": decision.verdict,
-                "reason": decision.reason,
-            }
-            self._audit_fh.write(_AUDIT_ENCODER.encode(entry) + "\n")
-            self._audit_fh.flush()
+            ts = self.clock.now() if self.clock else 0.0
+            write_line(self._audit_fh,
+                       audit_line(ts, node_id, topic, decision.verdict, decision.reason))
 
     def close(self) -> None:
         if self._audit_fh is not None:

@@ -276,8 +276,7 @@ def cmd_run(args, ws: Workspace) -> int:
     try:
         report = world.run()
     finally:
-        world.tsdb.close()
-        world.gateway.close()
+        world.close()
     ws._twins = world.twins
     ws.save_twins()
     doc = report.to_dict()

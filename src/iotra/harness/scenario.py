@@ -7,6 +7,11 @@ replay) are injected on schedule; ground-truth generation ledgers stay
 untouched by faults so loss accounting is exact. The result is a
 machine-readable RunReport that is identical across runs of the same
 scenario and seed.
+
+A ``notify`` sink appends one compact JSON line per emission to
+``notifications.jsonl`` with one unbuffered write, as the gateway writes
+its audit log; the file is opened on the first such emission and closed
+when the run ends or the ``World`` is closed.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from ..timeutil import VirtualClock
 from .waveforms import WaveformSpec, gen_waveform
 
 SETTLE_TICKS = 100
+
+_RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 class BadScenario(Exception):
@@ -352,6 +359,7 @@ class World:
             streams_mod.Pipeline(spec.pipeline) if spec.pipeline else None
         )
         self.notify_log = Path(data_dir) / "notifications.jsonl"
+        self._notify_fh = None  # opened on the first notify emission
         self.nodes: list[SimNode] = []
         self._nodes_by_id: dict[str, SimNode] = {}
         self._actions_done: set[int] = set()  # indexes into spec.actions
@@ -366,8 +374,7 @@ class World:
             self._check_twin_sinks()
         except Exception:
             # a bad node or fault entry must not leak the files opened above
-            self.tsdb.close()
-            self.gateway.close()
+            self.close()
             raise
 
     # -- wiring ----------------------------------------------------------
@@ -433,6 +440,18 @@ class World:
             if prop is None or not prop.writable or prop.datatype not in ("number", "integer"):
                 raise BadScenario(f"sink {nd['node_id']}: {params['prop']} is not a "
                                   f"writable numeric property of {class_name}")
+
+    def close(self) -> None:
+        """Close the files the world holds open: the store, the audit log
+        and the notification log. Safe to call more than once."""
+        self._close_notify_log()
+        self.tsdb.close()
+        self.gateway.close()
+
+    def _close_notify_log(self) -> None:
+        if self._notify_fh is not None:
+            self._notify_fh.close()
+            self._notify_fh = None
 
     def node_by_id(self, node_id: str) -> SimNode:
         node = self._nodes_by_id.get(node_id)
@@ -603,10 +622,12 @@ class World:
         self.report.emissions.append(record)
         if em.dest == "topic":
             self.cloud_session.publish(em.params.get("topic", streams_mod.DEFAULT_TOPIC),
-                                       json.dumps(record, separators=(",", ":")), qos=0)
+                                       _RECORD_ENCODER.encode(record), qos=0)
         elif em.dest == "notify":
-            with open(self.notify_log, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+            if self._notify_fh is None:
+                self._notify_fh = open(self.notify_log, "ab", buffering=0)
+            cloudgw.write_line(self._notify_fh,
+                               (_RECORD_ENCODER.encode(record) + "\n").encode())
         elif em.dest == "tsdb":
             ch = ChannelKey.parse(em.params.get("channel", streams_mod.DEFAULT_CHANNEL))
             self.tsdb.append(Reading(channel=ch, value=em.item.value, ts=em.item.ts))
@@ -653,6 +674,7 @@ class World:
                 }
             )
         self._run_assertions()
+        self._close_notify_log()
         return rep
 
     def _run_assertions(self) -> None:
@@ -726,5 +748,4 @@ def run_scenario(spec: ScenarioSpec, data_dir: Path) -> RunReport:
     try:
         return world.run()
     finally:
-        world.tsdb.close()
-        world.gateway.close()
+        world.close()

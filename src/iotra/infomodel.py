@@ -25,7 +25,9 @@ value and the ``ChannelKey`` of a repeated node/channel pair sit in
 memos of ``TEXT_MEMO_SIZE`` entries each. They are bounded because
 their keys come from outside the program (payload text, and the units
 and tags a fleet is configured with); a text that fails to parse is
-never cached.
+never cached. Other modules' memos keyed by outside input (the audit
+text and route plans of ``cloudgw``, the source plans of ``streams``)
+are bounded the same way, the dict ones through ``remember``.
 """
 
 from __future__ import annotations
@@ -519,6 +521,15 @@ _repeated_scalar = lru_cache(maxsize=TEXT_MEMO_SIZE)(parse_scalar)
 _channel_key = lru_cache(maxsize=TEXT_MEMO_SIZE)(ChannelKey)
 
 
+def remember(memo: dict, key, value):
+    """``memo[key] = value`` in a memo keyed by outside input, which holds
+    at most TEXT_MEMO_SIZE entries: the oldest goes first. Returns value."""
+    if len(memo) >= TEXT_MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
 def _encode_value(value) -> str:
     if isinstance(value, TypedScalar):
         return value.encode()
@@ -598,7 +609,9 @@ def decode_report(text: str, plan: tuple | None = None):
     """
     readings: list[Reading] = []
     node_id: str | None = None
-    for line in text.splitlines():
+    # "\n" alone: JSON escapes it inside a string, while str.splitlines()
+    # would also split at a raw U+2028 in a unit or tag
+    for line in text.split("\n"):
         if not line.strip():
             continue
         try:
@@ -621,8 +634,8 @@ def decode_report(text: str, plan: tuple | None = None):
 
         unit = str(obj.get("unit", ""))
         seq = obj.get("seq")
-        if seq is not None and not isinstance(seq, int):
-            raise MalformedText(f"seq is not an integer: {seq!r}")
+        if seq is not None and (type(seq) is not int or seq < 1):
+            raise MalformedText(f"seq is not an integer >= 1: {seq!r}")
 
         value_key: str | None = None
         value = None

@@ -9,6 +9,10 @@ time, so any node may have several inputs; ``merge`` only tags each item
 with ``merged_from``. Windows run on event time with a watermark
 trailing the newest timestamp by a fixed allowed lateness; readings
 older than any window they could still join are dropped and counted.
+
+The sources whose selector matches a channel are looked up once per
+channel and memoised. Channel names come from outside the program, so
+the memo holds at most ``infomodel.TEXT_MEMO_SIZE`` of them.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+from .infomodel import remember
 from .msgbus import BadTopic, TopicFilter, validate_topic
 from .reading import COMPARATORS, ChannelKey, Reading
 from .tsdb import AGGREGATES, aggregate
@@ -135,6 +140,7 @@ class Pipeline:
         self._ops: dict[str, Callable[[Item], Item | None]] = {}
         self._sinks: dict[str, dict] = {}  # sink id -> params
         self._sources: list[tuple[str, TopicFilter]] = []
+        self._source_plans: dict[str, tuple[str, ...]] = {}  # channel -> source ids
         self._windows: dict[str, _WindowState] = {}
         for nd in spec.get("nodes", []):
             kind = nd.get("kind")
@@ -209,12 +215,19 @@ class Pipeline:
         topological order."""
         item = Item(reading.ts, float(reading.value), str(reading.channel),
                     reading.unit, {"seq": reading.seq})
-        staged = {nid: [item] for nid, flt in self._sources if flt.matches(item.channel)}
-        emissions = self._propagate(staged)
+        sources = self._source_plans.get(item.channel)
+        if sources is None:
+            sources = self._source_plan(item.channel)
+        emissions = self._propagate({nid: [item] for nid in sources}) if sources else []
         if item.ts > self.watermark + ALLOWED_LATENESS_S:
             self.watermark = item.ts - ALLOWED_LATENESS_S
             emissions.extend(self._flush_windows(self.watermark))
         return emissions
+
+    def _source_plan(self, channel: str) -> tuple[str, ...]:
+        """Ids of the sources whose selector matches ``channel``, memoised."""
+        return remember(self._source_plans, channel,
+                        tuple(nid for nid, flt in self._sources if flt.matches(channel)))
 
     def _propagate(self, staged: dict[str, list[Item]]) -> list[Emission]:
         """Visit nodes in topological order; each applies its operator to

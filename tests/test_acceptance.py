@@ -127,8 +127,7 @@ def test_criterion_04_desired_state_convergence_after_outage(tmp_path):
             assert twin.reported[key] == device[key]
         assert twin.ack_version == twin.desired_version == 1
     finally:
-        world.tsdb.close()
-        world.gateway.close()
+        world.close()
 
 
 def test_criterion_05_stream_vs_batch_agreement(tmp_path):
@@ -236,8 +235,7 @@ def test_criterion_07_flood_containment(tmp_path):
         assert "n-000001/flood" not in report.stored
         assert all(i.get("node") == "n-000001" for i in report.incidents)
     finally:
-        world.tsdb.close()
-        world.gateway.close()
+        world.close()
 
 
 def test_criterion_08_disconnected_control_matches_oracle():

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iotra import cloudgw, infomodel
-from iotra.cloudgw import CloudGateway, DedupState, RouteRule, route, route_rules
-from iotra.msgbus import BadFilter
+from iotra.cloudgw import DESTINATIONS, CloudGateway, DedupState, RouteRule, route_rules
+from iotra.infomodel import TEXT_MEMO_SIZE
+from iotra.msgbus import BadFilter, match_topic
 from iotra.reading import ChannelKey, Reading
 from iotra.timeutil import VirtualClock
 
@@ -160,7 +161,12 @@ def report_line(**fields):
     report_line(unit="q:F"),  # unknown scalar prefix on the unit
     report_line(DateTime="t:yesterday"),
     report_line(temp=None, Temp="n:1"),  # not a sensor-name token
-], ids=["unit_prefix", "bad_datetime", "bad_sensor_name"])
+    report_line(seq=True),  # would be deduped as seq 1
+    report_line(seq=False),  # these three would raise out of DedupState.check
+    report_line(seq=0),
+    report_line(seq=-3),
+], ids=["unit_prefix", "bad_datetime", "bad_sensor_name", "seq_true", "seq_false",
+        "seq_zero", "seq_negative"])
 def test_undecodable_frame_is_rejected_audited_and_next_admitted(tmp_path, payload):
     gw, _ = make_gateway(tmp_path)
     decision = gw.admit("n-000001", "data/n-000001/temp", payload)
@@ -170,6 +176,22 @@ def test_undecodable_frame_is_rejected_audited_and_next_admitted(tmp_path, paylo
     lines = [json.loads(l) for l in
              (tmp_path / "audit.jsonl").read_text().splitlines()]
     assert [e["reason"] for e in lines] == ["schema_invalid", "ok"]
+
+
+@pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85"])
+def test_a_line_separator_in_a_unit_or_tag_leaves_the_frame_whole(sep):
+    # the encoder writes these raw (it escapes control characters), and
+    # str.splitlines() would split there; only "\n" separates report lines
+    registry = FakeRegistry()
+    registry.states["n-000001"] = "active"
+    registry.classes["n-000001"] = "probe"
+    gw = CloudGateway(oracle_model(), registry)
+    r = Reading(channel=ChannelKey("n-000001", "temp"), value=70.5, unit=f"°{sep}F",
+                ts=100.0, seq=1, tags={"zone": f"a{sep}b"})
+    decision = gw.admit("n-000001", "data/n-000001/temp",
+                        infomodel.encode_report("n-000001", [r]))
+    assert (decision.verdict, decision.reason) == ("admit", "ok")
+    assert decision.readings == [r]
 
 
 def test_strict_validation_rejects_out_of_range(tmp_path):
@@ -238,15 +260,21 @@ def oracle_decide(model, dedup, node_id, payload):
     payload_to_scalars and validate_payload of every line."""
     try:
         sender, readings = infomodel.decode_report(payload)
+        lines = [line for line in payload.split("\n") if line.strip()]
         if sender != node_id or not all(
-                model.validate_payload("probe", infomodel.payload_to_scalars(line)).ok
-                for line in payload.splitlines() if line.strip()):
+                _seq_ok(json.loads(line).get("seq"))
+                and model.validate_payload("probe", infomodel.payload_to_scalars(line)).ok
+                for line in lines):
             return ("reject", "schema_invalid", [])
     except (infomodel.ModelError, ValueError):
         return ("reject", "schema_invalid", [])
     fresh = [r for r in readings
              if r.seq is None or dedup.check(node_id, r.channel.sensor_name, r.seq)]
     return ("admit", "ok", fresh) if fresh else ("reject", "duplicate", [])
+
+
+def _seq_ok(seq):
+    return seq is None or (isinstance(seq, int) and not isinstance(seq, bool) and seq >= 1)
 
 
 _oracle_values = {
@@ -287,6 +315,9 @@ MUTATIONS = {
     "missing_required": lambda obj: {k: v for k, v in obj.items() if k != "zone"},
     "float_seq": _swap("seq", 1.5),
     "zero_seq": _swap("seq", 0),
+    "negative_seq": _swap("seq", -3),
+    "true_seq": _swap("seq", True),
+    "false_seq": _swap("seq", False),
     "utc": lambda obj: {**obj, "DateTime": f"{obj.get('DateTime')} UTC"},
     "mixed_ids": _swap("id", "n-000002"),
     "tag_type": _swap("site", "n:1"),
@@ -314,12 +345,7 @@ def test_admit_matches_decode_then_validate(payloads):
     gw = CloudGateway(oracle_model(), registry)
     model, dedup = oracle_model(), DedupState()
     for payload in payloads:
-        try:
-            want = oracle_decide(model, dedup, "n-000001", payload)
-        except Exception as exc:  # e.g. ValueError from a seq below 1
-            with pytest.raises(type(exc)):
-                gw.admit("n-000001", "data/n-000001/temp", payload)
-            continue
+        want = oracle_decide(model, dedup, "n-000001", payload)
         got = gw.admit("n-000001", "data/n-000001/temp", payload)
         assert (got.verdict, got.reason, got.readings) == want
 
@@ -327,8 +353,27 @@ def test_admit_matches_decode_then_validate(payloads):
 # -- routing -------------------------------------------------------------
 
 
+def route_oracle(topic, class_name, tags, rules):
+    """Union of destinations over the rules that match, tested rule by
+    rule; {tsdb} when none does."""
+    dests = set()
+    for rule in rules:
+        if ((rule.topic is None or match_topic(rule.topic, topic))
+                and rule.class_name in (None, class_name)
+                and (rule.tag is None or tags.get(rule.tag[0]) == rule.tag[1])):
+            dests |= rule.destinations
+    return frozenset(dests) if dests else frozenset({"tsdb"})
+
+
+def routing_gateway(rules, classes=()):
+    registry = FakeRegistry()
+    registry.classes.update(classes)
+    return CloudGateway(make_model(), registry, route_rules=rules)
+
+
 def test_default_route_is_tsdb():
-    assert route("data/n-1/temp", "sensor_node", {}, []) == frozenset({"tsdb"})
+    gw = routing_gateway([], {"n-1": "sensor_node"})
+    assert gw.route("data/n-1/temp", "n-1", {}) == frozenset({"tsdb"})
 
 
 def test_route_union_of_matching_rules():
@@ -337,8 +382,9 @@ def test_route_union_of_matching_rules():
         RouteRule(frozenset({"streams"}), topic="data/+/temp"),
         RouteRule(frozenset({"twin"}), topic="twin/#"),
     ]
-    assert route("data/n-1/temp", None, {}, rules) == frozenset({"tsdb", "streams"})
-    assert route("data/n-1/hum", None, {}, rules) == frozenset({"tsdb"})
+    gw = routing_gateway(rules)
+    assert gw.route("data/n-1/temp", "n-1", {}) == frozenset({"tsdb", "streams"})
+    assert gw.route("data/n-1/hum", "n-1", {}) == frozenset({"tsdb"})
 
 
 def test_route_by_class_and_tag():
@@ -346,9 +392,108 @@ def test_route_by_class_and_tag():
         RouteRule(frozenset({"streams"}), class_name="sensor_node"),
         RouteRule(frozenset({"twin"}), tag=("zone", "Z3")),
     ]
-    assert route("t/x", "sensor_node", {"zone": "Z3"}, rules) == frozenset(
-        {"streams", "twin"})
-    assert route("t/x", "other", {"zone": "Z1"}, rules) == frozenset({"tsdb"})
+    gw = routing_gateway(rules, {"n-1": "sensor_node", "n-2": "other"})
+    assert gw.route("t/x", "n-1", {"zone": "Z3"}) == frozenset({"streams", "twin"})
+    # the same (topic, class) plan tests the tag again for each reading
+    assert gw.route("t/x", "n-1", {"zone": "Z1"}) == frozenset({"streams"})
+    assert gw.route("t/x", "n-2", {"zone": "Z1"}) == frozenset({"tsdb"})
+    assert gw.route("t/x", "n-2", {"zone": "Z3"}) == frozenset({"twin"})
+
+
+_route_rules = st.lists(st.builds(
+    RouteRule,
+    destinations=st.frozensets(st.sampled_from(sorted(DESTINATIONS))),
+    topic=st.one_of(st.none(), st.sampled_from(
+        ["#", "+", "data/#", "data/+/temp", "+/n-1/#", "data/n-2/hum", "twin/+"])),
+    class_name=st.sampled_from([None, "probe", "meter"]),
+    tag=st.one_of(st.none(), st.tuples(st.sampled_from(["zone", "site"]),
+                                       st.sampled_from(["a", "b"]))),
+), max_size=6)
+_route_queries = st.lists(st.tuples(
+    st.lists(st.sampled_from(["data", "twin", "n-1", "n-2", "temp", "hum"]),
+             min_size=1, max_size=4).map("/".join),
+    st.sampled_from(["n-1", "n-2", "n-3"]),
+    st.dictionaries(st.sampled_from(["zone", "site"]), st.sampled_from(["a", "b", "c"])),
+), min_size=1, max_size=20)
+
+
+@settings(max_examples=300)
+@given(_route_rules, _route_queries)
+def test_route_matches_the_rule_by_rule_oracle(rules, queries):
+    classes = {"n-1": "probe", "n-2": "meter"}  # n-3 has no class
+    gw = routing_gateway(rules, classes)
+    for topic, node, tags in queries:
+        want = route_oracle(topic, classes.get(node), tags, rules)
+        assert gw.route(topic, node, tags) == want
+
+
+def test_memos_stay_within_their_bound(tmp_path):
+    rules = [RouteRule(frozenset({"streams"}), topic="data/+/t1"),
+             RouteRule(frozenset({"tsdb"}), topic="data/#"),
+             RouteRule(frozenset({"twin"}), topic="data/n-1/#", tag=("zone", "a"))]
+    gw, registry = make_gateway(tmp_path, route_rules=rules)
+    registry.classes["n-1"] = "probe"
+    topics = [f"data/n-1/t{i}" for i in range(2 * TEXT_MEMO_SIZE)]
+    for topic in topics + topics[:10]:  # the first ten were evicted
+        tags = {"zone": "a" if len(topic) % 2 else "b"}
+        assert gw.route(topic, "n-1", tags) == route_oracle(topic, "probe", tags, rules)
+        assert len(gw._route_plans) <= TEXT_MEMO_SIZE
+        gw.admit("n-1", topic, "junk")  # n-1 is not active: auth_failed
+    gw.close()
+    assert cloudgw._audit_tail.cache_info().currsize <= TEXT_MEMO_SIZE
+    assert (tmp_path / "audit.jsonl").read_bytes() == b"".join(
+        encoder_audit_line(0.0, "n-1", topic, "reject", "auth_failed")
+        for topic in topics + topics[:10])
+
+
+# -- audit line bytes ----------------------------------------------------
+
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def encoder_audit_line(ts, node, topic, verdict, reason):
+    """An audit line as one JSON encode of the whole entry."""
+    entry = {"ts": ts, "node": node, "topic": topic, "verdict": verdict, "reason": reason}
+    return (_ENCODER.encode(entry) + "\n").encode("utf-8")
+
+
+_any_text = st.text(st.characters(exclude_categories=()), max_size=8)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.floats(), st.integers(-2**70, 2**70)), _any_text, _any_text,
+       st.sampled_from(["admit", "reject"]),
+       st.sampled_from(["ok", "auth_failed", "schema_invalid", "duplicate"]))
+def test_audit_line_is_the_encoders_line(ts, node, topic, verdict, reason):
+    assert cloudgw.audit_line(ts, node, topic, verdict, reason) == encoder_audit_line(
+        ts, node, topic, verdict, reason)
+
+
+class ListClock:
+    def __init__(self, times):
+        self.times = list(times)
+
+    def now(self):
+        return self.times.pop(0)
+
+
+def test_audit_file_holds_the_encoders_lines(tmp_path):
+    registry = FakeRegistry()
+    registry.states["nœud-é"] = "active"
+    registry.classes["nœud-é"] = "sensor_node"
+    times = [100.25, 7, -0.0, 1e22]
+    gw = CloudGateway(make_model(), registry, clock=ListClock(times),
+                      audit_path=tmp_path / "audit.jsonl")
+    frames = [("nœud-é", "données/nœud-é/temp", "junk"),
+              ("ghost", "data/ghost/°F", "junk"),
+              ("n-000001", "data/n-000001/temp", report()),
+              ("nœud-é", "données/nœud-é/temp", "junk")]
+    want = b""
+    for ts, (node, topic, payload) in zip(times, frames):
+        d = gw.admit(node, topic, payload)
+        want += encoder_audit_line(ts, node, topic, d.verdict, d.reason)
+    gw.close()
+    assert (tmp_path / "audit.jsonl").read_bytes() == want
 
 
 @pytest.mark.parametrize("bad", ["", "data/#/x", "da+ta/x", "data/n#"])

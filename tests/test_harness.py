@@ -1,12 +1,16 @@
 import json
 import math
+import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iotra import controlplane, edge, twins
 from iotra.harness import cli, scenario, waveforms
 from iotra.harness.scenario import ScenarioSpec, run_scenario
+from iotra.streams import Emission, Item
 from iotra.harness.waveforms import BadSpec, WaveformSpec, gen_waveform
 
 
@@ -263,8 +267,7 @@ def test_firmware_push_rides_the_twin_to_the_registry(tmp_path):
     try:
         report = world.run()
     finally:
-        world.tsdb.close()
-        world.gateway.close()
+        world.close()
     assert report.ok, report.assertions
     assert report.rejected == {}
     nodes = ["n-000001", "n-000002"]
@@ -297,8 +300,7 @@ def test_a_desired_value_of_the_wrong_datatype_stops_the_run(tmp_path):
         with pytest.raises(twins.SchemaInvalid, match="firmware"):
             world.run()
     finally:
-        world.tsdb.close()
-        world.gateway.close()
+        world.close()
     twin = world.twins.get_twin("n-000001")
     assert (twin.desired, twin.desired_version) == ({}, 0)
     assert "twin/n-000001/desired" not in world.broker.retained
@@ -317,8 +319,7 @@ def test_running_a_spec_twice_gives_the_same_report(tmp_path):
         try:
             reports.append(world.run().to_dict())
         finally:
-            world.tsdb.close()
-            world.gateway.close()
+            world.close()
         versions.append(world.twins.get_twin("n-000001").desired_version)
     assert reports[0] == reports[1]
     assert versions == [1, 1]
@@ -357,8 +358,7 @@ def test_bad_twin_report_is_counted_and_the_run_goes_on(tmp_path):
                 edge.QueuedFrame(twins.reported_topic("n-000001"), payload))
         report = world.run()
     finally:
-        world.tsdb.close()
-        world.gateway.close()
+        world.close()
     assert report.ok, report.assertions
     assert report.rejected == {"schema_invalid": 5}
 
@@ -378,6 +378,108 @@ def test_pipeline_emissions_in_report(tmp_path):
     assert report.emissions
     assert all(e["dest"] == "notify" for e in report.emissions)
     assert (tmp_path / "notifications.jsonl").exists()
+
+
+def faults_spec():
+    """Two nodes, an outage on one, duplicate replay, and a pipeline whose
+    notify sinks both emit during the run and flush at its end."""
+    return nominal_spec(
+        duration=8.0,
+        pipeline={"nodes": [
+            {"node_id": "src", "kind": "source", "params": {"selector": "*/temp"}},
+            {"node_id": "hot", "kind": "filter", "params": {"op": ">", "threshold": 73}},
+            {"node_id": "alerte-é", "kind": "sink", "params": {"dest": "notify"}},
+            {"node_id": "w", "kind": "window",
+             "params": {"size_ms": 2000, "slide_ms": 1000, "agg": "avg"}},
+            {"node_id": "out", "kind": "sink", "params": {"dest": "notify"}},
+        ], "edges": [["src", "hot"], ["hot", "alerte-é"], ["src", "w"], ["w", "out"]]},
+        faults=[{"kind": "uplink_outage", "nodes": [2], "start": 2.0, "end": 4.0},
+                {"kind": "duplicate_replay", "start": 0.0, "end": 8.0,
+                 "params": {"probability": 0.3}}],
+    )
+
+
+def test_output_lines_are_canonical_and_runs_repeat_byte_for_byte(tmp_path):
+    reports, files = [], []
+    for run in ("a", "b"):
+        report = run_scenario(faults_spec(), tmp_path / run)
+        assert report.ok, report.assertions
+        reports.append(json.dumps(report.to_dict(), sort_keys=True))
+        files.append({str(p.relative_to(tmp_path / run)): p.read_bytes()
+                      for p in sorted((tmp_path / run).rglob("*")) if p.is_file()})
+    assert reports[0] == reports[1]
+    assert files[0] == files[1]
+    for name in ("audit.jsonl", "notifications.jsonl"):
+        lines = files[0][name].decode().split("\n")
+        assert len(lines) > 1 and lines[-1] == ""
+        for line in lines[:-1]:
+            assert line == json.dumps(json.loads(line), separators=(",", ":"))
+    sinks = {json.loads(line)["sink"]
+             for line in files[0]["notifications.jsonl"].decode().splitlines()}
+    assert sinks == {"alerte-é", "out"}
+
+
+def files_open_under(root: Path) -> list[str]:
+    fd_dir = Path("/proc/self/fd")
+    if not fd_dir.is_dir():
+        pytest.skip("needs /proc/self/fd to list this process's open files")
+    targets = []
+    for fd in os.listdir(fd_dir):
+        try:
+            targets.append(os.readlink(fd_dir / fd))
+        except OSError:  # the descriptor listdir itself held
+            continue
+    return [t for t in targets if t.startswith(str(root))]
+
+
+def test_a_run_leaves_no_file_open(tmp_path):
+    run_scenario(faults_spec(), tmp_path / "a")
+    # the benchmark's way: run, then close only the store and the gateway
+    world = scenario.World(faults_spec(), tmp_path / "b")
+    world.run()
+    world.tsdb.close()
+    world.gateway.close()
+    assert (tmp_path / "b" / "notifications.jsonl").exists()
+    assert files_open_under(tmp_path) == []
+
+
+def test_a_run_that_raises_mid_run_leaves_no_file_open(tmp_path, monkeypatch):
+    monitor_step = scenario.World._monitor_step
+
+    def failing_monitor_step(world, t):
+        if world._notify_fh is not None:  # once every file is open
+            raise RuntimeError("monitor failed")
+        monitor_step(world, t)
+
+    monkeypatch.setattr(scenario.World, "_monitor_step", failing_monitor_step)
+    with pytest.raises(RuntimeError, match="monitor failed"):
+        run_scenario(faults_spec(), tmp_path)
+    assert (tmp_path / "notifications.jsonl").exists()
+    assert files_open_under(tmp_path) == []
+
+
+_any_text = st.text(st.characters(exclude_categories=()), max_size=6)
+_json_value = st.one_of(st.none(), st.integers(), st.floats(), _any_text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_any_text, st.one_of(st.floats(), st.integers()), st.floats(),
+                          _any_text, _any_text, st.dictionaries(_any_text, _json_value)),
+                min_size=1, max_size=4))
+def test_notify_lines_are_the_encoders_lines(emissions):
+    want = b""
+    with tempfile.TemporaryDirectory() as data:
+        world = scenario.World(nominal_spec(), Path(data))
+        try:
+            for sink, ts, value, channel, unit, meta in emissions:
+                item = Item(ts, value, channel, unit, meta)
+                world._handle_emission(Emission(sink, "notify", {}, item))
+                record = {"sink": sink, "dest": "notify", "ts": ts, "value": value,
+                          "channel": channel, "meta": meta}
+                want += (json.dumps(record, separators=(",", ":")) + "\n").encode()
+        finally:
+            world.close()
+        assert (Path(data) / "notifications.jsonl").read_bytes() == want
 
 
 # -- CLI -----------------------------------------------------------------

@@ -347,7 +347,7 @@ def test_decode_with_a_plan_is_decode_then_validate(rs):
     text = encode_report("n-000007", rs)
     node, back = decode_report(text)
     ok = all(reg.validate_payload("probe", payload_to_scalars(line)).ok
-             for line in text.splitlines())
+             for line in text.split("\n"))
     if ok:
         assert decode_report(text, reg.report_plan("probe")) == (node, back)
     else:
@@ -376,6 +376,13 @@ def test_each_decode_gets_its_own_tags(with_plan):
     second = decode_report(payload, plan)[1][0]
     assert second == r
     assert second.tags is not first.tags
+
+
+def test_decode_takes_crlf_line_ends():
+    rs = [Reading(channel=ChannelKey("n-1", "temp"), value=float(i), unit="°F",
+                  ts=1594824607.0 + i, seq=i + 1, tags={"zone": "a"}) for i in range(2)]
+    text = encode_report("n-1", rs)
+    assert decode_report(text.replace("\n", "\r\n") + "\r\n") == ("n-1", rs)
 
 
 def test_decode_with_a_plan_parses_the_unit():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iotra import streams
-from iotra.msgbus import BadFilter
+from iotra.infomodel import TEXT_MEMO_SIZE
+from iotra.msgbus import BadFilter, match_topic
 from iotra.reading import COMPARATORS, ChannelKey, Reading
 from iotra.streams import (
     ALLOWED_LATENESS_S,
@@ -248,6 +249,37 @@ def test_source_selector_filters_channels():
     p = Pipeline(linear_spec())
     assert len(p.process(reading(1.0, 70.0, sensor="temp"))) == 1
     assert p.process(reading(2.0, 70.0, sensor="humidity")) == []
+
+
+_selectors = st.sampled_from(["#", "*/*", "*/temp", "*/hum", "n-000001/*",
+                               "n-000002/#", "n-000003/hum", "*"])
+_channels = st.tuples(st.sampled_from(["n-000001", "n-000002", "n-000003"]),
+                      st.sampled_from(["temp", "hum", "power"]))
+
+
+@settings(max_examples=200)
+@given(st.lists(_selectors, min_size=1, max_size=5), st.lists(_channels, max_size=30))
+def test_sources_reached_match_every_selector(selectors, channels):
+    # source s<i> feeds sink k<i> alone, so the sinks emitted name the sources reached
+    nodes = [{"node_id": f"s{i}", "kind": "source", "params": {"selector": sel}}
+             for i, sel in enumerate(selectors)]
+    nodes += [{"node_id": f"k{i}", "kind": "sink", "params": {"dest": "notify"}}
+              for i in range(len(selectors))]
+    p = Pipeline({"nodes": nodes,
+                  "edges": [[f"s{i}", f"k{i}"] for i in range(len(selectors))]})
+    for t, (node, sensor) in enumerate(channels):
+        got = {e.sink_id for e in p.process(reading(t, 1.0, node=node, sensor=sensor))}
+        assert got == {f"k{i}" for i, sel in enumerate(selectors)
+                       if match_topic(sel.replace("*", "+"), f"{node}/{sensor}")}
+
+
+def test_source_plans_stay_within_their_bound():
+    p = Pipeline(linear_spec())
+    sensors = ["temp"] + [f"s{i}" for i in range(2 * TEXT_MEMO_SIZE)]
+    for t, sensor in enumerate(sensors + ["temp"]):  # temp's plan was evicted
+        got = p.process(reading(t, 70.0, sensor=sensor))
+        assert len(got) == (sensor == "temp")
+        assert len(p._source_plans) <= TEXT_MEMO_SIZE
 
 
 # -- windows and watermarks ----------------------------------------------
