@@ -2,9 +2,7 @@
 
 Calibrates raw sensor samples into readings, evaluates debounced
 event/alert rules, runs disconnected-capable local control, and
-store-and-forwards encoded reports uplink. The RTU-16 legacy frame codec
-and the per-channel ring buffer are the gateway's building blocks for
-legacy field buses and local history.
+store-and-forwards encoded reports uplink.
 """
 
 from __future__ import annotations
@@ -17,30 +15,12 @@ from typing import Iterable
 from .reading import COMPARATORS, ChannelKey, Reading
 from . import infomodel, msgbus
 
-DEFAULT_BUFFER_CAPACITY = 4096
-
-RTU_FRAME_LEN = 7
-RTU_FUNC_REPORT = 0x03
-RTU_FUNC_WRITE = 0x06
-
 
 class EdgeError(Exception):
     pass
 
 
 class NonFiniteRaw(EdgeError):
-    pass
-
-
-class BadLength(EdgeError):
-    pass
-
-
-class BadChecksum(EdgeError):
-    pass
-
-
-class UnknownFunction(EdgeError):
     pass
 
 
@@ -54,52 +34,6 @@ class UnknownChannelInCondition(EdgeError):
 
 class ConnectionLost(EdgeError):
     """Raised by an uplink session when the link drops mid-publish."""
-
-
-# -- legacy frame translation (toy RTU-16 protocol) ----------------------
-
-
-def rtu16_checksum(body: bytes) -> int:
-    x = 0
-    for b in body:
-        x ^= b
-    return x
-
-
-def translate_frame(frame: bytes) -> tuple[int, int, float]:
-    """Decode an RTU-16 frame into (address, register, engineering value).
-
-    Layout: [addr][func][reg_hi][reg_lo][val_hi][val_lo][xor]. The value
-    field is signed 16-bit, scaled by 1/10 into engineering units.
-    """
-    if len(frame) != RTU_FRAME_LEN:
-        raise BadLength(f"RTU-16 frame must be {RTU_FRAME_LEN} bytes, got {len(frame)}")
-    if rtu16_checksum(frame[:6]) != frame[6]:
-        raise BadChecksum("checksum mismatch")
-    addr, func = frame[0], frame[1]
-    if func not in (RTU_FUNC_REPORT, RTU_FUNC_WRITE):
-        raise UnknownFunction(f"function 0x{func:02x}")
-    register = (frame[2] << 8) | frame[3]
-    raw = (frame[4] << 8) | frame[5]
-    if raw >= 0x8000:
-        raw -= 0x10000
-    return addr, register, raw / 10.0
-
-
-def build_frame(addr: int, func: int, register: int, value: float) -> bytes:
-    """Encode an RTU-16 frame (the other direction of translate_frame)."""
-    if func not in (RTU_FUNC_REPORT, RTU_FUNC_WRITE):
-        raise UnknownFunction(f"function 0x{func:02x}")
-    if not 1 <= addr <= 247:
-        raise EdgeError(f"address out of range: {addr}")
-    raw = round(value * 10)
-    if not -0x8000 <= raw <= 0x7FFF:
-        raise EdgeError(f"value out of RTU-16 range: {value}")
-    body = bytes(
-        [addr, func, (register >> 8) & 0xFF, register & 0xFF,
-         (raw >> 8) & 0xFF, raw & 0xFF]
-    )
-    return body + bytes([rtu16_checksum(body)])
 
 
 # -- acquisition ---------------------------------------------------------
@@ -260,37 +194,6 @@ def run_local_control(
         if rule.condition.evaluate(latest):
             out.append(Actuation(rule.rule_id, rule.actuator, rule.prop, rule.value))
     return out
-
-
-# -- local ring-buffer storage -------------------------------------------
-
-
-class RingBuffer:
-    """Per-channel circular store of the newest ``capacity`` readings."""
-
-    def __init__(self, capacity: int = DEFAULT_BUFFER_CAPACITY):
-        if capacity < 1:
-            raise EdgeError("capacity must be >= 1")
-        self.capacity = capacity
-        self._channels: dict[ChannelKey, deque[Reading]] = {}
-
-    def append(self, reading: Reading) -> None:
-        buf = self._channels.get(reading.channel)
-        if buf is None:
-            buf = self._channels[reading.channel] = deque(maxlen=self.capacity)
-        buf.append(reading)
-
-    def query(self, channel: ChannelKey, from_ts: float, to_ts: float) -> list[Reading]:
-        """Buffered readings with from_ts <= ts < to_ts, oldest first."""
-        if from_ts > to_ts:
-            raise EdgeError("from_ts must be <= to_ts")
-        buf = self._channels.get(channel)
-        if buf is None:
-            raise UnknownChannel(str(channel))
-        return [r for r in buf if from_ts <= r.ts < to_ts]
-
-    def contents(self, channel: ChannelKey) -> list[Reading]:
-        return list(self._channels.get(channel, ()))
 
 
 # -- uplink store-and-forward --------------------------------------------

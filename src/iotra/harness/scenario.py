@@ -6,7 +6,9 @@ virtual clock in fixed ticks. Faults (uplink outages, floods, duplicate
 replay) are injected on schedule; ground-truth generation ledgers stay
 untouched by faults so loss accounting is exact. The result is a
 machine-readable RunReport that is identical across runs of the same
-scenario and seed.
+scenario and seed. A node's twin connectivity changes only when its
+session does: a new session marks it connected; an outage, a refused
+reconnect or a quarantine that ends one marks it disconnected.
 
 A ``notify`` sink appends one compact JSON line per emission to
 ``notifications.jsonl`` with one unbuffered write, as the gateway writes
@@ -260,17 +262,27 @@ class SimNode:
         try:
             s = self.world.broker.connect(self.node_id, self.credential)
         except msgbus.AuthFailed:
-            self.edge.session = None
+            self.drop_session()
             return False
         s.subscribe(twins_mod.desired_topic(self.node_id))
         self.edge.session = s
+        self.world.twins.mark_connectivity(self.node_id, True)
         return True
 
     def go_offline(self) -> None:
         self.link_up = False
-        if self.edge.session is not None and self.edge.session.connected:
-            self.world.broker.disconnect(self.edge.session)
+        self.drop_session()
+
+    def drop_session(self) -> None:
+        """End the node's session, if it has one, and mark its twin
+        disconnected."""
+        s = self.edge.session
+        if s is None:
+            return
+        if s.connected:
+            self.world.broker.disconnect(s)
         self.edge.session = None
+        self.world.twins.mark_connectivity(self.node_id, False)
 
     def tick(self, now: float, t: float) -> None:
         connected = self.ensure_connected()
@@ -461,6 +473,7 @@ class World:
 
     def _on_quarantine(self, node_id: str) -> None:
         self.broker.drop_node(node_id)
+        self.node_by_id(node_id).drop_session()
         self.report.incidents.append(
             {"ts": self.clock.now(), "event": "quarantined", "node": node_id}
         )

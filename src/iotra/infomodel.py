@@ -2,8 +2,8 @@
 
 Gives the fleet M2M semantic interoperability: a vocabulary of thing
 classes arranged in a single-parent taxonomy, typed-scalar payload
-encoding (``n:``/``s:``/``b:``/``t:`` prefixes), payload validation
-against class definitions, and tag/link resolution across instances.
+encoding (``n:``/``s:``/``b:``/``t:`` prefixes), and payload
+validation against class definitions.
 
 The report codec resolves what repeats once and handles per frame only
 what changes:
@@ -40,13 +40,13 @@ from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
 
-from .reading import ChannelKey, Reading, is_token, ID_RE
+from .reading import ChannelKey, Reading, is_token
 from .timeutil import BadTimestamp, format_ts, parse_ts
 
 DATATYPES = {"number", "integer", "string", "boolean", "timestamp", "enum"}
 INTERACTION_KINDS = {"read", "write", "invoke", "event"}
 RESERVED_KEYS = {"id", "DateTime", "seq"}
-# The relations class and instance links may use.
+# The relations class links may use.
 DEFAULT_RELATIONS = frozenset({"part_of", "regulated_by", "composed_of", "contains"})
 
 SCALAR_PREFIXES = {"n", "s", "b", "t"}
@@ -86,10 +86,6 @@ class PropertyConflict(ModelError):
 
 
 class UnknownClass(ModelError):
-    pass
-
-
-class UnknownInstance(ModelError):
     pass
 
 
@@ -244,21 +240,6 @@ class ObjectClass:
 
 
 @dataclass(slots=True)
-class ThingInstance:
-    instance_id: str
-    class_name: str
-    tags: dict[str, str] = field(default_factory=dict)
-    links: list[LinkDef] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not ID_RE.match(self.instance_id):
-            raise ModelError(f"bad instance id: {self.instance_id!r}")
-        for key in self.tags:
-            if not is_token(key):
-                raise ModelError(f"tag key is not a vocabulary token: {key!r}")
-
-
-@dataclass(slots=True)
 class Violation:
     kind: str  # type_mismatch | out_of_range | missing_required | unknown_key | bad_enum
     key: str
@@ -275,8 +256,8 @@ class ValidationReport:
 
 
 class ModelRegistry:
-    """Class vocabulary, taxonomy, and thing instances; links use the
-    relations in DEFAULT_RELATIONS.
+    """Class vocabulary and taxonomy; class links use the relations in
+    DEFAULT_RELATIONS.
 
     Read-mostly: callers may read concurrently; registration is expected
     to be serialized by the owner. A class must not change once
@@ -287,7 +268,6 @@ class ModelRegistry:
         self._classes: dict[str, ObjectClass] = {}
         self._effective: dict[str, Mapping[str, PropertyDef]] = {}
         self._plans: dict[str, tuple] = {}
-        self._instances: dict[str, ThingInstance] = {}
 
     # -- vocabulary ------------------------------------------------------
 
@@ -363,56 +343,6 @@ class ModelRegistry:
             required = tuple(p.name for p in props.values() if p.required)
             plan = self._plans[name] = (props, required)
         return plan
-
-    # -- instances and links ---------------------------------------------
-
-    def register_instance(self, inst: ThingInstance) -> str:
-        if inst.instance_id in self._instances:
-            raise ModelError(f"duplicate instance id {inst.instance_id}")
-        self.get_class(inst.class_name)  # raises UnknownClass
-        for link in inst.links:
-            if link.relation not in DEFAULT_RELATIONS:
-                raise UnknownRelation(link.relation)
-        self._instances[inst.instance_id] = inst
-        return inst.instance_id
-
-    def get_instance(self, instance_id: str) -> ThingInstance:
-        try:
-            return self._instances[instance_id]
-        except KeyError:
-            raise UnknownInstance(instance_id) from None
-
-    def resolve_links(
-        self, instance_id: str, relation: str, transitive: bool = False
-    ) -> list[str]:
-        """Targets reachable from the instance via ``relation`` edges.
-
-        One hop by default; breadth-first closure when transitive. Output
-        is deduplicated and sorted lexicographically.
-        """
-        self.get_instance(instance_id)
-        if relation not in DEFAULT_RELATIONS:
-            raise UnknownRelation(relation)
-        found: set[str] = set()
-        frontier = [instance_id]
-        visited = {instance_id}
-        while frontier:
-            nxt: list[str] = []
-            for iid in frontier:
-                inst = self._instances.get(iid)
-                if inst is None:
-                    continue  # link to a class name or external id: terminal
-                for link in inst.links:
-                    if link.relation != relation:
-                        continue
-                    found.add(link.target)
-                    if transitive and link.target not in visited:
-                        visited.add(link.target)
-                        nxt.append(link.target)
-            if not transitive:
-                break
-            frontier = nxt
-        return sorted(found)
 
     # -- model files -----------------------------------------------------
 

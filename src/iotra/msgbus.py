@@ -16,7 +16,7 @@ The broker keeps subscriptions in a trie keyed by filter segment, with
 checks it and the node ACL on those segments, and walks the trie: at
 each level it follows the literal segment, ``+`` and ``#``, so the cost
 is O(topic depth + matching subscriptions), independent of how many
-subscriptions do not match. ``match_topic`` is the reference matcher.
+subscriptions do not match.
 """
 
 from __future__ import annotations
@@ -97,13 +97,6 @@ def _match_segments(fsegs, tsegs) -> bool:
         if fseg != "+" and fseg != tsegs[i]:
             return False
     return len(tsegs) == len(fsegs)
-
-
-def match_topic(topic_filter: str, topic: str) -> bool:
-    """Segment-wise match: ``+`` is exactly one segment, trailing ``#``
-    one or more segments."""
-    validate_filter(topic_filter)
-    return _match_segments(topic_filter.split("/"), topic.split("/"))
 
 
 class TopicFilter:

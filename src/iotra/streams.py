@@ -1,5 +1,4 @@
-"""Real-time path: DAG pipeline over in-flight readings plus a bounded
-time-indexed replay store.
+"""Real-time path: DAG pipeline over in-flight readings.
 
 Pipelines are declared as JSON {nodes[], edges[]} and validated up
 front (acyclic, sources have no inputs, sinks no outputs, everything
@@ -18,10 +17,8 @@ the memo holds at most ``infomodel.TEXT_MEMO_SIZE`` of them.
 from __future__ import annotations
 
 import heapq
-import json
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 
 from .infomodel import remember
@@ -35,8 +32,6 @@ DEFAULT_TOPIC = "derived/out"  # where a topic sink with no topic publishes
 DEFAULT_CHANNEL = "derived/stream"  # where a tsdb sink with no channel stores
 
 ALLOWED_LATENESS_S = 1.0
-REPLAY_MAX_ENTRIES = 100_000
-REPLAY_MAX_SPAN_S = 60.0
 
 
 class StreamError(Exception):
@@ -271,10 +266,6 @@ class Pipeline:
         return sum(w.late for w in self._windows.values())
 
 
-def load_pipeline(path: Path) -> Pipeline:
-    return Pipeline(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
 def _topo_order(children: dict[str, list[str]], indeg: dict[str, int]) -> list[str]:
     """Kahn's order, smallest ready id first; consumes ``indeg``."""
     ready = [n for n, d in indeg.items() if d == 0]
@@ -314,47 +305,3 @@ def _number(nid: str, params: dict, key: str, default: float | None = None) -> f
         return float(raw)
     except (TypeError, ValueError):
         raise BadPipeline(f"{nid}: {key} must be a number, got {raw!r}") from None
-
-
-class ReplayStore:
-    """Bounded ring of recent readings/events with time-range replay.
-
-    Capacity is whichever binds first: entry count or time span.
-    """
-
-    def __init__(
-        self,
-        max_entries: int = REPLAY_MAX_ENTRIES,
-        max_span_s: float = REPLAY_MAX_SPAN_S,
-    ):
-        self.max_entries = max_entries
-        self.max_span_s = max_span_s
-        self._entries: deque[tuple[float, str, str, float, dict]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def add(self, ts: float, kind: str, channel: str, value: float,
-            meta: dict | None = None) -> None:
-        self._entries.append((ts, kind, channel, value, meta or {}))
-        while len(self._entries) > self.max_entries:
-            self._entries.popleft()
-        newest = self._entries[-1][0]
-        while self._entries and newest - self._entries[0][0] > self.max_span_s:
-            self._entries.popleft()
-
-    def replay(
-        self, from_ts: float, to_ts: float, selector: str | None = None
-    ) -> list[tuple[float, str, str, float, dict]]:
-        """Retained entries in [from_ts, to_ts) matching the channel
-        selector, in time order."""
-        if from_ts > to_ts:
-            raise StreamError("from_ts must be <= to_ts")
-        flt = None if selector is None else _selector_filter(selector)
-        out = [
-            e
-            for e in self._entries
-            if from_ts <= e[0] < to_ts and (flt is None or flt.matches(e[2]))
-        ]
-        out.sort(key=lambda e: e[0])
-        return out

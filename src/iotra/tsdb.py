@@ -91,7 +91,6 @@ import struct
 import sys
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import repeat
 from operator import le, lt
 from pathlib import Path
@@ -122,16 +121,6 @@ class UnknownChannel(TsdbError):
 
 class BadInterval(TsdbError):
     pass
-
-
-@dataclass(slots=True)
-class RetentionPolicy:
-    max_age: float  # seconds
-    channel: ChannelKey | None = None  # None = global
-
-    def __post_init__(self):
-        if self.max_age <= 0:
-            raise TsdbError("max_age must be positive")
 
 
 def _sort_key(r: Reading):
@@ -581,26 +570,3 @@ class Store:
             hits = self._tag_index.get((k, v), set())
             result = set(hits) if result is None else result & hits
         return sorted(result or (), key=str)
-
-    # -- retention -------------------------------------------------------
-
-    def apply_retention(self, now: float, policy: RetentionPolicy) -> int:
-        """Atomically drop sealed segments entirely older than max_age.
-        The active segment is never deleted."""
-        cutoff = now - policy.max_age
-        deleted = 0
-        for key, ch in self._channels.items():
-            if policy.channel is not None and policy.channel != key:
-                continue
-            keep: list[_Segment] = []
-            for seg in ch.segments:
-                if seg.sealed and seg.entries and seg.max_ts < cutoff:
-                    seg.path.unlink(missing_ok=True)
-                    deleted += 1
-                else:
-                    keep.append(seg)
-            ch.segments = keep
-        self._tag_index.clear()
-        for ch in self._channels.values():
-            self._index_channel(ch)
-        return deleted

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from iotra import cloudgw, infomodel
 from iotra.cloudgw import DESTINATIONS, CloudGateway, DedupState, RouteRule, route_rules
 from iotra.infomodel import TEXT_MEMO_SIZE
-from iotra.msgbus import BadFilter, match_topic
+from iotra.msgbus import BadFilter, TopicFilter
 from iotra.reading import ChannelKey, Reading
 from iotra.timeutil import VirtualClock
 
@@ -42,14 +42,25 @@ def make_model():
     return model
 
 
-def make_gateway(tmp_path=None, **kw):
-    registry = FakeRegistry()
-    registry.states["n-000001"] = "active"
-    registry.classes["n-000001"] = "sensor_node"
-    audit = tmp_path / "audit.jsonl" if tmp_path else None
-    gw = CloudGateway(make_model(), registry, clock=VirtualClock(),
-                      audit_path=audit, **kw)
-    return gw, registry
+@pytest.fixture
+def make_gateway(tmp_path):
+    """Builds gateways that audit to ``tmp_path/audit.jsonl`` and closes
+    each at teardown, so a failed assertion leaks no audit handle into
+    the next test."""
+    built = []
+
+    def build(**kw):
+        registry = FakeRegistry()
+        registry.states["n-000001"] = "active"
+        registry.classes["n-000001"] = "sensor_node"
+        gw = CloudGateway(make_model(), registry, clock=VirtualClock(),
+                          audit_path=tmp_path / "audit.jsonl", **kw)
+        built.append(gw)
+        return gw, registry
+
+    yield build
+    for gw in built:
+        gw.close()
 
 
 def report(node="n-000001", sensor="temp", value=77.6, seq=1, ts=100.0):
@@ -110,43 +121,38 @@ def test_dedup_rejects_non_positive_seq():
 # -- admission -----------------------------------------------------------
 
 
-def test_admit_fresh_report(tmp_path):
-    gw, _ = make_gateway(tmp_path)
+def test_admit_fresh_report(make_gateway):
+    gw, _ = make_gateway()
     decision = gw.admit("n-000001", "data/n-000001/temp", report())
     assert decision.admitted and decision.reason == "ok"
     assert decision.readings[0].value == 77.6
-    gw.close()
 
 
-def test_reject_unknown_node(tmp_path):
-    gw, _ = make_gateway(tmp_path)
+def test_reject_unknown_node(make_gateway):
+    gw, _ = make_gateway()
     decision = gw.admit("ghost", "data/ghost/temp", report(node="ghost"))
     assert (decision.verdict, decision.reason) == ("reject", "auth_failed")
-    gw.close()
 
 
-def test_reject_quarantined_and_not_active(tmp_path):
-    gw, registry = make_gateway(tmp_path)
+def test_reject_quarantined_and_not_active(make_gateway):
+    gw, registry = make_gateway()
     registry.states["n-000001"] = "quarantined"
     assert gw.admit("n-000001", "t/x", report()).reason == "quarantined"
     registry.states["n-000001"] = "commissioned"
     assert gw.admit("n-000001", "t/x", report()).reason == "not_active"
-    gw.close()
 
 
-def test_reject_sender_mismatch(tmp_path):
-    gw, registry = make_gateway(tmp_path)
+def test_reject_sender_mismatch(make_gateway):
+    gw, registry = make_gateway()
     registry.states["n-000002"] = "active"
     registry.classes["n-000002"] = "sensor_node"
     decision = gw.admit("n-000002", "data/n-000002/temp", report(node="n-000001"))
     assert decision.reason == "schema_invalid"
-    gw.close()
 
 
-def test_reject_malformed_payload(tmp_path):
-    gw, _ = make_gateway(tmp_path)
+def test_reject_malformed_payload(make_gateway):
+    gw, _ = make_gateway()
     assert gw.admit("n-000001", "t/x", "not json").reason == "schema_invalid"
-    gw.close()
 
 
 def report_line(**fields):
@@ -167,8 +173,9 @@ def report_line(**fields):
     report_line(seq=-3),
 ], ids=["unit_prefix", "bad_datetime", "bad_sensor_name", "seq_true", "seq_false",
         "seq_zero", "seq_negative"])
-def test_undecodable_frame_is_rejected_audited_and_next_admitted(tmp_path, payload):
-    gw, _ = make_gateway(tmp_path)
+def test_undecodable_frame_is_rejected_audited_and_next_admitted(make_gateway, tmp_path,
+                                                                 payload):
+    gw, _ = make_gateway()
     decision = gw.admit("n-000001", "data/n-000001/temp", payload)
     assert (decision.verdict, decision.reason) == ("reject", "schema_invalid")
     assert gw.admit("n-000001", "data/n-000001/temp", report(seq=1)).admitted
@@ -194,23 +201,21 @@ def test_a_line_separator_in_a_unit_or_tag_leaves_the_frame_whole(sep):
     assert decision.readings == [r]
 
 
-def test_strict_validation_rejects_out_of_range(tmp_path):
-    gw, _ = make_gateway(tmp_path)
+def test_strict_validation_rejects_out_of_range(make_gateway):
+    gw, _ = make_gateway()
     decision = gw.admit("n-000001", "t/x", report(value=900.0))
     assert decision.reason == "schema_invalid"
-    gw.close()
 
 
-def test_duplicate_rejected_exactly_once_semantics(tmp_path):
-    gw, _ = make_gateway(tmp_path)
+def test_duplicate_rejected_exactly_once_semantics(make_gateway):
+    gw, _ = make_gateway()
     payload = report(seq=1)
     assert gw.admit("n-000001", "t/x", payload).admitted
     assert gw.admit("n-000001", "t/x", payload).reason == "duplicate"
-    gw.close()
 
 
-def test_mixed_batch_admits_only_fresh(tmp_path):
-    gw, _ = make_gateway(tmp_path)
+def test_mixed_batch_admits_only_fresh(make_gateway):
+    gw, _ = make_gateway()
     r1 = Reading(channel=ChannelKey("n-000001", "temp"), value=1.0, unit="°F",
                  ts=1.0, seq=1)
     r2 = Reading(channel=ChannelKey("n-000001", "temp"), value=2.0, unit="°F",
@@ -220,11 +225,10 @@ def test_mixed_batch_admits_only_fresh(tmp_path):
     decision = gw.admit("n-000001", "t/x", both)
     assert decision.admitted
     assert [r.seq for r in decision.readings] == [2]
-    gw.close()
 
 
-def test_audit_log_records_every_decision(tmp_path):
-    gw, _ = make_gateway(tmp_path)
+def test_audit_log_records_every_decision(make_gateway, tmp_path):
+    gw, _ = make_gateway()
     gw.admit("n-000001", "t/x", report(seq=1))
     gw.admit("n-000001", "t/x", report(seq=1))
     gw.admit("ghost", "t/x", "junk")
@@ -358,7 +362,7 @@ def route_oracle(topic, class_name, tags, rules):
     rule; {tsdb} when none does."""
     dests = set()
     for rule in rules:
-        if ((rule.topic is None or match_topic(rule.topic, topic))
+        if ((rule.topic is None or TopicFilter(rule.topic).matches(topic))
                 and rule.class_name in (None, class_name)
                 and (rule.tag is None or tags.get(rule.tag[0]) == rule.tag[1])):
             dests |= rule.destinations
@@ -427,11 +431,11 @@ def test_route_matches_the_rule_by_rule_oracle(rules, queries):
         assert gw.route(topic, node, tags) == want
 
 
-def test_memos_stay_within_their_bound(tmp_path):
+def test_memos_stay_within_their_bound(make_gateway, tmp_path):
     rules = [RouteRule(frozenset({"streams"}), topic="data/+/t1"),
              RouteRule(frozenset({"tsdb"}), topic="data/#"),
              RouteRule(frozenset({"twin"}), topic="data/n-1/#", tag=("zone", "a"))]
-    gw, registry = make_gateway(tmp_path, route_rules=rules)
+    gw, registry = make_gateway(route_rules=rules)
     registry.classes["n-1"] = "probe"
     topics = [f"data/n-1/t{i}" for i in range(2 * TEXT_MEMO_SIZE)]
     for topic in topics + topics[:10]:  # the first ten were evicted
@@ -489,10 +493,12 @@ def test_audit_file_holds_the_encoders_lines(tmp_path):
               ("n-000001", "data/n-000001/temp", report()),
               ("nœud-é", "données/nœud-é/temp", "junk")]
     want = b""
-    for ts, (node, topic, payload) in zip(times, frames):
-        d = gw.admit(node, topic, payload)
-        want += encoder_audit_line(ts, node, topic, d.verdict, d.reason)
-    gw.close()
+    try:
+        for ts, (node, topic, payload) in zip(times, frames):
+            d = gw.admit(node, topic, payload)
+            want += encoder_audit_line(ts, node, topic, d.verdict, d.reason)
+    finally:
+        gw.close()
     assert (tmp_path / "audit.jsonl").read_bytes() == want
 
 

@@ -1,5 +1,5 @@
 """Guards on the package source: stdlib-only imports, and no definition
-that nothing refers to."""
+that no program path refers to."""
 
 import ast
 import re
@@ -42,10 +42,10 @@ def test_package_imports_only_stdlib_and_itself():
 def referenced_names(tree: ast.Module) -> set[str]:
     """Every name the code uses: loads, attributes, imports, keyword
     arguments, and string constants that are identifiers (names passed
-    to getattr or to a wrapper)."""
+    to getattr or to a wrapper). Assigning a name is not a use of it."""
     out: set[str] = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -59,21 +59,40 @@ def referenced_names(tree: ast.Module) -> set[str]:
     return out
 
 
+def program_files() -> list[Path]:
+    """The files whose references keep a definition alive: the package
+    and the benchmark, not the tests."""
+    bench = [p for p in (ROOT / "perfbench").rglob("*.py")
+             if not p.name.startswith("test_")]
+    return package_files() + sorted(bench)
+
+
+def definitions(tree: ast.Module):
+    """(line, name) of every function and class, and of every name bound
+    by a module-level assignment."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.lineno, node.name
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield node.lineno, name.id
+
+
 def test_every_definition_has_a_reference():
     used: set[str] = set()
-    for folder in ("src", "tests", "perfbench"):
-        for path in (ROOT / folder).rglob("*.py"):
-            used |= referenced_names(parse(path))
-    unused = []
-    for path in package_files():
-        for node in ast.walk(parse(path)):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                continue
-            name = node.name
-            if name.startswith("__") and name.endswith("__"):
-                continue
-            if name not in used:
-                unused.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
+    for path in program_files():
+        used |= referenced_names(parse(path))
+    unused = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in package_files()
+        for line, name in definitions(parse(path))
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in used
+    ]
     assert not unused
-

@@ -1,13 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
 from iotra import edge
 from iotra.edge import (
     Actuation,
-    BadChecksum,
-    BadLength,
     ChannelConfig,
     ChannelState,
     Condition,
@@ -15,16 +12,12 @@ from iotra.edge import (
     EdgeRule,
     NonFiniteRaw,
     QueuedFrame,
-    RingBuffer,
     RuleEngine,
     UnknownChannelInCondition,
-    UnknownFunction,
     UplinkQueue,
     acquire_sample,
-    build_frame,
     flush_uplink,
     run_local_control,
-    translate_frame,
 )
 from iotra.reading import ChannelKey, Reading
 
@@ -74,58 +67,6 @@ def test_config_invariants():
 def test_tags_inherited_from_node():
     r = acquire_sample(make_state(), "n-1", 1, now=1.0, tags={"zone": "Z3"})
     assert r.tags == {"zone": "Z3"}
-
-
-# -- legacy frame translation --------------------------------------------
-
-
-def xor_of(body):
-    x = 0
-    for b in body:
-        x ^= b
-    return x
-
-
-def test_translate_example_frame():
-    body = bytes([0x01, 0x03, 0x00, 0x0A, 0x03, 0x08])
-    frame = body + bytes([xor_of(body)])
-    addr, register, value = translate_frame(frame)
-    assert (addr, register) == (1, 10)
-    assert value == pytest.approx(77.6)  # 0x0308 = 776 -> 77.6
-
-
-def test_bad_length():
-    with pytest.raises(BadLength):
-        translate_frame(bytes(6))
-
-
-def test_bad_checksum():
-    body = bytes([0x01, 0x03, 0x00, 0x0A, 0x03, 0x08])
-    frame = body + bytes([xor_of(body) ^ 0xFF])
-    with pytest.raises(BadChecksum):
-        translate_frame(frame)
-
-
-def test_unknown_function():
-    body = bytes([0x01, 0x07, 0x00, 0x0A, 0x03, 0x08])
-    with pytest.raises(UnknownFunction):
-        translate_frame(body + bytes([xor_of(body)]))
-
-
-def test_negative_values_are_twos_complement():
-    frame = build_frame(5, 0x03, 7, -12.5)
-    assert translate_frame(frame) == (5, 7, -12.5)
-
-
-@given(
-    st.integers(min_value=1, max_value=247),
-    st.sampled_from([0x03, 0x06]),
-    st.integers(min_value=0, max_value=0xFFFF),
-    st.integers(min_value=-32768, max_value=32767),
-)
-def test_build_translate_round_trip(addr, func, register, raw):
-    frame = build_frame(addr, func, register, raw / 10.0)
-    assert translate_frame(frame) == (addr, register, raw / 10.0)
 
 
 # -- event rules ---------------------------------------------------------
@@ -221,6 +162,15 @@ def test_unknown_channel_in_condition_rejected_when_the_node_is_built():
         edge.EdgeNode(config)
 
 
+def test_a_sample_for_a_channel_the_node_lacks_is_refused():
+    node = edge.EdgeNode(edge.NodeConfig(
+        "n-1", "multi_sensor",
+        channels=[ChannelConfig("temp", "multi_sensor", unit="°F")]))
+    with pytest.raises(edge.UnknownChannel, match="tmep"):
+        node.ingest_raw("tmep", 1.0, 0.0)
+    assert not node.uplink.pending
+
+
 def test_results_ordered_by_rule_id():
     rules = [
         ControlRule("z", Condition([("t", ">", 0)]), "a", "p", 1),
@@ -244,49 +194,6 @@ def test_condition_combinators():
 def test_bad_condition_rejected_at_construction(terms, combine):
     with pytest.raises(edge.EdgeError):
         Condition(terms, combine=combine)
-
-
-# -- ring buffer ---------------------------------------------------------
-
-
-def ch(node="n-1", sensor="temp"):
-    return ChannelKey(node, sensor)
-
-
-def test_query_half_open_interval():
-    buf = RingBuffer(capacity=16)
-    for t in range(1, 11):
-        buf.append(Reading(channel=ch(), value=t, ts=float(t), seq=t))
-    assert [r.ts for r in buf.query(ch(), 3, 7)] == [3.0, 4.0, 5.0, 6.0]
-
-
-def test_capacity_eviction():
-    buf = RingBuffer(capacity=4)
-    for t in range(1, 11):
-        buf.append(Reading(channel=ch(), value=t, ts=float(t), seq=t))
-    assert [r.seq for r in buf.query(ch(), 0, 100)] == [7, 8, 9, 10]
-
-
-def test_unknown_channel_query():
-    with pytest.raises(edge.UnknownChannel):
-        RingBuffer().query(ch(), 0, 1)
-
-
-@given(
-    st.integers(min_value=1, max_value=8),
-    st.lists(st.integers(min_value=0, max_value=50), max_size=60),
-)
-def test_ring_buffer_matches_list_oracle(capacity, ts_list):
-    buf = RingBuffer(capacity=capacity)
-    oracle: list[Reading] = []
-    for i, t in enumerate(ts_list):
-        r = Reading(channel=ch(), value=i, ts=float(t), seq=i + 1)
-        buf.append(r)
-        oracle.append(r)
-        oracle = oracle[-capacity:]
-        assert buf.contents(ch()) == oracle
-        lo, hi = 10, 35
-        assert buf.query(ch(), lo, hi) == [x for x in oracle if lo <= x.ts < hi]
 
 
 # -- uplink queue --------------------------------------------------------

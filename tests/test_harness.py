@@ -222,6 +222,58 @@ def test_flood_opens_incident_and_quarantines(tmp_path):
     assert quarantined
 
 
+def outage_and_flood_doc():
+    """n-000002 loses its uplink for a while and comes back; n-000001
+    floods until it is quarantined."""
+    return {
+        "duration_s": 12.0, "tick_s": 0.1, "seed": 7,
+        "nodes": [{"count": 2, "class_name": "multi_sensor", "channels": [
+            {"sensor_name": "temp", "sample_period_ms": 500,
+             "waveform": {"kind": "constant", "base": 71}},
+        ]}],
+        "faults": [{"kind": "uplink_outage", "nodes": [2], "start": 2, "end": 5},
+                   {"kind": "flood", "nodes": [1], "start": 6, "end": 12,
+                    "params": {"rate": 500}}],
+        "assertions": [{"check": "lossless", "exclude": ["n-000001"]}],
+    }
+
+
+def test_twin_connectivity_changes_only_when_a_session_does(tmp_path, monkeypatch):
+    world = scenario.World(ScenarioSpec.from_dict(outage_and_flood_doc()), tmp_path)
+    calls = []
+    mark = twins.TwinService.mark_connectivity
+
+    def record(svc, node, connected):
+        calls.append((node, connected, world.clock.now()))
+        mark(svc, node, connected)
+
+    monkeypatch.setattr(twins.TwinService, "mark_connectivity", record)
+    try:
+        report = world.run()
+    finally:
+        world.close()
+    assert report.ok, report.assertions
+    quarantined = [i["ts"] for i in report.incidents if i["event"] == "quarantined"]
+    assert len(quarantined) == 1
+    # the outage and the quarantine mark their tick, not the next reconnect attempt
+    assert [c[1:] for c in calls if c[0] == "n-000001"] == [(True, 0.0),
+                                                            (False, quarantined[0])]
+    assert [c[1:] for c in calls if c[0] == "n-000002"] == [(True, 0.0), (False, 2.0),
+                                                            (True, 5.0)]
+
+
+def test_get_twin_says_whether_the_node_is_connected(tmp_path, capsys):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(outage_and_flood_doc()))
+    assert run_cli(tmp_path, "run", str(scenario_path)) == 0
+    capsys.readouterr()
+    connectivity = {}
+    for node in ("n-000001", "n-000002"):
+        assert run_cli(tmp_path, "get-twin", node) == 0
+        connectivity[node] = json.loads(capsys.readouterr().out)["connectivity"]
+    assert connectivity == {"n-000001": "disconnected", "n-000002": "connected"}
+
+
 def test_set_desired_converges(tmp_path):
     spec = nominal_spec(
         duration=6.0,

@@ -15,7 +15,6 @@ from iotra.infomodel import (
     PropertyDef,
     PropertyConflict,
     TaxonomyCycle,
-    ThingInstance,
     TypedScalar,
     UnknownClass,
     UnknownParent,
@@ -130,6 +129,13 @@ def test_write_interaction_must_target_writable():
             properties=[PropertyDef("temp", "number")],
             interactions=[InteractionDef("set_temp", "write", "temp")],
         )
+
+
+def test_class_link_with_unknown_relation_rejected():
+    reg = ModelRegistry()
+    with pytest.raises(UnknownRelation):
+        reg.register_class(ObjectClass("thing", links=[LinkDef("owns", "zone")]))
+    assert not reg.has_class("thing")
 
 
 def test_taxonomy_flattening_matches_chain_walk_oracle():
@@ -403,83 +409,6 @@ def test_validation_soundness_of_encoder_output(registry):
     for line in encode_report("n-1", [r]).splitlines():
         assert registry.validate_payload("temperature_sensor",
                                          payload_to_scalars(line)).ok
-
-
-# -- instances and links -------------------------------------------------
-
-
-def make_linked_registry():
-    reg = ModelRegistry()
-    reg.register_class(ObjectClass("thing"))
-    reg.register_instance(
-        ThingInstance("zone-z3", "thing",
-                      links=[LinkDef("regulated_by", "ahu-2")])
-    )
-    reg.register_instance(
-        ThingInstance("ts-101", "thing", tags={"zone": "Z3"},
-                      links=[LinkDef("part_of", "zone-z3")])
-    )
-    reg.register_instance(ThingInstance("ahu-2", "thing"))
-    return reg
-
-
-def test_hvac_transitive_resolution():
-    reg = make_linked_registry()
-    assert reg.resolve_links("ts-101", "regulated_by", transitive=True) == []
-    # one part_of hop reaches the zone; the zone's regulated_by edge is a
-    # different relation, so closure over regulated_by from the zone:
-    assert reg.resolve_links("zone-z3", "regulated_by") == ["ahu-2"]
-    assert reg.resolve_links("ts-101", "part_of", transitive=True) == ["zone-z3"]
-
-
-def test_no_links_resolves_empty():
-    reg = make_linked_registry()
-    assert reg.resolve_links("ahu-2", "part_of") == []
-
-
-def test_diamond_closure():
-    reg = ModelRegistry()
-    reg.register_class(ObjectClass("thing"))
-    edges = {"a": ["b", "c"], "b": ["d"], "c": ["d"], "d": []}
-    for iid, targets in edges.items():
-        reg.register_instance(
-            ThingInstance(iid, "thing",
-                          links=[LinkDef("part_of", t) for t in targets])
-        )
-    assert reg.resolve_links("a", "part_of", transitive=True) == ["b", "c", "d"]
-
-
-def test_unknown_instance_and_relation():
-    reg = make_linked_registry()
-    with pytest.raises(infomodel.UnknownInstance):
-        reg.resolve_links("ghost", "part_of")
-    with pytest.raises(UnknownRelation):
-        reg.resolve_links("ts-101", "not_registered")
-
-
-def test_link_closure_matches_bfs_oracle():
-    rng = random.Random(7)
-    for _ in range(20):
-        n = rng.randrange(2, 20)
-        ids = [f"i{k}" for k in range(n)]
-        adj = {i: sorted(rng.sample(ids, rng.randrange(0, min(4, n)))) for i in ids}
-        reg = ModelRegistry()
-        reg.register_class(ObjectClass("thing"))
-        for iid in ids:
-            reg.register_instance(
-                ThingInstance(iid, "thing",
-                              links=[LinkDef("contains", t) for t in adj[iid]])
-            )
-        start = rng.choice(ids)
-        # independent BFS oracle
-        seen, frontier = set(), list(adj[start])
-        while frontier:
-            cur = frontier.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            frontier.extend(adj[cur])
-        assert reg.resolve_links(start, "contains", transitive=True) == sorted(seen)
 
 
 # -- model files ---------------------------------------------------------

@@ -13,7 +13,6 @@ from iotra.reading import ChannelKey, Reading
 from iotra.tsdb import (
     SEGMENT_CAPACITY,
     BadInterval,
-    RetentionPolicy,
     Store,
     UnknownChannel,
     _encode_record,
@@ -250,13 +249,6 @@ class RefStore:
     def reopen(self):
         self.known = {k for k in self.known if self.rows(k)}
 
-    def retention(self, cutoff):
-        for key, chunks in self.chunks.items():
-            self.chunks[key] = [
-                c for c in chunks
-                if not (len(c) == PROP_CAPACITY and max(r.ts for r in c) < cutoff)
-            ]
-
     def query_range(self, key, t1, t2):
         return sorted((r for r in self.rows(key) if t1 <= r.ts < t2), key=ref_key)
 
@@ -338,8 +330,8 @@ _windows = st.lists(
 
 
 @settings(max_examples=150, deadline=None)
-@given(_ops, _windows, st.integers(0, 40))
-def test_store_matches_reference_model(ops, windows, cutoff):
+@given(_ops, _windows)
+def test_store_matches_reference_model(ops, windows):
     with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as mp:
         mp.setattr(tsdb, "SEGMENT_CAPACITY", PROP_CAPACITY)
         store, ref = Store(root), RefStore()
@@ -361,9 +353,6 @@ def test_store_matches_reference_model(ops, windows, cutoff):
         store.close()
         store = Store(root)
         ref.reopen()
-        check_against_reference(store, ref, windows)
-        store.apply_retention(now=float(cutoff), policy=RetentionPolicy(max_age=1.0))
-        ref.retention(cutoff - 1.0)
         check_against_reference(store, ref, windows)
         store.close()
         store = Store(root)
@@ -523,39 +512,6 @@ def test_tag_index_survives_reopen(tmp_path):
     fill(store, 3, tags={"zone": "Z3"})
     store.close()
     assert Store(tmp_path).find_channels({"zone": "Z3"}) == [ch()]
-
-
-# -- retention -----------------------------------------------------------
-
-
-def test_retention_drops_only_old_sealed_segments(tmp_path):
-    store = Store(tmp_path)
-    fill(store, 2 * SEGMENT_CAPACITY + 5)  # ts 0..2004: two sealed + active
-    deleted = store.apply_retention(
-        now=3000.0, policy=RetentionPolicy(max_age=3000.0 - SEGMENT_CAPACITY)
-    )
-    assert deleted == 1  # only seg-0 (max_ts 999) is entirely older
-    seg_dir = tmp_path / "n-000001" / "temp"
-    assert not (seg_dir / "seg-0.blk").exists()
-    assert (seg_dir / "seg-1.blk").exists()
-    assert store.count(ch()) == SEGMENT_CAPACITY + 5
-    # active segment is never deleted even when old
-    assert store.apply_retention(now=1e9, policy=RetentionPolicy(max_age=1.0)) == 1
-    assert (seg_dir / "seg-2.log").exists()
-    store.close()
-
-
-def test_retention_per_channel_policy(tmp_path):
-    store = Store(tmp_path)
-    other = ch("n-000002", "temp")
-    fill(store, SEGMENT_CAPACITY, channel=ch())
-    fill(store, SEGMENT_CAPACITY, channel=other)
-    deleted = store.apply_retention(
-        now=1e9, policy=RetentionPolicy(max_age=1.0, channel=other)
-    )
-    assert deleted == 1
-    assert store.count(ch()) == SEGMENT_CAPACITY
-    assert store.count(other) == 0
 
 
 # -- durability ----------------------------------------------------------
