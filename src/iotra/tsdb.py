@@ -56,21 +56,33 @@ power loss or an OS crash):
 An open decodes every block eagerly into the same resident lists the
 active segment uses: ``array`` turns each column into a list and
 ``map`` builds the readings, with no per-record JSON. All readings of
-one block share the block's unit string and ``tags`` dict. In an active
-log, a run of short records shares the unit string and ``tags`` dict of
-the full record that starts it, and consecutive full records with equal
-tags share one dict (readings appended in one session share the
-caller's dict, see Store.append). The tag index is built from each
-block's tags table, not from every reading. An active log's full
-records are decoded with one ``json.loads`` over their joined bodies, so
-a log written before short records existed (every record full) opens as
-fast as it did. Decoding on first touch was measured and not taken: one
-1,000-reading block costs about 1.2 ms to read and decode with the
-garbage collector running, as in an open, more than four times the
-0.28 ms p99 of the benchmark's ``history-read`` queries (2-vCPU host,
-Python 3.11). A lazy open would move that cost into the heavy queries
-after every reopen, and would need a bounded cache, whose size is one
-more knob.
+one block share the block's unit string and ``tags`` dict. An active
+log is decoded in runs: a run of short records is unpacked in one pass
+(``iter_unpack``) and its readings built by one ``map``, sharing the
+unit string and ``tags`` dict of the full record that starts it;
+consecutive full records with equal tags share one dict (readings
+appended in one session share the caller's dict, see Store.append). The
+full records are decoded with one ``json.loads`` over their joined
+bodies, so a log written before short records existed (every record
+full) opens as fast as it did. The tag index is built from each
+segment's distinct tags dicts, not from every reading.
+
+The open runs with the cyclic garbage collector paused, and restores
+the caller's setting after it. What an open builds is acyclic (readings,
+lists, floats, and unit strings and tags dicts shared between readings),
+so a collector pass during it frees nothing, yet each pass traverses the
+rows loaded so far: on a 200k-reading store, 292 passes took about a
+third of the open. The loaded rows still pass through the collector's
+generations afterwards, one pass of each; a long-running process pays
+about what the open saved, in the operations that follow it, while a
+short-lived one such as ``iotra query`` exits first.
+
+Decoding on first touch was measured and not taken: one 1,000-reading
+block costs about 1.2 ms to read and decode with the garbage collector
+running, more than four times the 0.28 ms p99 of the benchmark's
+``history-read`` queries (2-vCPU host, Python 3.11). A lazy open would
+move that cost into the heavy queries after every reopen, and would
+need a bounded cache, whose size is one more knob.
 
 In memory each segment keeps its readings in append order beside a
 parallel ``ts`` list and an ``ordered`` flag. The flag holds while every
@@ -85,8 +97,10 @@ boundary, and returns the same rows in the same order either way.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import re
 import struct
 import sys
 from array import array
@@ -106,8 +120,10 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
 _LENGTH = struct.Struct(">I")
 # a short record: its length prefix (24), ts, seq and value
 _SHORT = struct.Struct(">Idqd")
-_SHORT_BODY = struct.Struct(">dqd")
-_SHORT_LENGTH = _SHORT_BODY.size
+_SHORT_LENGTH = _SHORT.size - 4
+# a run of whole short records (length prefix 24, then 24 bytes), matched
+# from a record's start
+_SHORT_RUN = re.compile(rb"(?:\x00\x00\x00\x18.{24})*", re.DOTALL)
 _SWAP = sys.byteorder == "big"  # block columns are little-endian
 
 
@@ -158,31 +174,38 @@ def _encode_record(r: Reading, prev: Reading | None = None) -> bytes:
     return _LENGTH.pack(len(body)) + body
 
 
-def _read_records(data: bytes) -> tuple[list, int]:
-    """Parse length-prefixed records; returns (records, clean_offset).
+def _decode_log(key: ChannelKey,
+                data: bytes) -> tuple[list[Reading], list[float], list[dict], int]:
+    """(readings, their ts, distinct tags dicts, clean offset) of an
+    active log's bytes.
 
-    A full record comes back as its JSON dict, a short one as a
-    (ts, seq, value) tuple. Stops at the first torn or corrupt record,
-    so a truncated tail costs at most one record; a short record with no
-    full record before it is corrupt. One json.loads decodes the joined
-    bodies of the full records; an error or a count mismatch there falls
-    back to decoding one record at a time.
+    Stops at the first torn or corrupt record, so a truncated tail costs
+    at most one record; a short record with no full record before it is
+    corrupt. One json.loads decodes the joined bodies of the full
+    records; an error or a count mismatch there falls back to decoding
+    one record at a time. A full record's length is never 24, so a run of
+    short records ends at the first length that is not; each run is
+    unpacked in one pass and shares the unit string and tags dict of the
+    full record before it. Consecutive full records with equal tags
+    share one dict.
     """
-    records: list = []  # a full record's offset holds its place until decoded
+    starts: list[int] = []  # each full record's offset
     bodies: list[bytes] = []
+    runs: dict[int, tuple[int, int]] = {}  # full records before a run: its span
     off, size = 0, len(data)
     while off + 4 <= size:
         (length,) = _LENGTH.unpack_from(data, off)
-        end = off + 4 + length
-        if end > size:
-            break
-        if length != _SHORT_LENGTH:
-            records.append(off)
-            bodies.append(data[off + 4 : end])
-        elif bodies:
-            records.append(_SHORT_BODY.unpack_from(data, off + 4))
+        if length == _SHORT_LENGTH:
+            end = _SHORT_RUN.match(data, off).end()
+            if not bodies or end == off:  # no full record before it, or torn
+                break
+            runs[len(bodies)] = (off, end)
         else:
-            break
+            end = off + 4 + length
+            if end > size:
+                break
+            starts.append(off)
+            bodies.append(data[off + 4 : end])
         off = end
     try:
         decoded = json.loads((b"[" + b",".join(bodies) + b"]").decode("utf-8"))
@@ -194,32 +217,25 @@ def _read_records(data: bytes) -> tuple[list, int]:
             try:
                 decoded.append(json.loads(body.decode("utf-8")))
             except (json.JSONDecodeError, UnicodeDecodeError):
-                index = [i for i, rec in enumerate(records) if type(rec) is int][len(decoded)]
-                off = records[index]
-                del records[index:]
+                off = starts[len(decoded)]
                 break
-    if len(decoded) == len(records):  # every record is full
-        return decoded, off
-    full = iter(decoded)
-    return [next(full) if type(rec) is int else rec for rec in records], off
-
-
-def _log_readings(key: ChannelKey, records: list) -> list[Reading]:
-    """The readings of a log's records. Consecutive readings with equal
-    tags share one dict, and a run of short records shares the unit
-    string and tags dict of the full record that starts it."""
-    readings = []
-    unit = tags = None
-    for rec in records:
-        if type(rec) is tuple:
-            ts, seq, value = rec
-        else:
-            ts, seq, value = float(rec["ts"]), rec.get("seq"), rec["v"]
-            unit = rec.get("unit", "")
-            if (rec_tags := rec.get("tags") or {}) != tags:
-                tags = rec_tags
-        readings.append(Reading(key, value, unit, ts, seq, tags))
-    return readings
+    readings: list[Reading] = []
+    ts: list[float] = []
+    tables: list[dict] = []
+    tags = None
+    for n, rec in enumerate(decoded, 1):
+        t, unit = float(rec["ts"]), rec.get("unit", "")
+        if (rec_tags := rec.get("tags") or {}) != tags:
+            tags = rec_tags
+            tables.append(tags)
+        readings.append(Reading(key, rec["v"], unit, t, rec.get("seq"), tags))
+        ts.append(t)
+        if n in runs:
+            start, end = runs[n]
+            _, run_ts, seqs, values = zip(*_SHORT.iter_unpack(data[start:end]))
+            readings += map(Reading, repeat(key), values, repeat(unit), run_ts, seqs, repeat(tags))
+            ts += run_ts
+    return readings, ts, tables, off
 
 
 def _pack(typecode: str, values) -> bytes:
@@ -238,8 +254,8 @@ def _intern(table: list, item) -> int:
         return len(table) - 1
 
 
-def _encode_block(seg: "_Segment") -> tuple[bytes, list[dict]]:
-    """The block file of a full segment, and its distinct tags dicts."""
+def _encode_block(seg: "_Segment") -> bytes:
+    """The block file of a full segment."""
     units: list[str] = []
     tables: list[dict] = []
     unit_col, tag_col, seqs, values = [], [], [], []
@@ -271,7 +287,7 @@ def _encode_block(seg: "_Segment") -> tuple[bytes, list[dict]]:
     if len(tables) > 1:
         columns.append(_pack("I", tag_col))
     head = _ENCODER.encode(header).encode("utf-8")
-    return b"".join([_LENGTH.pack(len(head)), head, *columns]), tables
+    return b"".join([_LENGTH.pack(len(head)), head, *columns])
 
 
 def _decode_block(key: ChannelKey, data: bytes) -> tuple[list[Reading], list[float], list[dict]]:
@@ -320,7 +336,6 @@ class _Segment:
         self.ts: list[float] = []  # entries[i].ts, for bisecting
         self.ordered = True  # entries nondecreasing in _sort_key order
         self.sealed = False
-        self.tables: list[dict] = []  # a sealed segment's distinct tags
         self.min_ts = float("inf")
         self.max_ts = float("-inf")
 
@@ -386,17 +401,27 @@ class Store:
     # -- startup recovery ------------------------------------------------
 
     def _load(self) -> None:
-        for node_dir in sorted(p for p in self.root.iterdir() if p.is_dir()):
-            for sensor_dir in sorted(p for p in node_dir.iterdir() if p.is_dir()):
-                try:
-                    key = ChannelKey(node_dir.name, sensor_dir.name)
-                except ValueError:
-                    continue
-                self._load_channel(key, sensor_dir)
+        # An open builds only acyclic objects, so a pass of the cyclic
+        # collector frees nothing here; paused, it does not traverse the
+        # rows loaded so far each time the load allocates enough more.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for node_dir in sorted(p for p in self.root.iterdir() if p.is_dir()):
+                for sensor_dir in sorted(p for p in node_dir.iterdir() if p.is_dir()):
+                    try:
+                        key = ChannelKey(node_dir.name, sensor_dir.name)
+                    except ValueError:
+                        continue
+                    self._load_channel(key, sensor_dir)
+        finally:
+            if collecting:
+                gc.enable()
 
     def _load_channel(self, key: ChannelKey, sensor_dir: Path) -> None:
         ch = _Channel(key, self.root)
         numbers = set()
+        tables: list[dict] = []  # each segment's distinct tags dicts
         for path in sensor_dir.glob("seg-*"):
             stem, _, kind = path.name.partition(".")
             if kind == "blk.tmp":
@@ -408,28 +433,28 @@ class Store:
             if blk.exists():
                 seg = _Segment(number, blk)
                 try:
-                    readings, ts, seg.tables = _decode_block(key, blk.read_bytes())
+                    readings, ts, seg_tables = _decode_block(key, blk.read_bytes())
                 except (ValueError, LookupError, TypeError, struct.error) as exc:
                     raise TsdbError(f"unreadable block {blk}: {exc}") from None
-                seg.fill(readings, ts)
                 seg.sealed = True
                 log.unlink(missing_ok=True)  # sealed, but not yet unlinked
             else:
                 seg = _Segment(number, log)
                 data = log.read_bytes()
-                records, clean = _read_records(data)
+                readings, ts, seg_tables, clean = _decode_log(key, data)
                 if clean < len(data):
                     # torn tail from a crash mid-append: repair in place
                     with open(log, "r+b") as fh:
                         fh.truncate(clean)
-                readings = _log_readings(key, records)
-                seg.fill(readings, [r.ts for r in readings])
+            seg.fill(readings, ts)
+            tables += seg_tables
             ch.segments.append(seg)
         if ch.segments and not ch.segments[-1].sealed:
             ch.active = ch.segments[-1]
         if any(seg.entries for seg in ch.segments):
             self._channels[key] = ch
-            self._index_channel(ch)
+            for tags in tables:
+                self._index_tags(ch, tags)
 
     # -- writes ----------------------------------------------------------
 
@@ -467,10 +492,9 @@ class Store:
         seg = ch.active
         assert seg is not None
         ch.close()
-        data, seg.tables = _encode_block(seg)
         blk = seg.path.with_suffix(".blk")
         tmp = blk.with_suffix(".blk.tmp")
-        tmp.write_bytes(data)
+        tmp.write_bytes(_encode_block(seg))
         os.replace(tmp, blk)
         seg.path.unlink()
         seg.path = blk
@@ -484,12 +508,6 @@ class Store:
         ch.indexed_tags = dict(tags)
         for k, v in tags.items():
             self._tag_index.setdefault((k, v), set()).add(ch.key)
-
-    def _index_channel(self, ch: _Channel) -> None:
-        ch.indexed_tags = None
-        for seg in ch.segments:
-            for tags in seg.tables if seg.sealed else (r.tags for r in seg.entries):
-                self._index_tags(ch, tags)
 
     def flush(self) -> None:
         for ch in self._channels.values():

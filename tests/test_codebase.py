@@ -1,5 +1,5 @@
-"""Guards on the package source: stdlib-only imports, and no definition
-that no program path refers to."""
+"""Guards on the package source: stdlib-only imports, no import that its
+module does not use, and no definition that no program path refers to."""
 
 import ast
 import re
@@ -39,18 +39,48 @@ def test_package_imports_only_stdlib_and_itself():
     assert not bad
 
 
+def imported_names(tree: ast.Module):
+    """(line, name) of every name a module-level import binds."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def exported_names(tree: ast.Module) -> set[str]:
+    """The strings listed in the module's ``__all__``."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def test_package_has_no_unused_import():
+    unused = []
+    for path in package_files():
+        tree = parse(path)
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        loaded |= exported_names(tree)
+        unused += [f"{path.relative_to(ROOT)}:{line}: {name}"
+                   for line, name in imported_names(tree) if name not in loaded]
+    assert not unused
+
+
 def referenced_names(tree: ast.Module) -> set[str]:
-    """Every name the code uses: loads, attributes, imports, keyword
-    arguments, and string constants that are identifiers (names passed
-    to getattr or to a wrapper). Assigning a name is not a use of it."""
+    """Every name the code uses: loads, attributes, keyword arguments,
+    and string constants that are identifiers (names passed to getattr or
+    to a wrapper). Assigning or importing a name is not a use of it."""
     out: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
-        elif isinstance(node, ast.alias):
-            out.add(node.name.split(".")[-1])
         elif isinstance(node, ast.keyword) and node.arg:
             out.add(node.arg)
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)

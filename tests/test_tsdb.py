@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import json
 import math
 import random
@@ -15,8 +17,8 @@ from iotra.tsdb import (
     BadInterval,
     Store,
     UnknownChannel,
+    _decode_log,
     _encode_record,
-    _read_records,
 )
 
 
@@ -57,8 +59,11 @@ def test_short_record_layout():
     prev = reading(1.0, value=2.5, seq=3, tags={"zone": "Z3"})
     data = _encode_record(reading(1.5, value=77.6, seq=4, tags={"zone": "Z3"}), prev)
     assert data == struct.pack(">Idqd", 24, 1.5, 4, 77.6)
-    assert _read_records(_encode_record(prev) + data) == (
-        [json.loads(_encode_record(prev)[4:]), (1.5, 4, 77.6)], len(_encode_record(prev)) + 28)
+    readings, ts, tables, clean = _decode_log(ch(), _encode_record(prev) + data)
+    assert [exact(r) for r in readings] == [
+        exact(prev), exact(reading(1.5, value=77.6, seq=4, tags={"zone": "Z3"}))]
+    assert (ts, tables, clean) == ([1.0, 1.5], [{"zone": "Z3"}], len(_encode_record(prev)) + 28)
+    assert readings[1].tags is readings[0].tags and readings[1].unit is readings[0].unit
 
 
 @pytest.mark.parametrize("change, kind", [
@@ -85,17 +90,18 @@ def test_record_kind(change, kind):
     r = Reading(**{**fields, **change})
     data = _encode_record(r, prev)
     assert (len(data) == 28) == (kind == "short")
-    records, clean = _read_records(_encode_record(prev) + data)
+    readings, ts, _, clean = _decode_log(ch(), _encode_record(prev) + data)
     assert clean == len(_encode_record(prev)) + len(data)
-    readings = tsdb._log_readings(ch(), records)
     assert [exact(x) for x in readings] == [exact(prev), exact(r)]
+    assert ts == [prev.ts, r.ts]
 
 
 def test_read_records_stops_at_torn_tail():
     good = _encode_record(reading(1)) + _encode_record(reading(2))
     torn = _encode_record(reading(3))[:-5]
-    records, clean = _read_records(good + torn)
-    assert len(records) == 2
+    readings, ts, _, clean = _decode_log(ch(), good + torn)
+    assert readings == [reading(1), reading(2)]
+    assert ts == [1.0, 2.0]
     assert clean == len(good)
 
 
@@ -103,8 +109,8 @@ def test_read_records_stops_at_torn_tail():
 def test_read_records_stops_at_corrupt_record(body):
     first = _encode_record(reading(1))
     data = first + struct.pack(">I", len(body)) + body + _encode_record(reading(2))
-    records, clean = _read_records(data)
-    assert records == [json.loads(first[4:])]
+    readings, _, _, clean = _decode_log(ch(), data)
+    assert readings == [reading(1)]
     assert clean == len(first)
 
 
@@ -113,7 +119,28 @@ def test_read_records_drops_the_short_records_after_a_corrupt_one():
     good = _encode_record(first) + _encode_record(second, first)
     bad = struct.pack(">I", 4) + b"{x\n\n"
     data = good + bad + _encode_record(reading(3, value=3.5, seq=3), second)
-    assert _read_records(data) == ([json.loads(good[4:-28]), (2.0, 2, 2.5)], len(good))
+    readings, ts, _, clean = _decode_log(ch(), data)
+    assert (readings, ts, clean) == ([first, second], [1.0, 2.0], len(good))
+
+
+def test_read_records_stops_at_a_short_record_with_no_full_record_before_it():
+    first, second = reading(1, value=1.5, seq=1), reading(2, value=2.5, seq=2)
+    short = _encode_record(second, first)
+    assert _decode_log(ch(), short + _encode_record(first) + short) == ([], [], [], 0)
+
+
+def test_read_records_decodes_short_runs_between_full_records():
+    a, b = {"zone": "a"}, {"zone": "b"}
+    rows = [Reading(ch(), i + 0.5, "°F", float(i), i, a if i < 3 or i > 5 else b)
+            for i in range(9)]
+    data = b"".join(_encode_record(r, prev) for prev, r in zip([None] + rows, rows))
+    readings, ts, tables, clean = _decode_log(ch(), data)
+    assert [exact(r) for r in readings] == [exact(r) for r in rows]
+    assert (ts, tables, clean) == ([r.ts for r in rows], [a, b, a], len(data))
+    # each run shares the unit and tags of the full record that starts it
+    starts = [0] * 3 + [3] * 3 + [6] * 3
+    assert all(r.unit is readings[i].unit and r.tags is readings[i].tags
+               for r, i in zip(readings, starts))
 
 
 # -- append / segments ---------------------------------------------------
@@ -276,6 +303,16 @@ def short_record(prev, r):
             and -2**63 <= r.seq < 2**63 and r.unit == prev.unit and r.tags == prev.tags)
 
 
+def record_lengths(data):
+    """The body length of each record in a log's bytes."""
+    lengths, off = [], 0
+    while off < len(data):
+        (length,) = struct.unpack_from(">I", data, off)
+        lengths.append(length)
+        off += 4 + length
+    return lengths
+
+
 def check_against_reference(store, ref, windows):
     assert store.channels() == sorted(ref.known, key=str)
     store.flush()
@@ -283,10 +320,9 @@ def check_against_reference(store, ref, windows):
         chunks = ref.chunks[key]
         if chunks and len(chunks[-1]) < PROP_CAPACITY:
             chunk = chunks[-1]
-            log = store._channels[key].active.path
-            records, clean = _read_records(log.read_bytes())
-            assert clean == log.stat().st_size
-            assert [type(rec) is tuple for rec in records] == [
+            data = store._channels[key].active.path.read_bytes()
+            assert _decode_log(key, data)[3] == len(data)
+            assert [length == 24 for length in record_lengths(data)] == [
                 short_record(prev, r) for prev, r in zip([None] + chunk, chunk)]
     for channel in store._channels.values():  # the ordered-segment invariant
         for seg in channel.segments:
@@ -389,7 +425,8 @@ def test_block_codec_round_trips(rows):
     seg = tsdb._Segment(0, None)
     for ts, value, seq, unit, tags in rows:
         seg.add(Reading(ch(), value, unit, ts, seq, dict(PROP_TAGS[tags])))
-    data, tables = tsdb._encode_block(seg)
+    data = tsdb._encode_block(seg)
+    tables = block_header(data)["tags"]
     readings, ts, decoded_tables = tsdb._decode_block(ch(), data)
     assert [exact(r) for r in readings] == [exact(r) for r in seg.entries]
     assert [repr(t) for t in ts] == [repr(r.ts) for r in readings]
@@ -630,6 +667,21 @@ def test_a_cut_block_fails_the_open_and_names_the_file(tmp_path, monkeypatch):
     reopened.close()
 
 
+@contextlib.contextmanager
+def json_loads_results(monkeypatch):
+    """Collects what each json.loads call inside the block returns."""
+    results = []
+    loads = json.loads
+
+    def recording(*args, **kwargs):
+        results.append(loads(*args, **kwargs))
+        return results[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(json, "loads", recording)
+        yield results
+
+
 def test_an_open_decodes_json_only_for_active_logs(tmp_path, monkeypatch):
     monkeypatch.setattr(tsdb, "SEGMENT_CAPACITY", 10)
     channels = [ch(sensor=name) for name in ("temp", "humidity", "power")]
@@ -638,17 +690,12 @@ def test_an_open_decodes_json_only_for_active_logs(tmp_path, monkeypatch):
         for i in range(25):  # two sealed blocks and an active log each
             store.append(reading(i, value=i + 0.5, seq=i + 1, channel=c, tags={"zone": "a"}))
     store.close()
-    full = []  # per call of the reader: the full records it decoded
-    read_records = tsdb._read_records
-
-    def counting(data):
-        records, clean = read_records(data)
-        full.append(sum(type(rec) is dict for rec in records))
-        return records, clean
-
-    monkeypatch.setattr(tsdb, "_read_records", counting)
-    reopened = Store(tmp_path)
-    assert full == [1, 1, 1]  # one JSON record per active log, none per block
+    with json_loads_results(monkeypatch) as decoded:
+        reopened = Store(tmp_path)
+    # one JSON record per active log, and per block only its header
+    assert [len(d) for d in decoded if type(d) is list] == [1, 1, 1]
+    assert [sorted(d) for d in decoded if type(d) is dict] == [
+        ["count", "max_ts", "min_ts", "tags", "units"]] * 6
     for c in channels:
         # two blocks and a short run: the readings of each share one tags dict
         for t1, n in ((0, 10), (10, 10), (20, 5)):
@@ -657,6 +704,55 @@ def test_an_open_decodes_json_only_for_active_logs(tmp_path, monkeypatch):
             assert rows == [reading(i, value=i + 0.5, seq=i + 1, channel=c, tags={"zone": "a"})
                             for i in range(t1, t1 + n)]
     assert reopened.find_channels({"zone": "a"}) == sorted(channels, key=str)
+    reopened.close()
+
+
+@pytest.mark.parametrize("case", ["enabled", "disabled", "cut-block"])
+def test_an_open_restores_the_collector_state(tmp_path, monkeypatch, case):
+    monkeypatch.setattr(tsdb, "SEGMENT_CAPACITY", 4)
+    store = Store(tmp_path)
+    fill(store, 6)  # a block and an active log
+    store.close()
+    if case == "cut-block":
+        blk = tmp_path / "n-000001" / "temp" / "seg-0.blk"
+        blk.write_bytes(blk.read_bytes()[:-1])
+    during = []  # whether the collector ran while the open decoded a block
+    decode_block = tsdb._decode_block
+
+    def watching(*args):
+        during.append(gc.isenabled())
+        return decode_block(*args)
+
+    monkeypatch.setattr(tsdb, "_decode_block", watching)
+    was_enabled = gc.isenabled()
+    try:
+        (gc.disable if case == "disabled" else gc.enable)()
+        if case == "cut-block":
+            with pytest.raises(tsdb.TsdbError):
+                Store(tmp_path)
+        else:
+            Store(tmp_path).close()
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert during == [False]
+    assert after == (case != "disabled")
+
+
+def test_an_open_leaves_no_cyclic_garbage(tmp_path, monkeypatch):
+    monkeypatch.setattr(tsdb, "SEGMENT_CAPACITY", 10)
+    store = Store(tmp_path)
+    for c in (ch(), ch(sensor="humidity")):
+        for i in range(27):  # two blocks, then runs of short records between full ones
+            store.append(reading(i, value=i + 0.5, seq=i + 1, channel=c,
+                                 tags={"zone": "ab"[i // 4 % 2]}))
+    store.close()
+    log = tmp_path / "n-000001" / "temp" / "seg-2.log"
+    log.write_bytes(log.read_bytes()[:-3])  # a torn tail
+    gc.collect()
+    reopened = Store(tmp_path)
+    assert gc.collect() == 0
+    assert [reopened.count(c) for c in reopened.channels()] == [27, 26]
     reopened.close()
 
 
@@ -731,14 +827,16 @@ def test_a_log_that_starts_with_a_short_record_opens_with_no_rows_from_it(tmp_pa
         store.close()
 
 
-def test_a_log_of_full_records_opens_and_appends_short_ones(tmp_path):
+def test_a_log_of_full_records_opens_and_appends_short_ones(tmp_path, monkeypatch):
     # as written before short records existed: every record is JSON
     rows = [reading(i, value=i + 0.5, seq=i + 1, tags={"zone": "a"}) for i in range(5)]
     log = tmp_path / "n-000001" / "temp" / "seg-0.log"
     log.parent.mkdir(parents=True)
     old = b"".join(map(_encode_record, rows))
     log.write_bytes(old)
-    store = Store(tmp_path)
+    with json_loads_results(monkeypatch) as decoded:
+        store = Store(tmp_path)
+    assert [len(d) for d in decoded] == [5]  # every record in one json.loads
     opened = store.query_range(ch(), -math.inf, math.inf)
     assert opened == rows
     assert all(r.tags is opened[0].tags for r in opened)  # equal tags, one dict
