@@ -18,7 +18,7 @@ an audit line's node, topic, verdict and reason, and per (topic, class)
 the route plan, which is the union of the destinations of the rules
 that match without a tag and the tag rules left to test per reading.
 Both memos are keyed by outside input (topics under ``data/<node>/#``),
-so each holds at most ``infomodel.TEXT_MEMO_SIZE`` entries.
+so each holds at most ``reading.TEXT_MEMO_SIZE`` entries.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import IO
 
 from . import infomodel
 from .msgbus import TopicFilter
-from .reading import Reading
+from .reading import TEXT_MEMO_SIZE, Reading, remember
 
 DESTINATIONS = {"streams", "tsdb", "twin"}
 DEFAULT_DESTINATIONS = frozenset({"tsdb"})  # where a reading no rule matches goes
@@ -40,7 +40,7 @@ DEFAULT_DESTINATIONS = frozenset({"tsdb"})  # where a reading no rule matches go
 _AUDIT_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
-@lru_cache(maxsize=infomodel.TEXT_MEMO_SIZE)
+@lru_cache(maxsize=TEXT_MEMO_SIZE)
 def _audit_tail(node_id: str, topic: str, verdict: str, reason: str) -> bytes:
     """An audit line after its ``ts`` value, newline included."""
     return b"," + _AUDIT_ENCODER.encode(
@@ -247,8 +247,8 @@ class CloudGateway:
                 dests |= rule.destinations
             else:
                 tag_rules.append((rule.tag, rule.destinations))
-        return infomodel.remember(self._route_plans, (topic, class_name),
-                                  (frozenset(dests), tuple(tag_rules)))
+        return remember(self._route_plans, (topic, class_name),
+                        (frozenset(dests), tuple(tag_rules)))
 
     # -- audit -----------------------------------------------------------
 

@@ -162,7 +162,7 @@ def cmd_set_desired(args, ws: Workspace) -> int:
         if not sep:
             raise CliError(f"expected key=value, got {kv!r}")
         patch[key] = infomodel.parse_scalar(value)
-    version = ws.twins.set_desired(args.node, twins_mod.DesiredPatch(set=patch))
+    version = ws.twins.set_desired(args.node, patch)
     ws.save_twins()
     _emit(args, {"node_id": args.node, "desired_version": version},
           f"{args.node} desired_version={version}")

@@ -93,6 +93,8 @@ def build_default_model() -> infomodel.ModelRegistry:
 
 FAULT_KINDS = frozenset({"uplink_outage", "flood", "duplicate_replay"})
 ACTION_KINDS = frozenset({"set_desired", "remediate"})
+# The parameter a fault kind reads: its name, conversion and default.
+FAULT_PARAMS = {"flood": ("rate", int, 1000), "duplicate_replay": ("probability", float, 0.2)}
 
 
 @dataclass(slots=True)
@@ -133,9 +135,11 @@ class ScenarioSpec:
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioSpec":
         """Spec from its JSON form. An unknown top-level or node-group key,
-        fault kind or action kind, or a fault node index outside the
-        fleet, raises BadScenario, so a misspelt name never runs defaults
-        or fails part way through a run."""
+        fault kind, action kind or assertion, a fault parameter that does
+        not convert, or a fault node index outside the fleet, raises
+        BadScenario, so a misspelt name never runs defaults or fails part
+        way through a run. Fault params come out converted, with their
+        defaults filled in; ``doc`` is not changed."""
         if "duration_s" not in doc:
             raise BadScenario("scenario needs duration_s")
         _check_keys(doc, SPEC_KEYS, "scenario")
@@ -154,14 +158,33 @@ class ScenarioSpec:
             for s in f.get("nodes", ()):
                 if isinstance(s, int) and not 1 <= s <= fleet:
                     raise BadScenario(f"fault node index {s} outside the fleet of {fleet}")
+        spec.faults = [{**f, "params": _fault_params(f)} for f in spec.faults]
         for a in spec.actions:
             if a.get("kind") not in ACTION_KINDS:
                 raise BadScenario(f"unknown action kind {a.get('kind')!r}")
+        for a in spec.assertions:
+            name = a.get("check") if isinstance(a, dict) else a
+            if not isinstance(name, str) or name not in ASSERTIONS:
+                raise BadScenario(f"unknown assertion {a!r}")
         return spec
 
     @classmethod
     def from_file(cls, path: Path) -> "ScenarioSpec":
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
+def _fault_params(fault: dict) -> dict:
+    """A fault's params, the one its kind reads converted and defaulted."""
+    params = fault.get("params", {})
+    if not isinstance(params, dict):
+        raise BadScenario(f"{fault['kind']} fault: params must be an object, got {params!r}")
+    if fault["kind"] not in FAULT_PARAMS:
+        return dict(params)
+    name, convert, default = FAULT_PARAMS[fault["kind"]]
+    try:
+        return {**params, name: convert(params.get(name, default))}
+    except (TypeError, ValueError, OverflowError):
+        raise BadScenario(f"{fault['kind']} fault: bad {name} {params[name]!r}") from None
 
 
 @dataclass(slots=True)
@@ -302,19 +325,20 @@ class SimNode:
 
     def _drain_commands(self, now: float) -> None:
         """Apply each desired-state command (the node's only subscription)
-        and queue the twin report that acknowledges it."""
+        and queue the twin report that acknowledges it. A frame that is
+        not a command is skipped."""
         session = self.edge.session
         for frame in session.drain():
-            desired, version = twins_mod.decode_desired_command(frame.payload)
-            self.edge.apply_desired(desired)
-            doc = {k: v.encode() for k, v in self.edge.local_state_doc().items()}
-            payload = json.dumps(
-                {"doc": doc, "ack_version": version, "ts": now},
-                separators=(",", ":"), ensure_ascii=False,
-            )
-            self.edge.uplink.enqueue(
-                edge.QueuedFrame(twins_mod.reported_topic(self.node_id), payload)
-            )
+            try:
+                desired, version = twins_mod.decode_desired_command(frame.payload)
+            except twins_mod.SchemaInvalid:
+                pass  # not a command: acked below and skipped
+            else:
+                self.edge.apply_desired(desired)
+                payload = twins_mod.encode_reported(self.edge.local_state_doc(), version, now)
+                self.edge.uplink.enqueue(
+                    edge.QueuedFrame(twins_mod.reported_topic(self.node_id), payload)
+                )
             if frame.qos >= 1:
                 session.ack(frame.msg_id)
 
@@ -426,14 +450,15 @@ class World:
             if sel == "all":
                 nodes = [n.node_id for n in self.nodes]
             else:
-                nodes = [by_index[s] if isinstance(s, int) else s for s in sel]
+                nodes = [by_index[s] if isinstance(s, int) else self.node_by_id(s).node_id
+                         for s in sel]
             out.append(
                 Fault(
                     kind=f["kind"],
                     nodes=nodes,
                     start=float(f.get("start", 0.0)),
                     end=float(f.get("end", self.spec.duration_s)),
-                    params=dict(f.get("params", {})),
+                    params=f["params"],
                 )
             )
         return out
@@ -442,15 +467,14 @@ class World:
         """Each twin_desired sink must name a booted node and a writable
         numeric property of its class, or set_desired would refuse its
         first emission mid-run."""
-        for nd in (self.spec.pipeline or {}).get("nodes", ()):
-            params = nd.get("params", {})
-            if nd.get("kind") != "sink" or params.get("dest") != "twin_desired":
+        for sink_id, (dest, target) in (self.pipeline.sinks if self.pipeline else {}).items():
+            if dest != "twin_desired":
                 continue
-            node = self.node_by_id(params["node"])
-            class_name = node.edge.config.class_name
-            prop = self.model.effective_properties(class_name).get(params["prop"])
+            node_id, prop_name = target
+            class_name = self.node_by_id(node_id).edge.config.class_name
+            prop = self.model.effective_properties(class_name).get(prop_name)
             if prop is None or not prop.writable or prop.datatype not in ("number", "integer"):
-                raise BadScenario(f"sink {nd['node_id']}: {params['prop']} is not a "
+                raise BadScenario(f"sink {sink_id}: {prop_name} is not a "
                                   f"writable numeric property of {class_name}")
 
     def close(self) -> None:
@@ -531,9 +555,8 @@ class World:
                     elif not active and not node.link_up and t >= fault.end:
                         node.link_up = True
             elif fault.kind == "flood":
-                rate = int(fault.params.get("rate", 1000))
                 for node_id in fault.nodes:
-                    self.node_by_id(node_id).flooding_rate = rate if active else 0
+                    self.node_by_id(node_id).flooding_rate = fault.params["rate"] if active else 0
             elif fault.kind == "duplicate_replay" and active:
                 self._dup_fault = fault
 
@@ -546,10 +569,8 @@ class World:
             self._actions_done.add(i)
             kind = action["kind"]
             if kind == "set_desired":
-                patch = twins_mod.DesiredPatch(
-                    set={k: infomodel.parse_scalar(v) for k, v in action["set"].items()}
-                )
-                self.twins.set_desired(action["node"], patch)
+                changes = {k: infomodel.parse_scalar(v) for k, v in action["set"].items()}
+                self.twins.set_desired(action["node"], changes)
             elif kind == "remediate":
                 self.monitor.remediate(action["incident"])
             else:
@@ -560,11 +581,11 @@ class World:
     def _cloud_step(self, t: float) -> None:
         frames = self.cloud_session.drain()
         dup = self._dup_fault
+        replayed = frozenset(dup.nodes) if dup is not None else frozenset()
         for frame in frames:
             self._handle_frame(frame, t)
-            if dup is not None and self.rng.random() < float(
-                dup.params.get("probability", 0.2)
-            ):
+            if (_topic_node(frame.topic) in replayed
+                    and self.rng.random() < dup.params["probability"]):
                 self.report.duplicates_injected += 1
                 self._handle_frame(frame, t, injected_duplicate=True)
             if frame.qos >= 1:
@@ -606,15 +627,9 @@ class World:
             if self.registry.lifecycle_of(node_id) != "active":
                 return
             try:
-                obj = json.loads(frame.payload)
-                doc = {k: infomodel.parse_scalar(v) for k, v in obj["doc"].items()}
-                twin = self.twins.apply_report(
-                    node_id, doc, ack_version=int(obj.get("ack_version", 0)),
-                    ts=float(obj.get("ts", t)),
-                )
-            except (ValueError, TypeError, KeyError, AttributeError,
-                    infomodel.ModelError, twins_mod.TwinError):
-                # a report that does not parse, or that the twin rejects
+                twin = self.twins.apply_reported(node_id, frame.payload, t)
+            except twins_mod.TwinError:
+                # a report that does not decode, or that the twin rejects
                 rejected = self.report.rejected
                 rejected["schema_invalid"] = rejected.get("schema_invalid", 0) + 1
                 return
@@ -634,21 +649,17 @@ class World:
         }
         self.report.emissions.append(record)
         if em.dest == "topic":
-            self.cloud_session.publish(em.params.get("topic", streams_mod.DEFAULT_TOPIC),
-                                       _RECORD_ENCODER.encode(record), qos=0)
+            self.cloud_session.publish(em.target, _RECORD_ENCODER.encode(record), qos=0)
         elif em.dest == "notify":
             if self._notify_fh is None:
                 self._notify_fh = open(self.notify_log, "ab", buffering=0)
             cloudgw.write_line(self._notify_fh,
                                (_RECORD_ENCODER.encode(record) + "\n").encode())
         elif em.dest == "tsdb":
-            ch = ChannelKey.parse(em.params.get("channel", streams_mod.DEFAULT_CHANNEL))
-            self.tsdb.append(Reading(channel=ch, value=em.item.value, ts=em.item.ts))
+            self.tsdb.append(Reading(channel=em.target, value=em.item.value, ts=em.item.ts))
         elif em.dest == "twin_desired":
-            patch = twins_mod.DesiredPatch(
-                set={em.params["prop"]: TypedScalar.number(em.item.value)}
-            )
-            self.twins.set_desired(em.params["node"], patch)
+            node_id, prop = em.target
+            self.twins.set_desired(node_id, {prop: TypedScalar.number(em.item.value)})
 
     def _monitor_step(self, t: float) -> None:
         for entry in self.registry.entries():
@@ -696,64 +707,74 @@ class World:
                 name, params = a, {}
             else:
                 name, params = a["check"], {k: v for k, v in a.items() if k != "check"}
-            passed, detail = self._check(name, params)
+            passed, detail = ASSERTIONS[name](self, params)  # from_dict admits only its names
             self.report.assertions.append(
                 {"check": name, "passed": passed, "detail": detail}
             )
 
-    def _check(self, name: str, params: dict) -> tuple[bool, str]:
+    def _channels(self, params: dict) -> list[tuple[str, int]]:
+        """Generated channels and their counts, less the ``exclude`` sensors."""
         exclude = set(params.get("exclude", ()))
+        return [(ch, n) for ch, n in self.generated.items() if ch.split("/")[0] not in exclude]
 
-        def channels():
-            for ch, n in self.generated.items():
-                if ch.split("/")[0] not in exclude:
-                    yield ch, n
+    def _stored_seqs(self, ch: str) -> list[int]:
+        stored = self.tsdb.query_range(ChannelKey.parse(ch), float("-inf"), float("inf"))
+        return sorted(r.seq for r in stored)
 
-        if name == "lossless":
-            bad = [
-                ch for ch, n in channels()
-                if self.report.stored.get(ch, 0) != n
-            ]
-            return (not bad, f"channels with loss/extra: {bad[:5]}")
-        if name == "seq_gap_free":
-            bad = []
-            for ch, _ in channels():
-                stored = self.tsdb.query_range(
-                    ChannelKey.parse(ch), float("-inf"), float("inf")
-                )
-                seqs = sorted(r.seq for r in stored)
-                if seqs != list(range(1, len(seqs) + 1)):
-                    bad.append(ch)
-            return (not bad, f"channels with gaps: {bad[:5]}")
-        if name == "exact_multiset":
-            bad = []
-            for ch, n in channels():
-                stored = self.tsdb.query_range(
-                    ChannelKey.parse(ch), float("-inf"), float("inf")
-                )
-                if sorted(r.seq for r in stored) != list(range(1, n + 1)):
-                    bad.append(ch)
-            return (not bad, f"channels off ledger: {bad[:5]}")
-        if name == "all_converged":
-            nodes = params.get("nodes") or [n.node_id for n in self.nodes]
-            bad = [n for n in nodes if not self.twins.converged(n)]
-            return (not bad, f"unconverged: {bad}")
-        if name == "incident_opened":
-            node = params["node"]
-            hit = any(
-                i.get("node") == node and i["event"] == "incident_opened"
-                for i in self.report.incidents
-            )
-            return (hit, f"no incident for {node}" if not hit else "")
-        if name == "flush_within":
-            limit = float(params.get("seconds", 5.0))
-            nodes = params.get("nodes") or list(self.report.flush_complete)
-            bad = [
-                n for n in nodes
-                if self.report.flush_complete.get(n, float("inf")) > limit
-            ]
-            return (not bad, f"slow flush: {bad}")
-        raise BadScenario(f"unknown assertion {name!r}")
+    def _lossless(self, params: dict) -> tuple[bool, str]:
+        bad = [ch for ch, n in self._channels(params) if self.report.stored.get(ch, 0) != n]
+        return (not bad, f"channels with loss/extra: {bad[:5]}")
+
+    def _seq_gap_free(self, params: dict) -> tuple[bool, str]:
+        bad = []
+        for ch, _ in self._channels(params):
+            seqs = self._stored_seqs(ch)
+            if seqs != list(range(1, len(seqs) + 1)):
+                bad.append(ch)
+        return (not bad, f"channels with gaps: {bad[:5]}")
+
+    def _exact_multiset(self, params: dict) -> tuple[bool, str]:
+        bad = [ch for ch, n in self._channels(params)
+               if self._stored_seqs(ch) != list(range(1, n + 1))]
+        return (not bad, f"channels off ledger: {bad[:5]}")
+
+    def _all_converged(self, params: dict) -> tuple[bool, str]:
+        nodes = params.get("nodes") or [n.node_id for n in self.nodes]
+        bad = [n for n in nodes if not self.twins.converged(n)]
+        return (not bad, f"unconverged: {bad}")
+
+    def _incident_opened(self, params: dict) -> tuple[bool, str]:
+        node = params["node"]
+        hit = any(
+            i.get("node") == node and i["event"] == "incident_opened"
+            for i in self.report.incidents
+        )
+        return (hit, f"no incident for {node}" if not hit else "")
+
+    def _flush_within(self, params: dict) -> tuple[bool, str]:
+        limit = float(params.get("seconds", 5.0))
+        nodes = params.get("nodes") or list(self.report.flush_complete)
+        bad = [
+            n for n in nodes
+            if self.report.flush_complete.get(n, float("inf")) > limit
+        ]
+        return (not bad, f"slow flush: {bad}")
+
+
+# The assertions a scenario may name, each with its check.
+ASSERTIONS = {
+    "lossless": World._lossless,
+    "seq_gap_free": World._seq_gap_free,
+    "exact_multiset": World._exact_multiset,
+    "all_converged": World._all_converged,
+    "incident_opened": World._incident_opened,
+    "flush_within": World._flush_within,
+}
+
+
+def _topic_node(topic: str) -> str:
+    """The node a topic names: its second segment, "" if it has none."""
+    return topic.split("/", 2)[1] if "/" in topic else ""
 
 
 def run_scenario(spec: ScenarioSpec, data_dir: Path) -> RunReport:

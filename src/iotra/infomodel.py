@@ -27,7 +27,7 @@ their keys come from outside the program (payload text, and the units
 and tags a fleet is configured with); a text that fails to parse is
 never cached. Other modules' memos keyed by outside input (the audit
 text and route plans of ``cloudgw``, the source plans of ``streams``)
-are bounded the same way, the dict ones through ``remember``.
+are bounded the same way, the dict ones through ``reading.remember``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
 
-from .reading import ChannelKey, Reading, is_token
+from .reading import TEXT_MEMO_SIZE, ChannelKey, Reading, is_token
 from .timeutil import BadTimestamp, format_ts, parse_ts
 
 DATATYPES = {"number", "integer", "string", "boolean", "timestamp", "enum"}
@@ -135,6 +135,8 @@ class TypedScalar:
 def parse_scalar(text: str) -> TypedScalar:
     """Parse a wire value. ``x:...`` with an unknown single-letter prefix
     is an error; anything without a prefix shape is a bare string."""
+    if type(text) is not str:
+        raise MalformedText(f"a scalar is text, not {text!r}")
     if len(text) >= 2 and text[1] == ":" and text[0].isalpha():
         prefix, body = text[0], text[2:]
         if prefix not in SCALAR_PREFIXES:
@@ -387,10 +389,11 @@ _DATATYPE_PREFIX = {
 def _key_violations(props: Mapping[str, PropertyDef], key: str,
                     scalar: TypedScalar) -> list[Violation]:
     prop = props.get(key)
-    return [Violation("unknown_key", key)] if prop is None else _check_value(prop, scalar)
+    return [Violation("unknown_key", key)] if prop is None else check_value(prop, scalar)
 
 
-def _check_value(prop: PropertyDef, scalar: TypedScalar) -> list[Violation]:
+def check_value(prop: PropertyDef, scalar: TypedScalar) -> list[Violation]:
+    """The ways ``scalar`` is not a valid value of ``prop``; empty if none."""
     if scalar.kind != _DATATYPE_PREFIX[prop.datatype]:
         return [Violation("type_mismatch", prop.name, f"expected {prop.datatype}")]
     out: list[Violation] = []
@@ -446,18 +449,8 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
 # Parsed forms of texts that repeat from one report to the next, and the
 # frame templates (see the module docstring); every result type is
 # immutable, so sharing is safe.
-TEXT_MEMO_SIZE = 4096
 _repeated_scalar = lru_cache(maxsize=TEXT_MEMO_SIZE)(parse_scalar)
 _channel_key = lru_cache(maxsize=TEXT_MEMO_SIZE)(ChannelKey)
-
-
-def remember(memo: dict, key, value):
-    """``memo[key] = value`` in a memo keyed by outside input, which holds
-    at most TEXT_MEMO_SIZE entries: the oldest goes first. Returns value."""
-    if len(memo) >= TEXT_MEMO_SIZE:
-        del memo[next(iter(memo))]
-    memo[key] = value
-    return value
 
 
 def _encode_value(value) -> str:

@@ -11,6 +11,19 @@ TOKEN_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 # (150a3c6e-bef0e), so they get a wider lexical rule than plain tokens.
 ID_RE = re.compile(r"^[a-z0-9][a-z0-9_-]*$")
 
+# Entries a memo keyed by text from outside the program may hold:
+# payload text, topics, channel names, units and tags.
+TEXT_MEMO_SIZE = 4096
+
+
+def remember(memo: dict, key, value):
+    """``memo[key] = value`` in a memo keyed by outside input, which holds
+    at most TEXT_MEMO_SIZE entries: the oldest goes first. Returns value."""
+    if len(memo) >= TEXT_MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
 
 # Threshold comparisons shared by edge rules, control conditions and
 # stream filters.

@@ -3,7 +3,8 @@
 Pipelines are declared as JSON {nodes[], edges[]} and validated up
 front (acyclic, sources have no inputs, sinks no outputs, everything
 reachable from a source, params well formed). Each node is compiled once
-into an operator from one item to one item or None. Items move one at a
+into an operator from one item to one item or None, and each sink into its
+target: a topic, ``ChannelKey``, (node, prop) pair or None. Items move one at a
 time, so any node may have several inputs; ``merge`` only tags each item
 with ``merged_from``. Windows run on event time with a watermark
 trailing the newest timestamp by a fixed allowed lateness; readings
@@ -11,7 +12,7 @@ older than any window they could still join are dropped and counted.
 
 The sources whose selector matches a channel are looked up once per
 channel and memoised. Channel names come from outside the program, so
-the memo holds at most ``infomodel.TEXT_MEMO_SIZE`` of them.
+the memo holds at most ``reading.TEXT_MEMO_SIZE`` of them.
 """
 
 from __future__ import annotations
@@ -21,15 +22,15 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .infomodel import remember
 from .msgbus import BadTopic, TopicFilter, validate_topic
-from .reading import COMPARATORS, ChannelKey, Reading
+from .reading import COMPARATORS, ChannelKey, Reading, remember
 from .tsdb import AGGREGATES, aggregate
 
 NODE_KINDS = {"source", "filter", "map", "window", "merge", "sink"}
 SINK_DESTS = {"topic", "tsdb", "twin_desired", "notify"}
 DEFAULT_TOPIC = "derived/out"  # where a topic sink with no topic publishes
 DEFAULT_CHANNEL = "derived/stream"  # where a tsdb sink with no channel stores
+SinkTarget = str | ChannelKey | tuple[str, str] | None
 
 ALLOWED_LATENESS_S = 1.0
 
@@ -61,7 +62,7 @@ class Item:
 class Emission:
     sink_id: str
     dest: str
-    params: dict
+    target: SinkTarget
     item: Item
 
 
@@ -133,7 +134,7 @@ class Pipeline:
     def __init__(self, spec: dict):
         kinds: dict[str, str] = {}
         self._ops: dict[str, Callable[[Item], Item | None]] = {}
-        self._sinks: dict[str, dict] = {}  # sink id -> params
+        self.sinks: dict[str, tuple[str, SinkTarget]] = {}  # sink id -> (dest, target)
         self._sources: list[tuple[str, TopicFilter]] = []
         self._source_plans: dict[str, tuple[str, ...]] = {}  # channel -> source ids
         self._windows: dict[str, _WindowState] = {}
@@ -147,8 +148,7 @@ class Pipeline:
             kinds[nid] = kind
             params = nd.get("params", {})
             if kind == "sink":
-                _check_sink(nid, params)
-                self._sinks[nid] = params
+                self.sinks[nid] = _parse_sink(nid, params)
             else:
                 self._ops[nid] = self._operator(nid, kind, params)
         self._children: dict[str, list[str]] = {nid: [] for nid in kinds}
@@ -234,9 +234,8 @@ class Pipeline:
                 continue
             op = self._ops.get(nid)
             if op is None:
-                params = self._sinks[nid]
-                emissions.extend(Emission(nid, params["dest"], dict(params), item)
-                                 for item in items)
+                dest, target = self.sinks[nid]
+                emissions.extend(Emission(nid, dest, target, item) for item in items)
                 continue
             children = self._children[nid]
             for item in items:
@@ -283,8 +282,8 @@ def _topo_order(children: dict[str, list[str]], indeg: dict[str, int]) -> list[s
     return order
 
 
-def _check_sink(nid: str, params: dict) -> None:
-    """Reject a sink whose emissions could not be delivered."""
+def _parse_sink(nid: str, params: dict) -> tuple[str, SinkTarget]:
+    """A sink's dest and target; BadPipeline if its emissions could not be delivered."""
     dest = params.get("dest")
     if dest not in SINK_DESTS:
         raise BadPipeline(f"sink {nid} needs a dest in {sorted(SINK_DESTS)}")
@@ -292,11 +291,14 @@ def _check_sink(nid: str, params: dict) -> None:
         raise BadPipeline(f"sink {nid}: twin_desired needs a node and a prop")
     try:
         if dest == "topic":
-            validate_topic(params.get("topic", DEFAULT_TOPIC))
-        elif dest == "tsdb":
-            ChannelKey.parse(params.get("channel", DEFAULT_CHANNEL))
+            topic = params.get("topic", DEFAULT_TOPIC)
+            validate_topic(topic)
+            return dest, topic
+        if dest == "tsdb":
+            return dest, ChannelKey.parse(params.get("channel", DEFAULT_CHANNEL))
     except (BadTopic, ValueError, AttributeError) as exc:
         raise BadPipeline(f"sink {nid}: {exc}") from None
+    return dest, (params["node"], params["prop"]) if dest == "twin_desired" else None
 
 
 def _number(nid: str, params: dict, key: str, default: float | None = None) -> float:

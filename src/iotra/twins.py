@@ -7,6 +7,8 @@ message per node, so sleeping or disconnected devices pick up the latest
 command on reconnect. This is the only command channel to a device:
 a firmware push, too, is a desired change of the ``firmware`` property,
 acknowledged on the reported topic. Reads never touch the device.
+Both twin messages, the command and the device's report, are encoded
+and decoded only here; one that does not decode raises SchemaInvalid.
 """
 
 from __future__ import annotations
@@ -17,6 +19,10 @@ from typing import Callable
 
 from . import infomodel
 from .infomodel import TypedScalar
+
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+_UNDECODABLE = (ValueError, TypeError, KeyError, AttributeError, OverflowError,
+                infomodel.ModelError)
 
 
 class TwinError(Exception):
@@ -60,15 +66,6 @@ class TwinRecord:
             connectivity=self.connectivity,
             report_ts=dict(self.report_ts),
         )
-
-
-@dataclass(slots=True)
-class DesiredPatch:
-    set: dict[str, TypedScalar]
-
-    def __post_init__(self):
-        if not self.set:
-            raise TwinError("empty desired patch")
 
 
 def desired_topic(node_id: str) -> str:
@@ -133,34 +130,41 @@ class TwinService:
         twin.ack_version = max(twin.ack_version, ack_version)
         return twin
 
+    def apply_reported(self, node_id: str, payload: str, now: float) -> TwinRecord:
+        """``apply_report`` of a reported message; one with no ts is dated ``now``."""
+        try:
+            obj = json.loads(payload)
+            doc = {k: infomodel.parse_scalar(v) for k, v in obj["doc"].items()}
+            ack_version = int(obj.get("ack_version", 0))
+            ts = float(obj.get("ts", now))
+        except _UNDECODABLE as exc:
+            raise SchemaInvalid(f"bad reported message: {exc}") from None
+        return self.apply_report(node_id, doc, ack_version=ack_version, ts=ts)
+
     def mark_connectivity(self, node_id: str, connected: bool) -> None:
         self._twin(node_id).connectivity = "connected" if connected else "disconnected"
 
     # -- desired side ----------------------------------------------------
 
-    def set_desired(self, node_id: str, patch: DesiredPatch) -> int:
+    def set_desired(self, node_id: str, changes: dict[str, TypedScalar]) -> int:
+        if not changes:
+            raise TwinError("empty desired patch")
         twin = self._twin(node_id)
         props = self.model.effective_properties(twin.class_name)
-        for key, value in patch.set.items():
+        for key, value in changes.items():
             prop = props.get(key)
             if prop is None or not prop.writable:
                 raise NotWritable(key)
             # the device echoes the value in its reports, which apply_report
             # checks: a value it would reject must not be sent
-            bad = infomodel._check_value(prop, value)
+            bad = infomodel.check_value(prop, value)
             if bad:
                 raise SchemaInvalid(f"{bad[0].kind}: {key} ({bad[0].detail})")
-        twin.desired.update(patch.set)
+        twin.desired.update(changes)
         twin.desired_version += 1
         if self.publish is not None:
-            payload = json.dumps(
-                {
-                    "desired": {k: v.encode() for k, v in twin.desired.items()},
-                    "desired_version": twin.desired_version,
-                },
-                separators=(",", ":"),
-                ensure_ascii=False,
-            )
+            payload = _ENCODER.encode({"desired": {k: v.encode() for k, v in twin.desired.items()},
+                                       "desired_version": twin.desired_version})
             # retained: late/reconnecting nodes get only the latest command
             self.publish(desired_topic(node_id), payload, qos=1, retain=True)
         return twin.desired_version
@@ -209,8 +213,17 @@ class TwinService:
             )
 
 
+def encode_reported(doc: dict[str, TypedScalar], ack_version: int, ts: float) -> str:
+    """A device's reported message: its document, the version it acks, and when."""
+    return _ENCODER.encode({"doc": {k: v.encode() for k, v in doc.items()},
+                            "ack_version": ack_version, "ts": ts})
+
+
 def decode_desired_command(payload: str) -> tuple[dict[str, TypedScalar], int]:
     """Decode a twin/<node>/desired command payload on the device side."""
-    obj = json.loads(payload)
-    desired = {k: infomodel.parse_scalar(v) for k, v in obj["desired"].items()}
-    return desired, int(obj["desired_version"])
+    try:
+        obj = json.loads(payload)
+        desired = {k: infomodel.parse_scalar(v) for k, v in obj["desired"].items()}
+        return desired, int(obj["desired_version"])
+    except _UNDECODABLE as exc:
+        raise SchemaInvalid(f"bad desired command: {exc}") from None

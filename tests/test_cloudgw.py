@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from iotra import cloudgw, infomodel
 from iotra.cloudgw import DESTINATIONS, CloudGateway, DedupState, RouteRule, route_rules
-from iotra.infomodel import TEXT_MEMO_SIZE
 from iotra.msgbus import BadFilter, TopicFilter
-from iotra.reading import ChannelKey, Reading
+from iotra.reading import TEXT_MEMO_SIZE, ChannelKey, Reading
 from iotra.timeutil import VirtualClock
 
 

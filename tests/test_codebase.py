@@ -1,5 +1,6 @@
 """Guards on the package source: stdlib-only imports, no import that its
-module does not use, and no definition that no program path refers to."""
+module does not use, no definition that no program path refers to, and
+no module that reads another iotra module's private (``_``) name."""
 
 import ast
 import re
@@ -126,3 +127,31 @@ def test_every_definition_has_a_reference():
         and name not in used
     ]
     assert not unused
+
+
+def private_reads(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, "module._name") for every name with a leading underscore
+    that the module takes from another iotra module, by attribute or by
+    import."""
+    modules: set[str] = set()  # names bound to iotra modules
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("iotra")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    out.append((node.lineno, f"{node.module}.{alias.name}"))
+                elif node.module is None or node.module == "iotra":
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            out.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return out
+
+
+def test_no_module_reads_another_modules_private_name():
+    bad = [f"{path.relative_to(ROOT)}:{line}: {name}"
+           for path in package_files()
+           for line, name in private_reads(parse(path))]
+    assert not bad

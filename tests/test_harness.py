@@ -103,6 +103,34 @@ def test_spec_rejects_unknown_keys(doc, key):
         ScenarioSpec.from_dict(doc)
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"duration_s": 1, "assertions": ["losless"]}, "losless"),
+    ({"duration_s": 1, "assertions": [{"seconds": 3}]}, "seconds"),
+    ({"duration_s": 1, "assertions": [{"check": "flush_witin"}]}, "flush_witin"),
+    ({"duration_s": 1, "faults": [{"kind": "flood", "start": 0, "end": 1,
+                                   "params": {"rate": "fast"}}]}, "rate"),
+    # JSON 1e400 loads as float inf, which int() cannot convert
+    (json.loads('{"duration_s": 1, "faults": [{"kind": "flood", "start": 0, "end": 1, '
+                '"params": {"rate": 1e400}}]}'), "rate"),
+    ({"duration_s": 1, "faults": [{"kind": "duplicate_replay", "start": 0, "end": 1,
+                                   "params": {"probability": "x"}}]}, "probability"),
+], ids=["assertion_name", "assertion_without_check", "assertion_check", "flood_rate",
+        "flood_rate_overflows", "replay_probability"])
+def test_spec_rejects_what_the_run_would_fail_on(doc, message):
+    with pytest.raises(scenario.BadScenario, match=message):
+        ScenarioSpec.from_dict(doc)
+
+
+def test_spec_converts_fault_params_once():
+    doc = {"duration_s": 5, "faults": [
+        {"kind": "flood", "start": 0, "end": 1, "params": {"rate": "500"}},
+        {"kind": "duplicate_replay", "start": 0, "end": 1},
+        {"kind": "uplink_outage", "start": 0, "end": 1}]}
+    spec = ScenarioSpec.from_dict(doc)
+    assert [f["params"] for f in spec.faults] == [{"rate": 500}, {"probability": 0.2}, {}]
+    assert doc["faults"][0]["params"] == {"rate": "500"}  # the caller's doc is left as it was
+
+
 # -- scenario runs -------------------------------------------------------
 
 
@@ -161,6 +189,36 @@ def test_twin_desired_sink_is_checked_against_the_fleet_at_construction(
         scenario.World(spec, tmp_path)
 
 
+def test_a_fault_node_name_outside_the_fleet_fails_at_construction(tmp_path):
+    spec = nominal_spec(faults=[{"kind": "uplink_outage", "nodes": ["n-000009"],
+                                 "start": 1, "end": 2}])
+    with pytest.raises(scenario.BadScenario, match="n-000009"):
+        scenario.World(spec, tmp_path)
+
+
+def test_a_device_skips_a_desired_command_it_cannot_decode(tmp_path):
+    # a topic sink publishing on a node's desired topic used to kill the
+    # run with KeyError: 'desired'
+    spec = ScenarioSpec.from_dict({
+        "duration_s": 5.0,
+        "seed": 3,
+        "nodes": [{"count": 1, "class_name": "multi_sensor", "channels": [
+            {"sensor_name": "temp", "sample_period_ms": 500, "unit": "°F",
+             "waveform": {"kind": "constant", "base": 71}}]}],
+        "pipeline": {"nodes": [
+            {"node_id": "src", "kind": "source", "params": {"selector": "*/temp"}},
+            {"node_id": "out", "kind": "sink",
+             "params": {"dest": "topic", "topic": "twin/n-000001/desired"}},
+        ], "edges": [["src", "out"]]},
+        "actions": [{"kind": "set_desired", "at": 2.0, "node": "n-000001",
+                     "set": {"setpoint": "n:68"}}],
+        "assertions": ["lossless", {"check": "all_converged"}],
+    })
+    report = run_scenario(spec, tmp_path)
+    assert report.ok, report.assertions
+    assert report.emissions and all(e["dest"] == "topic" for e in report.emissions)
+
+
 def test_twin_desired_sink_on_a_booted_node_runs(tmp_path):
     report = run_scenario(nominal_spec(duration=4.0, pipeline=TWIN_SINK_PIPELINE),
                           tmp_path)
@@ -204,6 +262,21 @@ def test_duplicate_replay_rejected(tmp_path):
     assert report.ok, report.assertions
     assert report.duplicates_injected > 0
     assert report.duplicates_rejected == report.duplicates_injected
+
+
+def test_duplicate_replay_repeats_only_the_frames_of_its_nodes(tmp_path):
+    spec = nominal_spec(
+        duration=10.0,
+        faults=[{"kind": "duplicate_replay", "nodes": [1], "start": 0,
+                 "end": 10, "params": {"probability": 0.5}}],
+    )
+    report = run_scenario(spec, tmp_path)
+    assert report.ok, report.assertions
+    assert report.duplicates_injected > 0
+    assert report.duplicates_rejected == report.duplicates_injected
+    audit = [json.loads(line) for line in (tmp_path / "audit.jsonl").read_text().splitlines()]
+    replayed = {e["node"] for e in audit if e["reason"] == "duplicate"}
+    assert replayed == {"n-000001"}
 
 
 def test_flood_opens_incident_and_quarantines(tmp_path):
@@ -525,7 +598,7 @@ def test_notify_lines_are_the_encoders_lines(emissions):
         try:
             for sink, ts, value, channel, unit, meta in emissions:
                 item = Item(ts, value, channel, unit, meta)
-                world._handle_emission(Emission(sink, "notify", {}, item))
+                world._handle_emission(Emission(sink, "notify", None, item))
                 record = {"sink": sink, "dest": "notify", "ts": ts, "value": value,
                           "channel": channel, "meta": meta}
                 want += (json.dumps(record, separators=(",", ":")) + "\n").encode()
@@ -714,6 +787,8 @@ def test_cli_inject_refuses_a_fault_that_run_would_reject(tmp_path, capsys, faul
     ({"duration_s": 5, "nodes": []}, "no nodes"),
     ({"duration_s": 5, "nodes": [{"count": 1}], "faults": [{"kind": "meteor"}]},
      "unknown fault kind"),
+    ({"duration_s": 5, "nodes": [{"count": 1}], "assertions": [{"seconds": 3}]},
+     "unknown assertion"),
 ])
 def test_cli_run_reports_a_bad_scenario_without_a_traceback(tmp_path, capsys, doc,
                                                             message):
@@ -723,6 +798,8 @@ def test_cli_run_reports_a_bad_scenario_without_a_traceback(tmp_path, capsys, do
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+    # nothing was commissioned, so the next run in this workspace may start
+    assert not (tmp_path / "ws" / "registry.jsonl").exists()
 
 
 FLOOD_SCENARIO = {

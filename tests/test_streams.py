@@ -3,9 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iotra.infomodel import TEXT_MEMO_SIZE
 from iotra.msgbus import BadFilter, TopicFilter
-from iotra.reading import COMPARATORS, ChannelKey, Reading
+from iotra.reading import COMPARATORS, TEXT_MEMO_SIZE, ChannelKey, Reading
 from iotra.streams import (
     ALLOWED_LATENESS_S,
     BadPipeline,
@@ -176,19 +175,34 @@ def test_bad_node_params_rejected_at_construction(middle):
         Pipeline(spec)
 
 
-@pytest.mark.parametrize("params", [
-    {"dest": "tsdb"},
-    {"dest": "tsdb", "channel": "derived/temp_avg"},
-    {"dest": "topic"},
-    {"dest": "topic", "topic": "derived/t"},
-    {"dest": "twin_desired", "node": "n-000001", "prop": "setpoint"},
-    {"dest": "notify"},
-])
-def test_good_sink_params_accepted(params):
+GOOD_SINKS = [  # params and the target they parse into
+    ({"dest": "tsdb"}, ChannelKey("derived", "stream")),
+    ({"dest": "tsdb", "channel": "derived/temp_avg"}, ChannelKey("derived", "temp_avg")),
+    ({"dest": "topic"}, "derived/out"),
+    ({"dest": "topic", "topic": "derived/t"}, "derived/t"),
+    ({"dest": "twin_desired", "node": "n-000001", "prop": "setpoint"},
+     ("n-000001", "setpoint")),
+    ({"dest": "notify"}, None),
+]
+
+
+@pytest.mark.parametrize("params, target", GOOD_SINKS,
+                         ids=[f"params{i}" for i in range(len(GOOD_SINKS))])
+def test_good_sink_params_accepted(params, target):
     spec = linear_spec()
     spec["nodes"][-1]["params"] = params
     (em,) = Pipeline(spec).process(reading(0.0, 1.0))
-    assert em.params == params
+    assert (em.sink_id, em.dest, em.target) == ("out", params["dest"], target)
+
+
+def test_a_sink_target_is_parsed_when_the_pipeline_is_built(monkeypatch):
+    spec = linear_spec()
+    spec["nodes"][-1]["params"] = {"dest": "tsdb", "channel": "derived/temp_avg"}
+    p = Pipeline(spec)
+    monkeypatch.setattr(ChannelKey, "parse", None)  # a parse per emission would fail
+    first, second = (em for t in (0.0, 1.0) for em in p.process(reading(t, 1.0)))
+    assert first.target is second.target
+    assert first.target == ChannelKey("derived", "temp_avg")
 
 
 def test_a_reading_matching_two_sources_passes_the_filter_once_per_source():
