@@ -69,6 +69,11 @@ class NodeNotQuarantined(ControlPlaneError):
     pass
 
 
+def nth_node_id(n: int) -> str:
+    """The id ``Registry.commission`` gives a registry's ``n``-th node."""
+    return f"n-{n:06d}"
+
+
 def make_credential(secret: bytes, node_id: str, key_epoch: int) -> str:
     """Keyed-hash token binding a node identity to the system secret."""
     msg = f"{node_id}|{key_epoch}".encode("utf-8")
@@ -189,7 +194,7 @@ class Registry:
         """Admit a new node: assign identity and credential."""
         if model is not None and not model.has_class(class_name):
             raise UnknownClass(class_name)
-        node_id = f"n-{self._counter + 1:06d}"
+        node_id = nth_node_id(self._counter + 1)
         self._record({
             "event": "commissioned",
             "node_id": node_id,

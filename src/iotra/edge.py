@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .reading import COMPARATORS, ChannelKey, Reading
+from .reading import COMPARATORS, ChannelKey, Reading, is_token
 from . import infomodel, msgbus
 
 
@@ -39,7 +39,7 @@ class ConnectionLost(EdgeError):
 # -- acquisition ---------------------------------------------------------
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ChannelConfig:
     sensor_name: str
     class_name: str
@@ -49,6 +49,8 @@ class ChannelConfig:
     unit: str = ""
 
     def __post_init__(self):
+        if not is_token(self.sensor_name):
+            raise EdgeError(f"sensor name {self.sensor_name!r} is not a lowercase token")
         if self.sample_period_ms < 10:
             raise EdgeError("sample_period_ms must be >= 10")
         if self.scale == 0:
@@ -87,7 +89,7 @@ def acquire_sample(
 # -- event / alert rules -------------------------------------------------
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class EdgeRule:
     rule_id: str
     channel: str  # "sensor" or "node/sensor" selector
@@ -146,9 +148,9 @@ class RuleEngine:
 # -- local control -------------------------------------------------------
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Condition:
-    terms: list[tuple[str, str, float]]  # (channel, op, threshold)
+    terms: tuple[tuple[str, str, float], ...]  # (channel, op, threshold)
     combine: str = "all"  # all | any
 
     def __post_init__(self):
@@ -167,7 +169,7 @@ class Condition:
         return all(results) if self.combine == "all" else any(results)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ControlRule:
     rule_id: str
     condition: Condition
@@ -253,9 +255,9 @@ def flush_uplink(queue: UplinkQueue, session) -> int:
 class NodeConfig:
     node_id: str
     class_name: str
-    channels: list[ChannelConfig] = field(default_factory=list)
-    edge_rules: list[EdgeRule] = field(default_factory=list)
-    control_rules: list[ControlRule] = field(default_factory=list)
+    channels: tuple[ChannelConfig, ...] = ()
+    edge_rules: tuple[EdgeRule, ...] = ()
+    control_rules: tuple[ControlRule, ...] = ()
     tags: dict[str, str] = field(default_factory=dict)
 
 

@@ -246,11 +246,10 @@ def cmd_tail(args, ws: Workspace) -> int:
 def cmd_inject(args, ws: Workspace) -> int:
     path = Path(args.scenario)
     doc = json.loads(path.read_text(encoding="utf-8"))
+    ScenarioSpec.from_dict(doc)  # an object whose faults, if any, are a list
     fault = json.loads(args.fault)
-    if "kind" not in fault:
-        raise CliError("fault JSON needs a 'kind'")
     doc.setdefault("faults", []).append(fault)
-    ScenarioSpec.from_dict(doc)
+    ScenarioSpec.from_dict(doc)  # which also refuses a fault that is not an object
     _replace_file(path, json.dumps(doc, indent=2))
     _emit(args, {"scenario": str(path), "faults": len(doc["faults"])},
           f"added {fault['kind']} fault to {path}")

@@ -18,17 +18,21 @@ when the run ends or the ``World`` is closed.
 
 from __future__ import annotations
 
+import copy
 import json
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 from .. import cloudgw, controlplane, edge, infomodel, msgbus, streams as streams_mod
 from .. import tsdb as tsdb_mod, twins as twins_mod
 from ..infomodel import TypedScalar
 from ..reading import ChannelKey, Reading
 from ..timeutil import VirtualClock
-from .waveforms import WaveformSpec, gen_waveform
+from .waveforms import BadSpec, WaveformSpec, gen_waveform
 
 SETTLE_TICKS = 100
 
@@ -91,100 +95,300 @@ def build_default_model() -> infomodel.ModelRegistry:
 # -- scenario specification ----------------------------------------------
 
 
-FAULT_KINDS = frozenset({"uplink_outage", "flood", "duplicate_replay"})
-ACTION_KINDS = frozenset({"set_desired", "remediate"})
-# The parameter a fault kind reads: its name, conversion and default.
-FAULT_PARAMS = {"flood": ("rate", int, 1000), "duplicate_replay": ("probability", float, 0.2)}
-
-
-@dataclass(slots=True)
-class Fault:
-    kind: str  # one of FAULT_KINDS
-    nodes: list[str]
-    start: float
-    end: float
-    params: dict = field(default_factory=dict)
-
-
+# The parameter each fault kind reads: its name, default, conversion and range.
+FAULT_PARAMS = {"uplink_outage": (), "flood": ("rate", 1000, int, 0, math.inf),
+                "duplicate_replay": ("probability", 0.2, float, 0, 1)}
+# The keys each action kind reads.
+ACTION_KEYS = {"set_desired": frozenset({"kind", "at", "node", "set"}),
+               "remediate": frozenset({"kind", "at", "incident"})}
 SPEC_KEYS = frozenset({"duration_s", "tick_s", "seed", "nodes", "pipeline",
                        "route_rules", "faults", "actions", "assertions",
                        "model_dir"})
 NODE_GROUP_KEYS = frozenset({"count", "name_prefix", "class_name", "channels",
                              "edge_rules", "control_rules", "tags"})
+FAULT_KEYS = frozenset({"kind", "nodes", "start", "end", "params"})
+_REQUIRED = object()
 
 
-def _check_keys(doc: dict, known: frozenset, what: str) -> None:
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise BadScenario(f"unknown {what} key(s): {', '.join(unknown)}")
+@dataclass(frozen=True, slots=True)
+class NodeGroup:
+    """``len(waveforms)`` nodes commissioned alike. They share the edge
+    records; an unseeded waveform is seeded by its node, so each has its own."""
+    name_prefix: str
+    class_name: str
+    channels: tuple[edge.ChannelConfig, ...]
+    edge_rules: tuple[edge.EdgeRule, ...]
+    control_rules: tuple[edge.ControlRule, ...]
+    tags: tuple[tuple[str, str], ...]
+    waveforms: tuple[tuple[WaveformSpec, ...], ...]
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
+class Fault:
+    kind: str  # a key of FAULT_PARAMS
+    nodes: tuple[int, ...]  # indexes into the fleet, in commissioning order
+    start: float
+    end: float
+    level: float | None  # a flood's rate, a replay's probability, None for an outage
+
+
+@dataclass(frozen=True, slots=True)
+class Action:
+    kind: str  # a key of ACTION_KEYS
+    at: float
+    target: str  # the node of a set_desired, the incident of a remediate
+    changes: tuple[tuple[str, TypedScalar], ...] = ()
+
+
+@dataclass(frozen=True, slots=True)
+class Assertion:
+    check: str  # a key of ASSERTIONS
+    nodes: tuple[str, ...] = ()  # the nodes it checks; () for its default
+    exclude: frozenset[str] = frozenset()  # nodes whose channels it skips
+    seconds: float = 5.0  # flush_within's limit
+
+
+class _Section:
+    """One JSON object of a scenario document. A key outside ``keys``, or
+    a value that is missing, of the wrong type or out of range, raises
+    BadScenario naming ``what``."""
+
+    def __init__(self, doc, what: str, keys: frozenset | None = None):
+        if not isinstance(doc, dict):
+            raise BadScenario(f"{what} must be an object, got {doc!r}")
+        self.doc, self.what = doc, what
+        if keys is not None:
+            self.only(keys)
+
+    def only(self, keys) -> None:
+        unknown = sorted(set(self.doc) - set(keys))
+        if unknown:
+            raise BadScenario(f"unknown {self.what} key(s): {', '.join(unknown)}")
+
+    def bad(self, key: str, value, want: str) -> BadScenario:
+        return BadScenario(f"{self.what}: bad {key} {value!r} (want {want})")
+
+    def get(self, key: str, default=_REQUIRED, want: type = object):
+        if key not in self.doc:
+            if default is _REQUIRED:
+                raise BadScenario(f"{self.what} needs {key}")
+            return default
+        if not isinstance(self.doc[key], want):
+            raise self.bad(key, self.doc[key], f"a JSON {want.__name__}")
+        return self.doc[key]
+
+    def number(self, key: str, default=_REQUIRED, convert=float,
+               low: float = -math.inf, high: float = math.inf):
+        """A finite number in low..high, as ``convert`` reads it ("500" too)."""
+        value = self.get(key, default)
+        try:
+            out = convert(value)
+            if math.isfinite(out) and low <= out <= high:
+                return out
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise self.bad(key, value, f"a finite number in {low}..{high}")
+
+    def section(self, key: str, default=_REQUIRED, keys: frozenset | None = None):
+        return _Section(self.get(key, default), f"{self.what} {key}", keys)
+
+    def record(self, cls, extra_keys: tuple = (), **given):
+        """``cls`` with each field not ``given`` read by its annotation (a
+        string under ``from __future__ import annotations``: ``int``,
+        ``float``, ``str`` or any other for any value), or left to its
+        default. A key that is neither a field nor in ``extra_keys`` is
+        refused."""
+        self.only([f.name for f in fields(cls)] + list(extra_keys))
+        for f in fields(cls):
+            if f.name in given or (f.name not in self.doc and f.default is not MISSING):
+                continue
+            if f.type in ("int", "float"):
+                given[f.name] = self.number(f.name, convert=int if f.type == "int" else float)
+            else:
+                given[f.name] = self.get(f.name, want=str if f.type == "str" else object)
+        try:
+            return cls(**given)
+        except (edge.EdgeError, BadSpec) as exc:
+            raise BadScenario(f"{self.what}: {exc}") from None
+
+
+def _kind(doc, kinds, noun: str) -> str:
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise BadScenario(f"unknown {noun} kind {kind!r} in {doc!r}")
+    return kind
+
+
+@dataclass(frozen=True, slots=True)
 class ScenarioSpec:
+    """A scenario as the typed records ``World`` runs, built only by
+    ``from_dict``. Node ids are those an empty registry gives the fleet."""
     duration_s: float
-    tick_s: float = 0.1
-    seed: int = 1
-    nodes: list[dict] = field(default_factory=list)
-    pipeline: dict | None = None
-    route_rules: list[dict] = field(default_factory=list)
-    faults: list[dict] = field(default_factory=list)
-    actions: list[dict] = field(default_factory=list)
-    assertions: list = field(default_factory=lambda: ["lossless", "seq_gap_free"])
-    model_dir: str | None = None
+    tick_s: float
+    seed: int
+    nodes: tuple[NodeGroup, ...]
+    fleet: Mapping[str, str]  # node id -> class name, in commissioning order
+    pipeline: dict | None  # built into a streams.Pipeline by each World
+    twin_sinks: tuple[tuple[str, str, str], ...]  # (sink id, node id, property)
+    route_rules: tuple[cloudgw.RouteRule, ...]
+    faults: tuple[Fault, ...]
+    actions: tuple[Action, ...]
+    assertions: tuple[Assertion, ...]
+    model_dir: str | None
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioSpec":
-        """Spec from its JSON form. An unknown top-level or node-group key,
-        fault kind, action kind or assertion, a fault parameter that does
-        not convert, or a fault node index outside the fleet, raises
-        BadScenario, so a misspelt name never runs defaults or fails part
-        way through a run. Fault params come out converted, with their
-        defaults filled in; ``doc`` is not changed."""
-        if "duration_s" not in doc:
-            raise BadScenario("scenario needs duration_s")
-        _check_keys(doc, SPEC_KEYS, "scenario")
-        spec = cls(duration_s=float(doc["duration_s"]))
-        for key in SPEC_KEYS - {"duration_s"}:
-            if key in doc:
-                setattr(spec, key, doc[key])
-        for group in spec.nodes:
-            _check_keys(group, NODE_GROUP_KEYS, "node group")
-        fleet = sum(int(g.get("count", 1)) for g in spec.nodes)
-        for f in spec.faults:
-            if f.get("kind") not in FAULT_KINDS:
-                raise BadScenario(f"unknown fault kind {f.get('kind')!r}")
-            if not (0 <= f.get("start", 0) <= f.get("end", 0) <= spec.duration_s):
-                raise BadScenario(f"fault window outside scenario duration: {f}")
-            for s in f.get("nodes", ()):
-                if isinstance(s, int) and not 1 <= s <= fleet:
-                    raise BadScenario(f"fault node index {s} outside the fleet of {fleet}")
-        spec.faults = [{**f, "params": _fault_params(f)} for f in spec.faults]
-        for a in spec.actions:
-            if a.get("kind") not in ACTION_KINDS:
-                raise BadScenario(f"unknown action kind {a.get('kind')!r}")
-        for a in spec.assertions:
-            name = a.get("check") if isinstance(a, dict) else a
-            if not isinstance(name, str) or name not in ASSERTIONS:
-                raise BadScenario(f"unknown assertion {a!r}")
-        return spec
+        """The one reader of a scenario document. Every error it can hold
+        that needs no information model raises BadScenario here: an
+        unknown key or kind, a value of the wrong type or out of range, a
+        fault window outside the run, or a node outside the fleet. ``doc``
+        is not changed."""
+        top = _Section(doc, "scenario", SPEC_KEYS)
+        duration, seed = top.number("duration_s", low=0), top.number("seed", 1, int)
+        tick = top.number("tick_s", 0.1, low=0.001)  # the clock's resolution
+        groups, fleet = [], {}
+        for i, group in enumerate(top.get("nodes", [], list), 1):
+            groups.append(_node_group(_Section(group, f"node group {i}", NODE_GROUP_KEYS),
+                                      seed, len(fleet)))
+            for _ in groups[-1].waveforms:
+                fleet[controlplane.nth_node_id(len(fleet) + 1)] = groups[-1].class_name
+        pipeline, twin_sinks = _pipeline(top.get("pipeline", None), fleet)
+        try:  # the gateway's own parser reads the rules
+            route_rules = tuple(cloudgw.route_rules(top.get("route_rules", [], list)))
+        except (ValueError, KeyError, TypeError, AttributeError, msgbus.BusError) as exc:
+            raise BadScenario(f"bad route rule: {exc!r}") from None
+        return cls(
+            duration_s=duration, tick_s=tick, seed=seed, nodes=tuple(groups),
+            fleet=MappingProxyType(fleet), pipeline=pipeline, twin_sinks=twin_sinks,
+            # desk-scale default: telemetry feeds both lambda paths
+            route_rules=route_rules or (cloudgw.RouteRule(
+                destinations=frozenset({"tsdb", "streams"}), topic="data/#"),),
+            faults=tuple(_fault(_Section(f, f"fault {i}", FAULT_KEYS), duration, list(fleet))
+                         for i, f in enumerate(top.get("faults", [], list), 1)),
+            actions=tuple(_action(a, f"action {i}", fleet)
+                          for i, a in enumerate(top.get("actions", [], list), 1)),
+            assertions=tuple(_assertion(a, fleet) for a in top.get(
+                "assertions", ["lossless", "seq_gap_free"], list)),
+            model_dir=top.get("model_dir", "", str) or None,
+        )
 
     @classmethod
     def from_file(cls, path: Path) -> "ScenarioSpec":
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def _fault_params(fault: dict) -> dict:
-    """A fault's params, the one its kind reads converted and defaulted."""
-    params = fault.get("params", {})
-    if not isinstance(params, dict):
-        raise BadScenario(f"{fault['kind']} fault: params must be an object, got {params!r}")
-    if fault["kind"] not in FAULT_PARAMS:
-        return dict(params)
-    name, convert, default = FAULT_PARAMS[fault["kind"]]
+def _node_group(sec: _Section, seed: int, first: int) -> NodeGroup:
+    """A node group whose first node is fleet index ``first``."""
+    class_name = sec.get("class_name", "multi_sensor", str)
+    channels, waves = [], []
+    for i, doc in enumerate(sec.get("channels", [], list), 1):
+        ch = _Section(doc, f"{sec.what} channel {i}")
+        channels.append(ch.record(edge.ChannelConfig, ("waveform",),
+                                  class_name=ch.get("class_name", class_name, str)))
+        wave = ch.section("waveform", {"kind": "constant", "base": 0.0})
+        waves.append((wave.record(WaveformSpec), "seed" in wave.doc))
+    sensors = [c.sensor_name for c in channels]
+    if len(set(sensors)) < len(sensors):
+        raise BadScenario(f"{sec.what}: a sensor name repeats in {sensors}")
+    tags = sec.section("tags", {})
+    for k in tags.doc:
+        tags.get(k, want=str)
+    rules = sec.get("edge_rules", [], list)
+    controls = sec.get("control_rules", [], list)
+    return NodeGroup(
+        name_prefix=sec.get("name_prefix", "node", str), class_name=class_name,
+        channels=tuple(channels),
+        edge_rules=tuple(_Section(r, f"{sec.what} edge rule {i}").record(edge.EdgeRule)
+                         for i, r in enumerate(rules, 1)),
+        control_rules=tuple(_control_rule(_Section(r, f"{sec.what} control rule {i}"), sensors)
+                            for i, r in enumerate(controls, 1)),
+        tags=tuple(tags.doc.items()),
+        waveforms=tuple(tuple(
+            w if seeded else replace(w, seed=seed * 1000 + (first + n) * 16 + i)
+            for i, (w, seeded) in enumerate(waves))
+            for n in range(sec.number("count", 1, int, low=0))),
+    )
+
+
+def _control_rule(sec: _Section, sensors: list[str]) -> edge.ControlRule:
+    cond = sec.section("condition")
+    terms = []
+    for term in cond.get("terms", want=list):
+        if not (isinstance(term, list) and len(term) == 3 and term[0] in sensors
+                and isinstance(term[1], str)):
+            raise cond.bad("term", term, f"[channel, op, threshold] on one of {sensors}")
+        terms.append((*term[:2], _Section({"threshold": term[2]}, cond.what).number("threshold")))
+    return sec.record(edge.ControlRule, condition=cond.record(edge.Condition,
+                                                              terms=tuple(terms)))
+
+
+def _pipeline(doc, fleet: Mapping[str, str]) -> tuple[dict | None, tuple]:
+    """The pipeline document, copied, and its twin_desired sinks; the
+    streams module's own parser reads it."""
+    if not doc:
+        return None, ()
     try:
-        return {**params, name: convert(params.get(name, default))}
-    except (TypeError, ValueError, OverflowError):
-        raise BadScenario(f"{fault['kind']} fault: bad {name} {params[name]!r}") from None
+        sinks = streams_mod.Pipeline(doc).sinks
+    except (streams_mod.StreamError, msgbus.BusError, ValueError, KeyError, TypeError,
+            AttributeError) as exc:
+        raise BadScenario(f"bad pipeline: {exc!r}") from None
+    twin_sinks = tuple((sink_id, *target) for sink_id, (dest, target) in sinks.items()
+                       if dest == "twin_desired")
+    for sink_id, node_id, prop in twin_sinks:
+        if not (isinstance(node_id, str) and node_id in fleet and isinstance(prop, str)):
+            raise BadScenario(f"sink {sink_id}: node {node_id!r} is not in the fleet "
+                              f"or prop {prop!r} is not a name")
+    return copy.deepcopy(doc), twin_sinks
+
+
+def _fault(sec: _Section, duration: float, fleet: list[str]) -> Fault:
+    kind = _kind(sec.doc, FAULT_PARAMS, "fault")
+    start, end = sec.number("start", 0.0), sec.number("end", duration)
+    if not 0 <= start <= end <= duration:
+        raise BadScenario(f"{sec.what}: window {start}..{end} s is not inside the "
+                          f"scenario's 0..{duration} s")
+    chosen = sec.get("nodes", "all")
+    chosen = range(1, len(fleet) + 1) if chosen == "all" else sec.get("nodes", want=list)
+    for n in chosen:
+        if isinstance(n, int) and not 1 <= n <= len(fleet):
+            raise BadScenario(f"fault node index {n} outside the fleet of {len(fleet)}")
+        if not isinstance(n, int) and n not in fleet:
+            raise BadScenario(f"{sec.what}: node {n!r} is not in the fleet")
+    param = FAULT_PARAMS[kind]
+    params = sec.section("params", {}, frozenset(param[:1]))
+    return Fault(kind, tuple(n - 1 if isinstance(n, int) else fleet.index(n) for n in chosen),
+                 start, end, params.number(*param) if param else None)
+
+
+def _action(doc, what: str, fleet: Mapping[str, str]) -> Action:
+    kind = _kind(doc, ACTION_KEYS, "action")
+    sec = _Section(doc, what, ACTION_KEYS[kind])
+    at = sec.number("at", 0.0)
+    if kind == "remediate":
+        return Action(kind, at, sec.get("incident", want=str))
+    node, changes = sec.get("node", want=str), sec.section("set")
+    if node not in fleet or not changes.doc:
+        raise BadScenario(f"{what}: node {node!r} is not in the fleet or it sets nothing")
+    try:
+        parsed = tuple((k, infomodel.parse_scalar(v)) for k, v in changes.doc.items())
+    except infomodel.ModelError as exc:
+        raise BadScenario(f"{changes.what}: {exc}") from None
+    return Action(kind, at, node, parsed)
+
+
+def _assertion(doc, fleet: Mapping[str, str]) -> Assertion:
+    name = doc.get("check") if isinstance(doc, dict) else doc
+    if not isinstance(name, str) or name not in ASSERTIONS:
+        raise BadScenario(f"unknown assertion {doc!r}")
+    sec = _Section(doc if isinstance(doc, dict) else {}, f"assertion {name}",
+                   ASSERTIONS[name][1] | {"check"})
+    nodes = ((sec.get("node", want=str),) if name == "incident_opened"
+             else tuple(sec.get("nodes", [], list)))
+    exclude = sec.get("exclude", [], list)
+    for node in (*nodes, *exclude):
+        if not (isinstance(node, str) and node in fleet):
+            raise sec.bad("node", node, "a node of the fleet")
+    return Assertion(name, nodes, frozenset(exclude), sec.number("seconds", 5.0, low=0))
 
 
 @dataclass(slots=True)
@@ -228,50 +432,16 @@ class RunReport:
 class SimNode:
     """One edge gateway plus its waveform-driven sensors."""
 
-    def __init__(self, world: "World", entry, node_cfg: dict):
+    def __init__(self, world: "World", entry, group: NodeGroup,
+                 waveforms: tuple[WaveformSpec, ...]):
         self.world = world
         self.node_id = entry.node_id
         self.credential = entry.credential
-        channels = []
-        self.waveforms: dict[str, WaveformSpec] = {}
-        for i, ch in enumerate(node_cfg.get("channels", [])):
-            channels.append(
-                edge.ChannelConfig(
-                    sensor_name=ch["sensor_name"],
-                    class_name=ch.get("class_name", entry.class_name),
-                    sample_period_ms=int(ch.get("sample_period_ms", 1000)),
-                    scale=float(ch.get("scale", 1.0)),
-                    offset=float(ch.get("offset", 0.0)),
-                    unit=ch.get("unit", ""),
-                )
-            )
-            wf = dict(ch.get("waveform", {"kind": "constant", "base": 0.0}))
-            wf.setdefault("seed", world.spec.seed * 1000 + len(world.nodes) * 16 + i)
-            self.waveforms[ch["sensor_name"]] = WaveformSpec.from_dict(wf)
-        rules = [edge.EdgeRule(**r) for r in node_cfg.get("edge_rules", [])]
-        ctl = [
-            edge.ControlRule(
-                rule_id=r["rule_id"],
-                condition=edge.Condition(
-                    terms=[tuple(t) for t in r["condition"]["terms"]],
-                    combine=r["condition"].get("combine", "all"),
-                ),
-                actuator=r["actuator"],
-                prop=r["prop"],
-                value=r["value"],
-            )
-            for r in node_cfg.get("control_rules", [])
-        ]
-        self.edge = edge.EdgeNode(
-            edge.NodeConfig(
-                node_id=self.node_id,
-                class_name=entry.class_name,
-                channels=channels,
-                edge_rules=rules,
-                control_rules=ctl,
-                tags=dict(node_cfg.get("tags", {})),
-            )
-        )
+        self.waveforms = {c.sensor_name: w for c, w in zip(group.channels, waveforms)}
+        self.edge = edge.EdgeNode(edge.NodeConfig(
+            node_id=self.node_id, class_name=entry.class_name, channels=group.channels,
+            edge_rules=group.edge_rules, control_rules=group.control_rules,
+            tags=dict(group.tags)))
         self.link_up = True
         self.flooding_rate = 0
         self.flood_seq = 0
@@ -372,7 +542,10 @@ class World:
         self.model = build_default_model()
         if spec.model_dir:
             self.model.load_model_dir(Path(spec.model_dir))
+        self._check_against_model()
         self.registry = registry or controlplane.Registry(clock=self.clock)
+        if self.registry.entries():
+            raise BootFailure("a scenario commissions its fleet into an empty registry")
         self.registry.clock = self.clock
         self.broker = msgbus.Broker(
             clock=self.clock, authenticator=self.registry.authenticate
@@ -384,7 +557,7 @@ class World:
             self.registry,
             clock=self.clock,
             audit_path=Path(data_dir) / "audit.jsonl",
-            route_rules=self._route_rules(),
+            route_rules=spec.route_rules,
         )
         self.cloud_session = self.broker.connect_service("cloud")
         for f in ("data/#", "alerts/#", "twin/+/reported"):
@@ -398,84 +571,58 @@ class World:
         self._notify_fh = None  # opened on the first notify emission
         self.nodes: list[SimNode] = []
         self._nodes_by_id: dict[str, SimNode] = {}
-        self._actions_done: set[int] = set()  # indexes into spec.actions
+        self._pending_actions = list(spec.actions)
         self.generated: dict[str, int] = {}  # channel -> readings; seqs are 1..n
         self.report = RunReport()
         self._bucket_counts: dict[str, int] = {}
-        self._dup_fault: Fault | None = None
+        self._faulted = sorted({i for f in spec.faults for i in f.nodes})
+        self._active_faults: list[Fault] = []
+        self._replay: dict[str, float] = {}  # node id -> replay probability this tick
         self._outage_pending_since: dict[str, float] = {}
         try:
             self._boot_nodes()
-            self.faults = self._resolve_faults()
-            self._check_twin_sinks()
         except Exception:
-            # a bad node or fault entry must not leak the files opened above
+            # a failed commission must not leak the files opened above
             self.close()
             raise
 
     # -- wiring ----------------------------------------------------------
 
-    def _route_rules(self) -> list[cloudgw.RouteRule]:
-        rules = cloudgw.route_rules(self.spec.route_rules)
-        if not rules:
-            # desk-scale default: telemetry feeds both lambda paths
-            rules.append(
-                cloudgw.RouteRule(destinations=frozenset({"tsdb", "streams"}),
-                                  topic="data/#")
-            )
-        return rules
+    def _check_against_model(self) -> None:
+        """What the scenario asks of the model, checked before any node is
+        commissioned: its classes exist, each set_desired action is a
+        change the twin accepts, and each twin_desired sink names a
+        writable numeric property."""
+        spec = self.spec
+        if not spec.fleet:
+            raise BootFailure("scenario defines no nodes")
+        for class_name in dict.fromkeys(spec.fleet.values()):
+            if not self.model.has_class(class_name):
+                raise BadScenario(f"unknown class {class_name!r}")
+        props = lambda node_id: self.model.effective_properties(spec.fleet[node_id])
+        for a in spec.actions:
+            if a.kind == "set_desired":
+                try:
+                    twins_mod.check_desired(props(a.target), dict(a.changes))
+                except twins_mod.TwinError as exc:
+                    raise BadScenario(f"set_desired on {a.target} at {a.at} s: "
+                                      f"{type(exc).__name__}: {exc}") from None
+        for sink_id, node_id, prop_name in spec.twin_sinks:
+            prop = props(node_id).get(prop_name)
+            if prop is None or not prop.writable or prop.datatype not in ("number", "integer"):
+                raise BadScenario(f"sink {sink_id}: {prop_name} is not a writable "
+                                  f"numeric property of {spec.fleet[node_id]}")
 
     def _boot_nodes(self) -> None:
         for group in self.spec.nodes:
-            count = int(group.get("count", 1))
-            for _ in range(count):
+            for waveforms in group.waveforms:
                 entry = self.registry.commission(
-                    name=group.get("name_prefix", "node"),
-                    class_name=group.get("class_name", "multi_sensor"),
-                    model=self.model,
-                )
+                    name=group.name_prefix, class_name=group.class_name, model=self.model)
                 self.registry.transition(entry.node_id, "active")
                 self.twins.register_node(entry.node_id, entry.class_name)
-                node = SimNode(self, entry, group)
+                node = SimNode(self, entry, group, waveforms)
                 self.nodes.append(node)
                 self._nodes_by_id[node.node_id] = node
-        if not self.nodes:
-            raise BootFailure("scenario defines no nodes")
-
-    def _resolve_faults(self) -> list[Fault]:
-        by_index = {i + 1: n.node_id for i, n in enumerate(self.nodes)}
-        out = []
-        for f in self.spec.faults:
-            sel = f.get("nodes", "all")
-            if sel == "all":
-                nodes = [n.node_id for n in self.nodes]
-            else:
-                nodes = [by_index[s] if isinstance(s, int) else self.node_by_id(s).node_id
-                         for s in sel]
-            out.append(
-                Fault(
-                    kind=f["kind"],
-                    nodes=nodes,
-                    start=float(f.get("start", 0.0)),
-                    end=float(f.get("end", self.spec.duration_s)),
-                    params=f["params"],
-                )
-            )
-        return out
-
-    def _check_twin_sinks(self) -> None:
-        """Each twin_desired sink must name a booted node and a writable
-        numeric property of its class, or set_desired would refuse its
-        first emission mid-run."""
-        for sink_id, (dest, target) in (self.pipeline.sinks if self.pipeline else {}).items():
-            if dest != "twin_desired":
-                continue
-            node_id, prop_name = target
-            class_name = self.node_by_id(node_id).edge.config.class_name
-            prop = self.model.effective_properties(class_name).get(prop_name)
-            if prop is None or not prop.writable or prop.datatype not in ("number", "integer"):
-                raise BadScenario(f"sink {sink_id}: {prop_name} is not a "
-                                  f"writable numeric property of {class_name}")
 
     def close(self) -> None:
         """Close the files the world holds open: the store, the audit log
@@ -490,10 +637,7 @@ class World:
             self._notify_fh = None
 
     def node_by_id(self, node_id: str) -> SimNode:
-        node = self._nodes_by_id.get(node_id)
-        if node is None:
-            raise BadScenario(f"unknown node {node_id}")
-        return node
+        return self._nodes_by_id[node_id]
 
     def _on_quarantine(self, node_id: str) -> None:
         self.broker.drop_node(node_id)
@@ -543,49 +687,60 @@ class World:
                 break
 
     def _apply_faults(self, t: float) -> None:
-        self._dup_fault = None
-        for fault in self.faults:
-            active = fault.start <= t < fault.end
-            if fault.kind == "uplink_outage":
-                for node_id in fault.nodes:
-                    node = self.node_by_id(node_id)
-                    if active and node.link_up:
-                        node.go_offline()
-                        self._outage_pending_since.setdefault(node_id, fault.end)
-                    elif not active and not node.link_up and t >= fault.end:
-                        node.link_up = True
-            elif fault.kind == "flood":
-                for node_id in fault.nodes:
-                    self.node_by_id(node_id).flooding_rate = fault.params["rate"] if active else 0
-            elif fault.kind == "duplicate_replay" and active:
-                self._dup_fault = fault
+        """Each faulted node's state at ``t``, from every fault active on
+        it: its link is down while any outage covers it, it floods at the
+        largest active rate and is replayed at the largest active
+        probability. The state changes only when the active set does."""
+        active = [f for f in self.spec.faults if f.start <= t < f.end]
+        if active == self._active_faults:
+            return
+        self._active_faults = active
+        down: dict[int, float] = {}  # node index -> latest end of its active outages
+        rate: dict[int, int] = {}
+        replay: dict[str, float] = {}
+        for f in active:
+            for i in f.nodes:
+                if f.kind == "uplink_outage":
+                    down[i] = max(down.get(i, f.end), f.end)
+                elif f.kind == "flood":
+                    rate[i] = max(rate.get(i, 0), f.level)
+                else:
+                    node_id = self.nodes[i].node_id
+                    replay[node_id] = max(replay.get(node_id, 0.0), f.level)
+        self._replay = replay
+        for i in self._faulted:
+            node = self.nodes[i]
+            node.flooding_rate = rate.get(i, 0)
+            end = down.get(i)
+            if end is not None:
+                if node.link_up:
+                    node.go_offline()
+                since = self._outage_pending_since
+                since[node.node_id] = max(since.get(node.node_id, end), end)
+            elif not node.link_up:
+                node.link_up = True
 
     def _apply_actions(self, t: float) -> None:
-        for i, action in enumerate(self.spec.actions):
-            if i in self._actions_done:
-                continue
-            if t + 1e-9 < float(action.get("at", 0.0)):
-                continue
-            self._actions_done.add(i)
-            kind = action["kind"]
-            if kind == "set_desired":
-                changes = {k: infomodel.parse_scalar(v) for k, v in action["set"].items()}
-                self.twins.set_desired(action["node"], changes)
-            elif kind == "remediate":
-                self.monitor.remediate(action["incident"])
+        pending = []
+        for action in self._pending_actions:
+            if t + 1e-9 < action.at:
+                pending.append(action)
+            elif action.kind == "set_desired":
+                self.twins.set_desired(action.target, dict(action.changes))
             else:
-                raise BadScenario(f"unknown action kind {kind!r}")
+                self.monitor.remediate(action.target)
+        self._pending_actions = pending
 
     # -- cloud side ------------------------------------------------------
 
     def _cloud_step(self, t: float) -> None:
         frames = self.cloud_session.drain()
-        dup = self._dup_fault
-        replayed = frozenset(dup.nodes) if dup is not None else frozenset()
+        replay = self._replay
         for frame in frames:
             self._handle_frame(frame, t)
-            if (_topic_node(frame.topic) in replayed
-                    and self.rng.random() < dup.params["probability"]):
+            # one draw per frame of a replayed node, none for other frames
+            p = replay.get(_topic_node(frame.topic)) if replay else None
+            if p is not None and self.rng.random() < p:
                 self.report.duplicates_injected += 1
                 self._handle_frame(frame, t, injected_duplicate=True)
             if frame.qos >= 1:
@@ -703,72 +858,63 @@ class World:
 
     def _run_assertions(self) -> None:
         for a in self.spec.assertions:
-            if isinstance(a, str):
-                name, params = a, {}
-            else:
-                name, params = a["check"], {k: v for k, v in a.items() if k != "check"}
-            passed, detail = ASSERTIONS[name](self, params)  # from_dict admits only its names
+            passed, detail = ASSERTIONS[a.check][0](self, a)
             self.report.assertions.append(
-                {"check": name, "passed": passed, "detail": detail}
+                {"check": a.check, "passed": passed, "detail": detail}
             )
 
-    def _channels(self, params: dict) -> list[tuple[str, int]]:
-        """Generated channels and their counts, less the ``exclude`` sensors."""
-        exclude = set(params.get("exclude", ()))
-        return [(ch, n) for ch, n in self.generated.items() if ch.split("/")[0] not in exclude]
+    def _channels(self, a: Assertion) -> list[tuple[str, int]]:
+        """Generated channels and their counts, less those of excluded nodes."""
+        return [(ch, n) for ch, n in self.generated.items() if ch.split("/")[0] not in a.exclude]
 
     def _stored_seqs(self, ch: str) -> list[int]:
+        if ch not in self.report.stored:  # the gateway rejected every reading
+            return []
         stored = self.tsdb.query_range(ChannelKey.parse(ch), float("-inf"), float("inf"))
         return sorted(r.seq for r in stored)
 
-    def _lossless(self, params: dict) -> tuple[bool, str]:
-        bad = [ch for ch, n in self._channels(params) if self.report.stored.get(ch, 0) != n]
+    def _lossless(self, a: Assertion) -> tuple[bool, str]:
+        bad = [ch for ch, n in self._channels(a) if self.report.stored.get(ch, 0) != n]
         return (not bad, f"channels with loss/extra: {bad[:5]}")
 
-    def _seq_gap_free(self, params: dict) -> tuple[bool, str]:
+    def _seq_gap_free(self, a: Assertion) -> tuple[bool, str]:
         bad = []
-        for ch, _ in self._channels(params):
+        for ch, _ in self._channels(a):
             seqs = self._stored_seqs(ch)
             if seqs != list(range(1, len(seqs) + 1)):
                 bad.append(ch)
         return (not bad, f"channels with gaps: {bad[:5]}")
 
-    def _exact_multiset(self, params: dict) -> tuple[bool, str]:
-        bad = [ch for ch, n in self._channels(params)
+    def _exact_multiset(self, a: Assertion) -> tuple[bool, str]:
+        bad = [ch for ch, n in self._channels(a)
                if self._stored_seqs(ch) != list(range(1, n + 1))]
         return (not bad, f"channels off ledger: {bad[:5]}")
 
-    def _all_converged(self, params: dict) -> tuple[bool, str]:
-        nodes = params.get("nodes") or [n.node_id for n in self.nodes]
-        bad = [n for n in nodes if not self.twins.converged(n)]
+    def _all_converged(self, a: Assertion) -> tuple[bool, str]:
+        bad = [n for n in a.nodes or self.spec.fleet if not self.twins.converged(n)]
         return (not bad, f"unconverged: {bad}")
 
-    def _incident_opened(self, params: dict) -> tuple[bool, str]:
-        node = params["node"]
-        hit = any(
-            i.get("node") == node and i["event"] == "incident_opened"
-            for i in self.report.incidents
-        )
-        return (hit, f"no incident for {node}" if not hit else "")
+    def _incident_opened(self, a: Assertion) -> tuple[bool, str]:
+        opened = {i.get("node") for i in self.report.incidents
+                  if i["event"] == "incident_opened"}
+        missing = [n for n in a.nodes if n not in opened]
+        return (not missing, f"no incident for {', '.join(missing)}" if missing else "")
 
-    def _flush_within(self, params: dict) -> tuple[bool, str]:
-        limit = float(params.get("seconds", 5.0))
-        nodes = params.get("nodes") or list(self.report.flush_complete)
-        bad = [
-            n for n in nodes
-            if self.report.flush_complete.get(n, float("inf")) > limit
-        ]
+    def _flush_within(self, a: Assertion) -> tuple[bool, str]:
+        flushed = self.report.flush_complete
+        bad = [n for n in a.nodes or list(flushed)
+               if flushed.get(n, float("inf")) > a.seconds]
         return (not bad, f"slow flush: {bad}")
 
 
-# The assertions a scenario may name, each with its check.
+# The assertions a scenario may name: each one's check and the params it reads.
 ASSERTIONS = {
-    "lossless": World._lossless,
-    "seq_gap_free": World._seq_gap_free,
-    "exact_multiset": World._exact_multiset,
-    "all_converged": World._all_converged,
-    "incident_opened": World._incident_opened,
-    "flush_within": World._flush_within,
+    "lossless": (World._lossless, frozenset({"exclude"})),
+    "seq_gap_free": (World._seq_gap_free, frozenset({"exclude"})),
+    "exact_multiset": (World._exact_multiset, frozenset({"exclude"})),
+    "all_converged": (World._all_converged, frozenset({"nodes"})),
+    "incident_opened": (World._incident_opened, frozenset({"node"})),
+    "flush_within": (World._flush_within, frozenset({"seconds", "nodes"})),
 }
 
 

@@ -39,10 +39,6 @@ class WaveformSpec:
         if self.kind == "random_walk" and self.walk_step_s <= 0:
             raise BadSpec("random walk needs a positive step")
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "WaveformSpec":
-        return cls(**doc)
-
 
 # cumulative walk values are cached per spec so step k is pure in
 # (seed, sigma, k) without re-walking from zero on every sample

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Mapping
 
 from . import infomodel
 from .infomodel import TypedScalar
@@ -39,6 +39,21 @@ class NotWritable(TwinError):
 
 class SchemaInvalid(TwinError):
     pass
+
+
+def check_desired(props: Mapping[str, infomodel.PropertyDef],
+                  changes: Mapping[str, TypedScalar]) -> None:
+    """Raise NotWritable or SchemaInvalid for a change of a class with
+    properties ``props`` that ``set_desired`` would refuse."""
+    for key, value in changes.items():
+        prop = props.get(key)
+        if prop is None or not prop.writable:
+            raise NotWritable(key)
+        # the device echoes the value in its reports, which apply_report
+        # checks: a value it would reject must not be sent
+        bad = infomodel.check_value(prop, value)
+        if bad:
+            raise SchemaInvalid(f"{bad[0].kind}: {key} ({bad[0].detail})")
 
 
 @dataclass(slots=True)
@@ -150,16 +165,7 @@ class TwinService:
         if not changes:
             raise TwinError("empty desired patch")
         twin = self._twin(node_id)
-        props = self.model.effective_properties(twin.class_name)
-        for key, value in changes.items():
-            prop = props.get(key)
-            if prop is None or not prop.writable:
-                raise NotWritable(key)
-            # the device echoes the value in its reports, which apply_report
-            # checks: a value it would reject must not be sent
-            bad = infomodel.check_value(prop, value)
-            if bad:
-                raise SchemaInvalid(f"{bad[0].kind}: {key} ({bad[0].detail})")
+        check_desired(self.model.effective_properties(twin.class_name), changes)
         twin.desired.update(changes)
         twin.desired_version += 1
         if self.publish is not None:

@@ -78,12 +78,13 @@ def test_spec_rejects_a_fault_node_index_outside_the_fleet(index):
     with pytest.raises(scenario.BadScenario, match=f"index {index}"):
         ScenarioSpec.from_dict(doc)
     doc["faults"][0]["nodes"] = [1, 2, "n-000002"]
-    assert ScenarioSpec.from_dict(doc).faults[0]["nodes"] == [1, 2, "n-000002"]
+    assert ScenarioSpec.from_dict(doc).faults[0].nodes == (0, 1, 1)  # fleet indexes
 
 
 def test_spec_default_assertions():
     spec = ScenarioSpec.from_dict({"duration_s": 1})
-    assert spec.assertions == ["lossless", "seq_gap_free"]
+    assert spec.assertions == (scenario.Assertion("lossless"),
+                               scenario.Assertion("seq_gap_free"))
 
 
 @pytest.mark.parametrize("doc, key", [
@@ -127,8 +128,106 @@ def test_spec_converts_fault_params_once():
         {"kind": "duplicate_replay", "start": 0, "end": 1},
         {"kind": "uplink_outage", "start": 0, "end": 1}]}
     spec = ScenarioSpec.from_dict(doc)
-    assert [f["params"] for f in spec.faults] == [{"rate": 500}, {"probability": 0.2}, {}]
+    assert [f.level for f in spec.faults] == [500, 0.2, None]
     assert doc["faults"][0]["params"] == {"rate": "500"}  # the caller's doc is left as it was
+
+
+# A small scenario that uses every section and kind a clean 1 s run can
+# hold. A remediate action is left out: an incident id the run never opens
+# is a run-time error by design (see SPEC_PROBES below).
+SMALL_DOC = {
+    "duration_s": 1.0, "tick_s": 0.1, "seed": 2,
+    "nodes": [{
+        "count": 2, "name_prefix": "p", "class_name": "multi_sensor", "tags": {"zone": "a"},
+        "channels": [
+            {"sensor_name": "temp", "sample_period_ms": 200, "scale": 1.0, "offset": 0.0,
+             "unit": "°F", "class_name": "multi_sensor",
+             "waveform": {"kind": "sine", "base": 70, "amplitude": 2, "period_s": 10,
+                          "seed": 3}},
+            {"sensor_name": "power", "waveform": {"kind": "ramp", "base": 100, "slope": 1}},
+        ],
+        "edge_rules": [{"rule_id": "hot", "channel": "temp", "op": ">", "threshold": 69,
+                        "debounce_count": 2, "severity": "alert"}],
+        "control_rules": [{"rule_id": "fan", "actuator": "fan", "prop": "power", "value": True,
+                           "condition": {"terms": [["temp", ">", 80]], "combine": "all"}}],
+    }],
+    "route_rules": [{"selector": {"topic": "data/#", "class": "multi_sensor", "tag": "zone=a"},
+                     "destinations": ["tsdb", "streams", "twin"]}],
+    "pipeline": {"nodes": [
+        {"node_id": "src", "kind": "source", "params": {"selector": "*/temp"}},
+        {"node_id": "hot", "kind": "filter", "params": {"op": ">", "threshold": 60}},
+        {"node_id": "out", "kind": "sink", "params": {"dest": "notify"}},
+        {"node_id": "tw", "kind": "sink",
+         "params": {"dest": "twin_desired", "node": "n-000001", "prop": "setpoint"}},
+    ], "edges": [["src", "hot"], ["hot", "out"], ["src", "tw"]]},
+    "faults": [
+        {"kind": "uplink_outage", "nodes": [1], "start": 0.2, "end": 0.5},
+        {"kind": "flood", "nodes": ["n-000002"], "start": 0.1, "end": 0.3,
+         "params": {"rate": 50}},
+        {"kind": "duplicate_replay", "nodes": "all", "start": 0, "end": 1,
+         "params": {"probability": 0.3}},
+    ],
+    "actions": [{"kind": "set_desired", "at": 0.3, "node": "n-000002",
+                 "set": {"setpoint": "n:68", "firmware": "s:2.0"}}],
+    "assertions": ["lossless", {"check": "all_converged", "nodes": ["n-000002"]},
+                   {"check": "flush_within", "seconds": 5, "nodes": ["n-000001"]},
+                   {"check": "incident_opened", "node": "n-000002"},
+                   {"check": "exact_multiset", "exclude": ["n-000002"]}],
+}
+
+
+def json_paths(doc, path=()):
+    """The path of every value in ``doc``, containers included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from json_paths(value, path + (key,))
+
+
+_mutation_scalar = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.text(max_size=4),
+    st.sampled_from([0.0, 0.5, -1.5, 2.5, math.inf, -math.inf, math.nan]),
+    st.sampled_from(["all", "n-000001", "n-000009", "temp", "Temp", ">", "~", "n:68", "s:x",
+                     "sine", "flood", "notify", "twin_desired", "data/#", "#", "zone=a"]))
+_mutation_value = st.recursive(
+    _mutation_scalar,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=4)
+
+
+def test_the_small_doc_runs_clean(tmp_path):
+    report = run_scenario(ScenarioSpec.from_dict(SMALL_DOC), tmp_path)
+    assert report.emissions and report.duplicates_injected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(json_paths(SMALL_DOC))), _mutation_value)
+def test_a_mutated_scenario_is_rejected_up_front_or_runs(path, value):
+    doc = json.loads(json.dumps(SMALL_DOC))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    try:
+        spec = ScenarioSpec.from_dict(doc)
+    except scenario.BadScenario:
+        return
+    with tempfile.TemporaryDirectory() as data:
+        registry = controlplane.Registry()
+        try:
+            world = scenario.World(spec, Path(data), registry=registry)
+        except (scenario.BadScenario, scenario.BootFailure):
+            # what needs the model is checked before any node is commissioned
+            assert registry.entries() == []
+            return
+        try:
+            # a longer or finer run would only repeat the same ticks
+            if spec.duration_s <= 1 and spec.tick_s >= 0.05:
+                world.run()
+        finally:
+            world.close()
 
 
 # -- scenario runs -------------------------------------------------------
@@ -157,14 +256,13 @@ def nominal_spec(duration=5.0, **extra):
     return ScenarioSpec.from_dict(doc)
 
 
-def test_control_rule_on_a_missing_channel_fails_at_construction(tmp_path):
-    spec = nominal_spec()
-    spec.nodes[0]["control_rules"] = [{
+def test_control_rule_on_a_missing_channel_fails_at_construction():
+    group = {"channels": [{"sensor_name": "temp"}], "control_rules": [{
         "rule_id": "fan_on", "actuator": "fan", "prop": "power", "value": True,
         "condition": {"terms": [["tmep", ">", 78.0]]},
-    }]
-    with pytest.raises(edge.UnknownChannelInCondition, match="tmep"):
-        scenario.World(spec, tmp_path)
+    }]}
+    with pytest.raises(scenario.BadScenario, match="tmep"):
+        nominal_spec(nodes=[group])
 
 
 TWIN_SINK_PIPELINE = {"nodes": [
@@ -184,16 +282,16 @@ def test_twin_desired_sink_is_checked_against_the_fleet_at_construction(
         tmp_path, sink, message):
     pipeline = json.loads(json.dumps(TWIN_SINK_PIPELINE))
     pipeline["nodes"][1]["params"].update(sink)
-    spec = nominal_spec(pipeline=pipeline)
+    # a node outside the fleet fails in from_dict, a property needs the model
     with pytest.raises(scenario.BadScenario, match=message):
-        scenario.World(spec, tmp_path)
+        scenario.World(nominal_spec(pipeline=pipeline), tmp_path)
+    assert not (tmp_path / "audit.jsonl").exists()
 
 
-def test_a_fault_node_name_outside_the_fleet_fails_at_construction(tmp_path):
-    spec = nominal_spec(faults=[{"kind": "uplink_outage", "nodes": ["n-000009"],
-                                 "start": 1, "end": 2}])
+def test_a_fault_node_name_outside_the_fleet_fails_at_construction():
     with pytest.raises(scenario.BadScenario, match="n-000009"):
-        scenario.World(spec, tmp_path)
+        nominal_spec(faults=[{"kind": "uplink_outage", "nodes": ["n-000009"],
+                              "start": 1, "end": 2}])
 
 
 def test_a_device_skips_a_desired_command_it_cannot_decode(tmp_path):
@@ -277,6 +375,73 @@ def test_duplicate_replay_repeats_only_the_frames_of_its_nodes(tmp_path):
     audit = [json.loads(line) for line in (tmp_path / "audit.jsonl").read_text().splitlines()]
     replayed = {e["node"] for e in audit if e["reason"] == "duplicate"}
     assert replayed == {"n-000001"}
+
+
+def one_channel_doc(duration, faults, nodes=1):
+    return {
+        "duration_s": duration, "seed": 5,
+        "nodes": [{"count": nodes, "class_name": "multi_sensor", "channels": [
+            {"sensor_name": "temp", "sample_period_ms": 500,
+             "waveform": {"kind": "constant", "base": 70}}]}],
+        "faults": faults,
+        "assertions": ["lossless", "seq_gap_free"],
+    }
+
+
+@pytest.mark.parametrize("order", ["wide_first", "narrow_first"])
+def test_overlapping_outages_keep_a_node_down_until_the_last_ends(tmp_path, monkeypatch,
+                                                                  order):
+    # listed wide then narrow, the node used to reconnect on every tick
+    # from 5.0 to 9.9 s and flush_complete read -0.1 s
+    outages = [{"kind": "uplink_outage", "nodes": [1], "start": 0, "end": 10},
+               {"kind": "uplink_outage", "nodes": [1], "start": 2, "end": 5}]
+    if order == "narrow_first":
+        outages.reverse()
+    world = scenario.World(ScenarioSpec.from_dict(one_channel_doc(14.0, outages)), tmp_path)
+    connects = []
+    mark = twins.TwinService.mark_connectivity
+
+    def record(svc, node, connected):
+        if connected:
+            connects.append(world.clock.now())
+        mark(svc, node, connected)
+
+    monkeypatch.setattr(twins.TwinService, "mark_connectivity", record)
+    try:
+        report = world.run()
+    finally:
+        world.close()
+    assert report.ok, report.assertions
+    assert connects == [10.0]
+    assert 0 <= report.flush_complete["n-000001"] < 1
+
+
+def test_overlapping_floods_flood_at_the_largest_active_rate(tmp_path):
+    # the narrow flood used to reset the rate to 0 outside its own window
+    floods = [{"kind": "flood", "nodes": [1], "start": 0, "end": 10, "params": {"rate": 100}},
+              {"kind": "flood", "nodes": [1], "start": 2, "end": 5, "params": {"rate": 50}}]
+    world = scenario.World(ScenarioSpec.from_dict(one_channel_doc(12.0, floods)), tmp_path)
+    try:
+        node = world.node_by_id("n-000001")
+        rates = []
+        for t in (1.0, 3.0, 6.0, 9.0, 11.0):
+            world._apply_faults(t)
+            rates.append(node.flooding_rate)
+    finally:
+        world.close()
+    assert rates == [100, 100, 100, 100, 0]
+
+
+def test_duplicate_replay_faults_on_different_nodes_replay_both(tmp_path):
+    # the second fault used to replace the first: only node 2 was replayed
+    replays = [{"kind": "duplicate_replay", "nodes": [i], "start": 0, "end": 6,
+                "params": {"probability": 0.5}} for i in (1, 2)]
+    report = run_scenario(ScenarioSpec.from_dict(one_channel_doc(6.0, replays, nodes=2)),
+                          tmp_path)
+    assert report.ok, report.assertions
+    assert report.duplicates_rejected == report.duplicates_injected > 0
+    audit = [json.loads(line) for line in (tmp_path / "audit.jsonl").read_text().splitlines()]
+    assert {e["node"] for e in audit if e["reason"] == "duplicate"} == {"n-000001", "n-000002"}
 
 
 def test_flood_opens_incident_and_quarantines(tmp_path):
@@ -407,7 +572,7 @@ def test_firmware_push_rides_the_twin_to_the_registry(tmp_path):
 def test_a_desired_value_of_the_wrong_datatype_stops_the_run(tmp_path):
     # firmware "n:2" used to be sent; the device echoed it in every later
     # report, each was rejected as schema_invalid and the setpoint at 3 s
-    # never converged
+    # never converged. Now the run does not start: nothing is commissioned.
     spec = ScenarioSpec.from_dict({
         "duration_s": 6.0,
         "seed": 4,
@@ -420,15 +585,10 @@ def test_a_desired_value_of_the_wrong_datatype_stops_the_run(tmp_path):
         ],
         "assertions": [{"check": "all_converged"}],
     })
-    world = scenario.World(spec, tmp_path)
-    try:
-        with pytest.raises(twins.SchemaInvalid, match="firmware"):
-            world.run()
-    finally:
-        world.close()
-    twin = world.twins.get_twin("n-000001")
-    assert (twin.desired, twin.desired_version) == ({}, 0)
-    assert "twin/n-000001/desired" not in world.broker.retained
+    registry = controlplane.Registry(log_path=tmp_path / "registry.jsonl")
+    with pytest.raises(scenario.BadScenario, match="SchemaInvalid: type_mismatch: firmware"):
+        scenario.World(spec, tmp_path, registry=registry)
+    assert registry.entries() == [] and not (tmp_path / "registry.jsonl").exists()
 
 
 def test_running_a_spec_twice_gives_the_same_report(tmp_path):
@@ -771,6 +931,8 @@ def test_cli_tail_skips_a_torn_last_line(tmp_path, capsys, torn):
     {"kind": "meteor", "start": 50, "end": 99},
     {"kind": "flood", "nodes": [1], "start": 1, "end": 99},
     {"kind": "flood", "nodes": [2], "start": 1, "end": 4},
+    {"start": 1, "end": 4},
+    5,
 ])
 def test_cli_inject_refuses_a_fault_that_run_would_reject(tmp_path, capsys, fault):
     scenario_path = tmp_path / "scenario.json"
@@ -781,6 +943,16 @@ def test_cli_inject_refuses_a_fault_that_run_would_reject(tmp_path, capsys, faul
     assert capsys.readouterr().err.startswith("error: ")
     assert scenario_path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json", "ws"]
+
+
+@pytest.mark.parametrize("text", ["[1]", '{"duration_s": 5, "faults": {}}'])
+def test_cli_inject_refuses_a_file_that_is_not_a_scenario(tmp_path, capsys, text):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(text)
+    assert run_cli(tmp_path, "inject", "--scenario", str(scenario_path),
+                   json.dumps({"kind": "flood"})) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert scenario_path.read_text() == text
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -800,6 +972,73 @@ def test_cli_run_reports_a_bad_scenario_without_a_traceback(tmp_path, capsys, do
     assert "Traceback" not in err
     # nothing was commissioned, so the next run in this workspace may start
     assert not (tmp_path / "ws" / "registry.jsonl").exists()
+
+
+def probe_doc(**section):
+    """A one-node, 2 s scenario that runs clean, with ``section`` merged in;
+    a ``channel`` entry is merged into its one channel."""
+    doc = {"duration_s": 2.0, "seed": 3,
+           "nodes": [{"count": 1, "class_name": "multi_sensor", "channels": [
+               {"sensor_name": "temp", "sample_period_ms": 500,
+                "waveform": {"kind": "constant", "base": 71}}]}]}
+    doc["nodes"][0]["channels"][0].update(section.pop("channel", {}))
+    doc["nodes"][0].update(section.pop("group", {}))
+    doc.update(section)
+    return doc
+
+
+def set_desired(node="n-000001", **changes):
+    return {"actions": [{"kind": "set_desired", "at": 1, "node": node,
+                         "set": changes or {"setpoint": "n:68"}}]}
+
+
+# Every scenario error is reported before the first node is commissioned.
+# A remediate action naming an incident the run never opens stays a
+# run-time error: only the run knows which incident ids it opens.
+SPEC_PROBES = {
+    # a fault's end defaults to duration_s, so this window is 3..2 s
+    "fault_without_end": (probe_doc(faults=[{"kind": "uplink_outage", "nodes": [1],
+                                             "start": 3}]), "not inside"),
+    "string_start": (probe_doc(faults=[{"kind": "flood", "start": "soon", "end": 1}]),
+                     "start"),
+    "list_kind": (probe_doc(faults=[{"kind": ["flood"], "start": 0, "end": 1}]), "kind"),
+    "bare_incident_opened": (probe_doc(assertions=["incident_opened"]), "node"),
+    "flush_within_seconds": (probe_doc(assertions=[{"check": "flush_within",
+                                                    "seconds": "x"}]), "seconds"),
+    "sample_period": (probe_doc(channel={"sample_period_ms": 5}), "sample_period_ms"),
+    "sensor_name": (probe_doc(channel={"sensor_name": "Temp"}), "Temp"),
+    "action_at": (probe_doc(actions=[{"kind": "set_desired", "at": "x", "node": "n-000001",
+                                      "set": {"setpoint": "n:68"}}]), "at"),
+    "set_desired_node": (probe_doc(**set_desired(node="n-000009")), "n-000009"),
+    "set_desired_read_only": (probe_doc(**set_desired(temp="n:1")), "temp"),
+    "edge_rule_op": (probe_doc(group={"edge_rules": [{"rule_id": "hot", "channel": "temp",
+                                                      "op": "~", "threshold": 80}]}), "~"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(SPEC_PROBES))
+def test_cli_run_rejects_a_bad_scenario_before_commissioning(tmp_path, capsys, probe):
+    doc, message = SPEC_PROBES[probe]
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text(json.dumps(doc))
+    good.write_text(json.dumps(probe_doc()))
+    assert run_cli(tmp_path, "run", str(bad)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert "Traceback" not in err
+    log = tmp_path / "ws" / "registry.jsonl"
+    assert not log.exists() or log.read_text() == ""
+    assert run_cli(tmp_path, "run", str(good)) == 0
+    assert "n-000001" in log.read_text()
+
+
+def test_a_channel_with_nothing_stored_fails_its_checks_not_the_run(tmp_path):
+    # the class defines no "fog", so the gateway rejects every reading of
+    # it; the seq checks used to raise tsdb.UnknownChannel after the run
+    doc = probe_doc(channel={"sensor_name": "fog"}, assertions=["seq_gap_free", "exact_multiset"])
+    report = run_scenario(ScenarioSpec.from_dict(doc), tmp_path)
+    assert report.stored == {} and report.rejected == {"schema_invalid": 4}
+    assert [a["passed"] for a in report.assertions] == [True, False]
 
 
 FLOOD_SCENARIO = {
