@@ -48,6 +48,15 @@ def _parse_time(text: str) -> float:
         raise CliError(f"bad time {text!r} (want epoch seconds or RFC3339)") from None
 
 
+def _read_scenario(path: Path):
+    """The JSON document of a scenario file; CliError if it cannot be read."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot read scenario {path}: {exc.strerror or exc}") from None
+    return json.loads(text)
+
+
 class WallClock:
     """Wall time, rounded to the millisecond as VirtualClock rounds."""
 
@@ -245,7 +254,7 @@ def cmd_tail(args, ws: Workspace) -> int:
 
 def cmd_inject(args, ws: Workspace) -> int:
     path = Path(args.scenario)
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = _read_scenario(path)
     ScenarioSpec.from_dict(doc)  # an object whose faults, if any, are a list
     fault = json.loads(args.fault)
     doc.setdefault("faults", []).append(fault)
@@ -265,7 +274,7 @@ def cmd_remediate(args, ws: Workspace) -> int:
 
 
 def cmd_run(args, ws: Workspace) -> int:
-    spec = ScenarioSpec.from_file(Path(args.scenario))
+    spec = ScenarioSpec.from_dict(_read_scenario(Path(args.scenario)))
     tsdb_dir = ws.root / "tsdb"
     if ws.registry.entries() or (tsdb_dir.is_dir() and any(tsdb_dir.iterdir())):
         raise CliError(

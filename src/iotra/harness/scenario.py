@@ -95,8 +95,13 @@ def build_default_model() -> infomodel.ModelRegistry:
 # -- scenario specification ----------------------------------------------
 
 
+# Frames per second a flood may publish: 250 times criterion 07's 400. A
+# node publishes its flood frames of a tick in one loop, so an unbounded
+# rate could run one tick for minutes and exhaust memory.
+MAX_FLOOD_RATE = 100_000
+
 # The parameter each fault kind reads: its name, default, conversion and range.
-FAULT_PARAMS = {"uplink_outage": (), "flood": ("rate", 1000, int, 0, math.inf),
+FAULT_PARAMS = {"uplink_outage": (), "flood": ("rate", 1000, int, 0, MAX_FLOOD_RATE),
                 "duplicate_replay": ("probability", 0.2, float, 0, 1)}
 # The keys each action kind reads.
 ACTION_KEYS = {"set_desired": frozenset({"kind", "at", "node", "set"}),
@@ -271,10 +276,6 @@ class ScenarioSpec:
                 "assertions", ["lossless", "seq_gap_free"], list)),
             model_dir=top.get("model_dir", "", str) or None,
         )
-
-    @classmethod
-    def from_file(cls, path: Path) -> "ScenarioSpec":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def _node_group(sec: _Section, seed: int, first: int) -> NodeGroup:
@@ -486,7 +487,10 @@ class SimNode:
             reading = self.edge.ingest_raw(sensor, raw, now)
             key = str(reading.channel)
             self.world.generated[key] = self.world.generated.get(key, 0) + 1
-        self.edge.control_step()
+        # nothing consumes the actuations yet; a node without control
+        # rules has none to compute
+        if self.edge.config.control_rules:
+            self.edge.control_step()
         if self.flooding_rate and connected:
             self._flood(now)
         published = self.edge.flush()

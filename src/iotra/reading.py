@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import operator
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 TOKEN_RE = re.compile(r"^[a-z][a-z0-9_]*$")
@@ -40,18 +41,23 @@ def is_token(text: str) -> bool:
     return bool(TOKEN_RE.match(text))
 
 
-@dataclass(frozen=True, slots=True)
-class ChannelKey:
-    """Identity of one data channel: ``node_id/sensor_name``."""
+class ChannelKey(namedtuple("ChannelKey", ("node_id", "sensor_name"))):
+    """Identity of one data channel: ``node_id/sensor_name``.
 
-    node_id: str
-    sensor_name: str
+    A tuple, so that hashing and equality run in C: every store call
+    looks its channel up by a key that is seldom the stored object. A key
+    therefore equals, and hashes as, the plain tuple
+    ``(node_id, sensor_name)``; a dict should not mix the two kinds.
+    """
 
-    def __post_init__(self):
-        if not ID_RE.match(self.node_id):
-            raise ValueError(f"bad node id: {self.node_id!r}")
-        if not TOKEN_RE.match(self.sensor_name):
-            raise ValueError(f"bad sensor name: {self.sensor_name!r}")
+    __slots__ = ()
+
+    def __new__(cls, node_id: str, sensor_name: str):
+        if not ID_RE.match(node_id):
+            raise ValueError(f"bad node id: {node_id!r}")
+        if not TOKEN_RE.match(sensor_name):
+            raise ValueError(f"bad sensor name: {sensor_name!r}")
+        return tuple.__new__(cls, (node_id, sensor_name))
 
     def __str__(self) -> str:
         return f"{self.node_id}/{self.sensor_name}"

@@ -24,7 +24,7 @@ from typing import Callable
 
 from .msgbus import BadTopic, TopicFilter, validate_topic
 from .reading import COMPARATORS, ChannelKey, Reading, remember
-from .tsdb import AGGREGATES, aggregate
+from .tsdb import AGGREGATES
 
 NODE_KINDS = {"source", "filter", "map", "window", "merge", "sink"}
 SINK_DESTS = {"topic", "tsdb", "twin_desired", "notify"}
@@ -68,8 +68,10 @@ class Emission:
 
 class _WindowState:
     def __init__(self, size_ms: int, slide_ms: int, agg: str):
-        if agg not in AGGREGATES:
-            raise BadPipeline(f"unknown window aggregate {agg!r}")
+        try:
+            self.fn = AGGREGATES[agg]
+        except (KeyError, TypeError):
+            raise BadPipeline(f"unknown window aggregate {agg!r}") from None
         if size_ms <= 0 or slide_ms <= 0:
             raise BadPipeline(f"window needs size_ms, slide_ms > 0: {size_ms}, {slide_ms}")
         self.size = size_ms / 1000.0
@@ -102,7 +104,7 @@ class _WindowState:
                 out.append(
                     Item(
                         ts=b,
-                        value=aggregate(self.agg, vals),
+                        value=self.fn(vals),
                         channel=channel,
                         meta={"bucket_start": b - self.size, "agg": self.agg,
                               "count": len(vals)},

@@ -84,15 +84,28 @@ running, more than four times the 0.28 ms p99 of the benchmark's
 move that cost into the heavy queries after every reopen, and would
 need a bounded cache, whose size is one more knob.
 
-In memory each segment keeps its readings in append order beside a
-parallel ``ts`` list and an ``ordered`` flag. The flag holds while every
-append sorts at or after the previous one in (ts, seq) order, which is
-how a node's readings arrive; one out-of-order append clears it for that
-segment. A query skips segments by their min/max summary, bisects the
-``ts`` list of each ordered segment it touches and slices its entries:
+In memory each segment keeps its readings (``entries``) in append order
+beside two parallel columns, ``ts`` and ``values``, and an ``ordered``
+flag. ``values`` holds the very objects the readings hold, so it costs a
+list slot, 8 bytes a reading; an open fills both columns from the lists
+the decoders build anyway. The flag holds while every append sorts at or
+after the previous one in (ts, seq) order, which is how a node's
+readings arrive; one out-of-order append clears it for that segment.
+
+A query skips segments by their min/max summary, bisects the ``ts`` list
+of each ordered segment it touches and slices its entries:
 O(segments + log n + k) for k rows returned. It sorts only when a
 touched segment is unordered or two touched slices overlap at a segment
 boundary, and returns the same rows in the same order either way.
+``downsample`` finds the same slices (Store._spans decides for both) and
+takes them from ``ts`` and ``values``, or, where query_range would sort,
+from the rows it returns, converting each value with ``float`` once. It
+then steps one bucket at a time: the bucket's first row gives its k,
+a bisect for the edge t1 + (k+1)*interval finds the next bucket's first
+row, and that edge moves past any row that rounding puts on the wrong
+side of it, so that every row lands in the bucket int((ts - t1) //
+interval) names. Each bucket is one aggregate call over its values in
+row order, so a sum adds them in the order a loop over rows would.
 """
 
 from __future__ import annotations
@@ -104,16 +117,24 @@ import re
 import struct
 import sys
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import repeat
-from operator import le, lt
+from operator import itemgetter, le, lt
 from pathlib import Path
 
 from .reading import ChannelKey, Reading
 
 SEGMENT_CAPACITY = 1000
 
-AGGREGATES = ("min", "max", "avg", "count", "first", "last")
+# Each aggregate's function over a non-empty list of values in time order.
+AGGREGATES = {
+    "min": min,
+    "max": max,
+    "avg": lambda vals: sum(vals) / len(vals),
+    "count": lambda vals: float(len(vals)),
+    "first": itemgetter(0),
+    "last": itemgetter(-1),
+}
 
 # json.dumps with keyword arguments builds a new encoder on every call
 _ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
@@ -143,21 +164,6 @@ def _sort_key(r: Reading):
     return (r.ts, r.seq if r.seq is not None else 0)
 
 
-def aggregate(agg: str, vals: list[float]) -> float:
-    """One of AGGREGATES over a non-empty list of values in time order."""
-    if agg == "min":
-        return min(vals)
-    if agg == "max":
-        return max(vals)
-    if agg == "avg":
-        return sum(vals) / len(vals)
-    if agg == "count":
-        return float(len(vals))
-    if agg == "first":
-        return vals[0]
-    return vals[-1]
-
-
 def _encode_record(r: Reading, prev: Reading | None = None) -> bytes:
     """r's record in a log whose last record holds prev: short when prev
     has r's unit and tags (identity first, as in _encode_block) and r's
@@ -174,10 +180,10 @@ def _encode_record(r: Reading, prev: Reading | None = None) -> bytes:
     return _LENGTH.pack(len(body)) + body
 
 
-def _decode_log(key: ChannelKey,
-                data: bytes) -> tuple[list[Reading], list[float], list[dict], int]:
-    """(readings, their ts, distinct tags dicts, clean offset) of an
-    active log's bytes.
+def _decode_log(key: ChannelKey, data: bytes
+                ) -> tuple[list[Reading], list[float], list, list[dict], int]:
+    """(readings, their ts, their values, distinct tags dicts, clean
+    offset) of an active log's bytes.
 
     Stops at the first torn or corrupt record, so a truncated tail costs
     at most one record; a short record with no full record before it is
@@ -221,21 +227,25 @@ def _decode_log(key: ChannelKey,
                 break
     readings: list[Reading] = []
     ts: list[float] = []
+    values: list = []
     tables: list[dict] = []
     tags = None
     for n, rec in enumerate(decoded, 1):
-        t, unit = float(rec["ts"]), rec.get("unit", "")
+        t, v, unit = float(rec["ts"]), rec["v"], rec.get("unit", "")
         if (rec_tags := rec.get("tags") or {}) != tags:
             tags = rec_tags
             tables.append(tags)
-        readings.append(Reading(key, rec["v"], unit, t, rec.get("seq"), tags))
+        readings.append(Reading(key, v, unit, t, rec.get("seq"), tags))
         ts.append(t)
+        values.append(v)
         if n in runs:
             start, end = runs[n]
-            _, run_ts, seqs, values = zip(*_SHORT.iter_unpack(data[start:end]))
-            readings += map(Reading, repeat(key), values, repeat(unit), run_ts, seqs, repeat(tags))
+            _, run_ts, seqs, run_values = zip(*_SHORT.iter_unpack(data[start:end]))
+            readings += map(Reading, repeat(key), run_values, repeat(unit), run_ts, seqs,
+                            repeat(tags))
             ts += run_ts
-    return readings, ts, tables, off
+            values += run_values
+    return readings, ts, values, tables, off
 
 
 def _pack(typecode: str, values) -> bytes:
@@ -290,9 +300,11 @@ def _encode_block(seg: "_Segment") -> bytes:
     return b"".join([_LENGTH.pack(len(head)), head, *columns])
 
 
-def _decode_block(key: ChannelKey, data: bytes) -> tuple[list[Reading], list[float], list[dict]]:
-    """(readings, their ts, distinct tags dicts) of a block file; raises
-    ValueError, and others, on a block that is cut short or corrupt."""
+def _decode_block(key: ChannelKey,
+                  data: bytes) -> tuple[list[Reading], list[float], list, list[dict]]:
+    """(readings, their ts, their values, distinct tags dicts) of a block
+    file; raises ValueError, and others, on a block that is cut short or
+    corrupt."""
     (length,) = _LENGTH.unpack_from(data)
     off = 4 + length
     if off > len(data):
@@ -325,7 +337,7 @@ def _decode_block(key: ChannelKey, data: bytes) -> tuple[list[Reading], list[flo
     if not len(seqs) == len(values) == count:
         raise ValueError("a column's length is not the header's count")
     readings = list(map(Reading, repeat(key), values, unit_col, ts, seqs, tag_col))
-    return readings, ts, tables
+    return readings, ts, values, tables
 
 
 class _Segment:
@@ -334,6 +346,7 @@ class _Segment:
         self.path = path
         self.entries: list[Reading] = []
         self.ts: list[float] = []  # entries[i].ts, for bisecting
+        self.values: list = []  # entries[i].value, for downsampling
         self.ordered = True  # entries nondecreasing in _sort_key order
         self.sealed = False
         self.min_ts = float("inf")
@@ -348,28 +361,22 @@ class _Segment:
                 self.ordered = False
         self.entries.append(r)
         self.ts.append(ts)
+        self.values.append(r.value)
         if ts < self.min_ts:
             self.min_ts = ts
         if ts > self.max_ts:
             self.max_ts = ts
 
-    def fill(self, readings: list[Reading], ts: list[float]) -> None:
-        """add() each of readings, whose timestamps are ts, in order, to
-        this empty segment."""
-        self.entries, self.ts = readings, ts
+    def fill(self, readings: list[Reading], ts: list[float], values: list) -> None:
+        """add() each of readings, whose timestamps are ts and values are
+        values, in order, to this empty segment."""
+        self.entries, self.ts, self.values = readings, ts, values
         # strictly increasing ts, the common case, settles the order alone
         if not all(map(lt, ts, ts[1:])):
             keys = [_sort_key(r) for r in readings]
             self.ordered = all(map(le, ts, ts[1:])) and all(map(le, keys, keys[1:]))
         self.min_ts = min((self.min_ts, *ts))
         self.max_ts = max((self.max_ts, *ts))
-
-    def rows(self, t1: float, t2: float) -> list[Reading]:
-        """Entries with t1 <= ts < t2, in append order."""
-        if self.ordered:
-            ts = self.ts
-            return self.entries[bisect_left(ts, t1) : bisect_left(ts, t2)]
-        return [r for r in self.entries if t1 <= r.ts < t2]
 
 
 class _Channel:
@@ -433,7 +440,7 @@ class Store:
             if blk.exists():
                 seg = _Segment(number, blk)
                 try:
-                    readings, ts, seg_tables = _decode_block(key, blk.read_bytes())
+                    readings, ts, values, seg_tables = _decode_block(key, blk.read_bytes())
                 except (ValueError, LookupError, TypeError, struct.error) as exc:
                     raise TsdbError(f"unreadable block {blk}: {exc}") from None
                 seg.sealed = True
@@ -441,12 +448,12 @@ class Store:
             else:
                 seg = _Segment(number, log)
                 data = log.read_bytes()
-                readings, ts, seg_tables, clean = _decode_log(key, data)
+                readings, ts, values, seg_tables, clean = _decode_log(key, data)
                 if clean < len(data):
                     # torn tail from a crash mid-append: repair in place
                     with open(log, "r+b") as fh:
                         fh.truncate(clean)
-            seg.fill(readings, ts)
+            seg.fill(readings, ts, values)
             tables += seg_tables
             ch.segments.append(seg)
         if ch.segments and not ch.segments[-1].sealed:
@@ -527,29 +534,50 @@ class Store:
         ch = self._channels.get(channel)
         return sum(len(s.entries) for s in ch.segments) if ch else 0
 
-    def query_range(self, channel: ChannelKey, t1: float, t2: float) -> list[Reading]:
-        """All readings with t1 <= ts < t2, sorted by (ts, seq); readings
-        with equal keys keep their append order."""
+    def _spans(self, channel: ChannelKey, t1: float,
+               t2: float) -> tuple[list[tuple[_Segment, int, int]], bool]:
+        """The segments that hold the channel's rows with t1 <= ts < t2,
+        each as (segment, lo, hi), and whether those rows, taken span by
+        span, are already in (ts, seq) order. An ordered segment's rows
+        are exactly entries[lo:hi]; an unordered one spans all its
+        entries, which the caller filters, and clears the order."""
         if t1 > t2:
             raise TsdbError("t1 must be <= t2")
         ch = self._channels.get(channel)
         if ch is None:
             raise UnknownChannel(str(channel))
-        out: list[Reading] = []
-        if not t1 < t2:  # empty interval (or a NaN bound)
-            return out
+        spans: list[tuple[_Segment, int, int]] = []
         in_order = True
+        if not t1 < t2:  # empty interval (or a NaN bound)
+            return spans, in_order
+        last = None  # the last row spanned so far
         for seg in ch.segments:
             if not seg.entries or seg.max_ts < t1 or seg.min_ts >= t2:
                 continue  # min/max summary skip
-            rows = seg.rows(t1, t2)
-            if not rows:
-                continue
-            if in_order and (
-                not seg.ordered or (out and _sort_key(rows[0]) < _sort_key(out[-1]))
-            ):
+            if not seg.ordered:
                 in_order = False
-            out += rows
+                spans.append((seg, 0, len(seg.entries)))
+                continue
+            ts = seg.ts
+            lo, hi = bisect_left(ts, t1), bisect_left(ts, t2)
+            if lo == hi:
+                continue
+            if in_order and last is not None and _sort_key(seg.entries[lo]) < _sort_key(last):
+                in_order = False  # overlaps the span before it
+            last = seg.entries[hi - 1]
+            spans.append((seg, lo, hi))
+        return spans, in_order
+
+    def query_range(self, channel: ChannelKey, t1: float, t2: float) -> list[Reading]:
+        """All readings with t1 <= ts < t2, sorted by (ts, seq); readings
+        with equal keys keep their append order."""
+        spans, in_order = self._spans(channel, t1, t2)
+        out: list[Reading] = []
+        for seg, lo, hi in spans:
+            if seg.ordered:
+                out += seg.entries[lo:hi]
+            else:
+                out += [r for r in seg.entries if t1 <= r.ts < t2]
         if not in_order:
             out.sort(key=_sort_key)
         return out
@@ -559,24 +587,41 @@ class Store:
     ) -> list[tuple[float, float]]:
         """Bucketed aggregate over [t1, t2): buckets [t1+k*i, t1+(k+1)*i).
 
-        Empty buckets are omitted for every aggregate, count included.
+        A row's bucket k is int((ts - t1) // interval). Empty buckets are
+        omitted for every aggregate, count included.
         """
         if interval <= 0:
             raise BadInterval(str(interval))
-        if agg not in AGGREGATES:
-            raise BadInterval(f"unknown aggregate {agg!r}")
+        try:
+            fn = AGGREGATES[agg]
+        except (KeyError, TypeError):
+            raise BadInterval(f"unknown aggregate {agg!r}") from None
+        spans, in_order = self._spans(channel, t1, t2)
+        if in_order:
+            ts: list[float] = []
+            vals: list[float] = []
+            for seg, lo, hi in spans:
+                ts += seg.ts[lo:hi]
+                vals += map(float, seg.values[lo:hi])
+        else:
+            rows = self.query_range(channel, t1, t2)
+            ts = [r.ts for r in rows]
+            vals = [float(r.value) for r in rows]
         out: list[tuple[float, float]] = []
-        bucket, vals = None, []
-        # rows come sorted by ts, so each bucket's rows are contiguous
-        for r in self.query_range(channel, t1, t2):
-            k = int((r.ts - t1) // interval)
-            if k != bucket:
-                if vals:
-                    out.append((t1 + bucket * interval, aggregate(agg, vals)))
-                bucket, vals = k, []
-            vals.append(float(r.value))
-        if vals:
-            out.append((t1 + bucket * interval, aggregate(agg, vals)))
+        # ts is sorted, so each bucket's rows are contiguous: bisect for
+        # the next bucket's edge, then move it past any row that rounding
+        # puts on the wrong side of it, so that every row stays in the
+        # bucket its own k names
+        lo, n = 0, len(ts)
+        while lo < n:
+            k = int((ts[lo] - t1) // interval)
+            hi = bisect_left(ts, t1 + (k + 1) * interval, lo + 1)
+            while hi < n and int((ts[hi] - t1) // interval) == k:
+                hi = bisect_right(ts, ts[hi], hi)
+            while int((ts[hi - 1] - t1) // interval) != k:
+                hi = bisect_left(ts, ts[hi - 1], lo + 1, hi - 1)
+            out.append((t1 + k * interval, fn(vals[lo:hi])))
+            lo = hi
         return out
 
     def find_channels(self, tag_query: dict[str, str]) -> list[ChannelKey]:

@@ -122,6 +122,17 @@ def test_spec_rejects_what_the_run_would_fail_on(doc, message):
         ScenarioSpec.from_dict(doc)
 
 
+def test_spec_bounds_a_flood_rate():
+    def flood(rate):
+        return {"duration_s": 1, "faults": [{"kind": "flood", "start": 0, "end": 1,
+                                             "params": {"rate": rate}}]}
+
+    assert ScenarioSpec.from_dict(flood(scenario.MAX_FLOOD_RATE)).faults[0].level == 100_000
+    for rate in (scenario.MAX_FLOOD_RATE + 1, 2.1e17):
+        with pytest.raises(scenario.BadScenario, match="rate"):
+            ScenarioSpec.from_dict(flood(rate))
+
+
 def test_spec_converts_fault_params_once():
     doc = {"duration_s": 5, "faults": [
         {"kind": "flood", "start": 0, "end": 1, "params": {"rate": "500"}},
@@ -974,6 +985,18 @@ def test_cli_run_reports_a_bad_scenario_without_a_traceback(tmp_path, capsys, do
     assert not (tmp_path / "ws" / "registry.jsonl").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "inject"])
+@pytest.mark.parametrize("name", ["missing.json", "."])
+def test_cli_reports_a_scenario_file_it_cannot_read(tmp_path, capsys, command, name):
+    path = tmp_path / name
+    argv = (["run", str(path)] if command == "run"
+            else ["inject", "--scenario", str(path), json.dumps({"kind": "flood"})])
+    assert run_cli(tmp_path, *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read scenario {path}: ") and err.count("\n") == 1
+    assert not (tmp_path / "ws" / "registry.jsonl").exists()
+
+
 def probe_doc(**section):
     """A one-node, 2 s scenario that runs clean, with ``section`` merged in;
     a ``channel`` entry is merged into its one channel."""
@@ -1013,6 +1036,9 @@ SPEC_PROBES = {
     "set_desired_read_only": (probe_doc(**set_desired(temp="n:1")), "temp"),
     "edge_rule_op": (probe_doc(group={"edge_rules": [{"rule_id": "hot", "channel": "temp",
                                                       "op": "~", "threshold": 80}]}), "~"),
+    # one tick of this flood would publish 2.1e16 frames
+    "flood_rate": (probe_doc(faults=[{"kind": "flood", "start": 0, "end": 1,
+                                      "params": {"rate": 2.1e17}}]), "rate"),
 }
 
 

@@ -59,10 +59,11 @@ def test_short_record_layout():
     prev = reading(1.0, value=2.5, seq=3, tags={"zone": "Z3"})
     data = _encode_record(reading(1.5, value=77.6, seq=4, tags={"zone": "Z3"}), prev)
     assert data == struct.pack(">Idqd", 24, 1.5, 4, 77.6)
-    readings, ts, tables, clean = _decode_log(ch(), _encode_record(prev) + data)
+    readings, ts, values, tables, clean = _decode_log(ch(), _encode_record(prev) + data)
     assert [exact(r) for r in readings] == [
         exact(prev), exact(reading(1.5, value=77.6, seq=4, tags={"zone": "Z3"}))]
-    assert (ts, tables, clean) == ([1.0, 1.5], [{"zone": "Z3"}], len(_encode_record(prev)) + 28)
+    assert (ts, values, tables, clean) == (
+        [1.0, 1.5], [2.5, 77.6], [{"zone": "Z3"}], len(_encode_record(prev)) + 28)
     assert readings[1].tags is readings[0].tags and readings[1].unit is readings[0].unit
 
 
@@ -90,18 +91,19 @@ def test_record_kind(change, kind):
     r = Reading(**{**fields, **change})
     data = _encode_record(r, prev)
     assert (len(data) == 28) == (kind == "short")
-    readings, ts, _, clean = _decode_log(ch(), _encode_record(prev) + data)
+    readings, ts, values, _, clean = _decode_log(ch(), _encode_record(prev) + data)
     assert clean == len(_encode_record(prev)) + len(data)
     assert [exact(x) for x in readings] == [exact(prev), exact(r)]
     assert ts == [prev.ts, r.ts]
+    assert all(v is x.value for v, x in zip(values, readings, strict=True))
 
 
 def test_read_records_stops_at_torn_tail():
     good = _encode_record(reading(1)) + _encode_record(reading(2))
     torn = _encode_record(reading(3))[:-5]
-    readings, ts, _, clean = _decode_log(ch(), good + torn)
+    readings, ts, values, _, clean = _decode_log(ch(), good + torn)
     assert readings == [reading(1), reading(2)]
-    assert ts == [1.0, 2.0]
+    assert ts == values == [1.0, 2.0]
     assert clean == len(good)
 
 
@@ -109,8 +111,9 @@ def test_read_records_stops_at_torn_tail():
 def test_read_records_stops_at_corrupt_record(body):
     first = _encode_record(reading(1))
     data = first + struct.pack(">I", len(body)) + body + _encode_record(reading(2))
-    readings, _, _, clean = _decode_log(ch(), data)
+    readings, _, values, _, clean = _decode_log(ch(), data)
     assert readings == [reading(1)]
+    assert values == [1.0]
     assert clean == len(first)
 
 
@@ -119,14 +122,14 @@ def test_read_records_drops_the_short_records_after_a_corrupt_one():
     good = _encode_record(first) + _encode_record(second, first)
     bad = struct.pack(">I", 4) + b"{x\n\n"
     data = good + bad + _encode_record(reading(3, value=3.5, seq=3), second)
-    readings, ts, _, clean = _decode_log(ch(), data)
-    assert (readings, ts, clean) == ([first, second], [1.0, 2.0], len(good))
+    readings, ts, values, _, clean = _decode_log(ch(), data)
+    assert (readings, ts, values, clean) == ([first, second], [1.0, 2.0], [1.5, 2.5], len(good))
 
 
 def test_read_records_stops_at_a_short_record_with_no_full_record_before_it():
     first, second = reading(1, value=1.5, seq=1), reading(2, value=2.5, seq=2)
     short = _encode_record(second, first)
-    assert _decode_log(ch(), short + _encode_record(first) + short) == ([], [], [], 0)
+    assert _decode_log(ch(), short + _encode_record(first) + short) == ([], [], [], [], 0)
 
 
 def test_read_records_decodes_short_runs_between_full_records():
@@ -134,9 +137,10 @@ def test_read_records_decodes_short_runs_between_full_records():
     rows = [Reading(ch(), i + 0.5, "°F", float(i), i, a if i < 3 or i > 5 else b)
             for i in range(9)]
     data = b"".join(_encode_record(r, prev) for prev, r in zip([None] + rows, rows))
-    readings, ts, tables, clean = _decode_log(ch(), data)
+    readings, ts, values, tables, clean = _decode_log(ch(), data)
     assert [exact(r) for r in readings] == [exact(r) for r in rows]
     assert (ts, tables, clean) == ([r.ts for r in rows], [a, b, a], len(data))
+    assert all(v is r.value for v, r in zip(values, readings, strict=True))
     # each run shares the unit and tags of the full record that starts it
     starts = [0] * 3 + [3] * 3 + [6] * 3
     assert all(r.unit is readings[i].unit and r.tags is readings[i].tags
@@ -321,12 +325,13 @@ def check_against_reference(store, ref, windows):
         if chunks and len(chunks[-1]) < PROP_CAPACITY:
             chunk = chunks[-1]
             data = store._channels[key].active.path.read_bytes()
-            assert _decode_log(key, data)[3] == len(data)
+            assert _decode_log(key, data)[4] == len(data)
             assert [length == 24 for length in record_lengths(data)] == [
                 short_record(prev, r) for prev, r in zip([None] + chunk, chunk)]
     for channel in store._channels.values():  # the ordered-segment invariant
         for seg in channel.segments:
             assert seg.ts == [r.ts for r in seg.entries]
+            assert all(v is r.value for v, r in zip(seg.values, seg.entries, strict=True))
             if seg.ordered:
                 assert seg.entries == sorted(seg.entries, key=ref_key)
     for key in sorted(ref.known, key=str):
@@ -427,9 +432,10 @@ def test_block_codec_round_trips(rows):
         seg.add(Reading(ch(), value, unit, ts, seq, dict(PROP_TAGS[tags])))
     data = tsdb._encode_block(seg)
     tables = block_header(data)["tags"]
-    readings, ts, decoded_tables = tsdb._decode_block(ch(), data)
+    readings, ts, values, decoded_tables = tsdb._decode_block(ch(), data)
     assert [exact(r) for r in readings] == [exact(r) for r in seg.entries]
     assert [repr(t) for t in ts] == [repr(r.ts) for r in readings]
+    assert all(v is r.value for v, r in zip(values, readings, strict=True))
     # one dict per distinct tags dict, shared by its readings
     distinct = [dict(t) for i, t in enumerate(PROP_TAGS) if i in {row[4] for row in rows}]
     assert sorted(decoded_tables, key=repr) == sorted(distinct, key=repr) == sorted(tables, key=repr)
@@ -516,6 +522,112 @@ def test_downsample_rejects_bad_interval(tmp_path):
     with pytest.raises(BadInterval):
         store.downsample(ch(), 0, 10, 5, "median")
     store.close()
+
+
+# Store.downsample as it was before it bucketed from columns: one step per
+# row of the sorted range, with the checks query_range made. The
+# differential test below holds the column path to it.
+ORACLE_AGGREGATES = {
+    "min": min, "max": max, "avg": lambda v: sum(v) / len(v),
+    "count": lambda v: float(len(v)), "first": lambda v: v[0], "last": lambda v: v[-1],
+}
+
+
+def downsample_oracle(rows, t1, t2, interval, agg):
+    """Buckets of the readings rows of one channel, None for a channel the
+    store does not hold."""
+    if interval <= 0:
+        raise BadInterval(str(interval))
+    if agg not in ORACLE_AGGREGATES:
+        raise BadInterval(f"unknown aggregate {agg!r}")
+    if t1 > t2:
+        raise tsdb.TsdbError("t1 must be <= t2")
+    if not rows:
+        raise UnknownChannel()
+    out, bucket, vals = [], None, []
+    for r in sorted((r for r in rows if t1 <= r.ts < t2), key=ref_key):
+        k = int((r.ts - t1) // interval)
+        if k != bucket:
+            if vals:
+                out.append((t1 + bucket * interval, ORACLE_AGGREGATES[agg](vals)))
+            bucket, vals = k, []
+        vals.append(float(r.value))
+    if vals:
+        out.append((t1 + bucket * interval, ORACLE_AGGREGATES[agg](vals)))
+    return out
+
+
+def outcome(fn, *args):
+    """fn's result, or the class of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+# Timestamps, bounds and intervals are multiples of one unit, so that
+# bucket edges computed in floating point fall on and beside rows.
+DS_UNITS = (0.1, 0.3, 1 / 3, 1e-3, 1.0)
+_ds_appends = st.lists(st.tuples(
+    st.sampled_from((1, 1, 1, 0, 2, 5, -3)),  # ts step: ties, sometimes back
+    st.one_of(st.floats(-50, 50), st.floats(-50, 50), st.floats(-50, 50),
+              st.integers(-5, 5), st.booleans(), st.sampled_from(("1.5", "-2"))),
+    st.sampled_from((False,) * 7 + (True,)),  # reopen the store first
+), min_size=8, max_size=50)
+_ds_queries = st.lists(st.tuples(
+    st.integers(-4, 45).map(lambda i: -math.inf if i == -4 else i),  # start
+    st.integers(-2, 60).map(lambda i: math.inf if i == 60 else i),  # span; < 0 inverts
+    st.sampled_from((1, 1, 2, 2, 3, 7, 10, 0.3, 1 / 3, 0.5, 0, -1, math.nan)),  # interval
+    st.sampled_from((*ORACLE_AGGREGATES, "median")),
+), min_size=3, max_size=6)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(DS_UNITS), _ds_appends, st.one_of(st.none(), st.integers(0, 49)),
+       _ds_queries)
+def test_downsample_matches_the_per_row_oracle(unit, appends, unparsable, queries):
+    with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tsdb, "SEGMENT_CAPACITY", 7)
+        store, rows, step = Store(root), [], 0
+        try:
+            for i, (delta, value, reopen) in enumerate(appends):
+                if reopen:
+                    store.close()
+                    store = Store(root)
+                step += delta
+                value = "x" if i == unparsable else value  # float() refuses it
+                rows.append(Reading(ch(), value, "°F", step * unit, i + 1, {}))
+                store.append(rows[-1])
+            for reopen in (False, True):
+                if reopen:
+                    store.close()
+                    store = Store(root)
+                for start, span, scale, agg in queries:
+                    t1, t2, interval = start * unit, (start + span) * unit, scale * unit
+                    assert outcome(store.downsample, ch(), t1, t2, interval, agg) == outcome(
+                        downsample_oracle, rows, t1, t2, interval, agg)
+                assert outcome(store.downsample, ch(sensor="humidity"), 0, 1, 1, "avg") \
+                    is UnknownChannel
+        finally:
+            store.close()
+
+
+def test_downsample_buckets_rows_on_float_edges_as_the_oracle_does(tmp_path, monkeypatch):
+    # every window start and interval a few units wide: the bisected edge
+    # of a bucket lands both before and after rows whose own k says it
+    # should not
+    monkeypatch.setattr(tsdb, "SEGMENT_CAPACITY", 30)
+    with contextlib.closing(Store(tmp_path)) as store:
+        for u, unit in enumerate(DS_UNITS[:4]):
+            rows = [Reading(ch(sensor=f"s{u}"), float(i), "", i * unit, i + 1, {})
+                    for i in range(100)]
+            for r in rows:
+                store.append(r)
+            for start in range(-3, 50):
+                for scale in (1, 2, 3, 7):
+                    args = (start * unit, math.inf, scale * unit, "last")
+                    assert store.downsample(rows[0].channel, *args) == downsample_oracle(
+                        rows, *args)
 
 
 # -- tag index -----------------------------------------------------------
