@@ -6,42 +6,59 @@ encoding (``n:``/``s:``/``b:``/``t:`` prefixes), and payload
 validation against class definitions.
 
 The report codec resolves what repeats once and handles per frame only
-what changes:
+what changes. One frame template per (node, channel, unit, tags) serves
+both directions: the JSON text around a float value, ``DateTime`` and an
+int ``seq``, built once by the one shared JSON encoder.
 
-- Edge: ``encode_report`` writes a reading with a float value and an
-  int seq from the frame template of its (node, channel, unit, tags):
-  the JSON text around the value, ``DateTime`` and ``seq``, built once
-  by the one shared JSON encoder. Any other reading, or one whose unit
-  or tag is not a str or whose tag key is ``id``, ``unit``,
-  ``DateTime``, ``seq`` or the channel's own, is encoded whole.
+- Edge: ``encode_report`` writes such a reading from its template. Any
+  other reading, or one whose unit or tag is not a str or whose tag key
+  is ``id``, ``unit``, ``DateTime``, ``seq`` or the channel's own, is
+  encoded whole.
 - Gateway: ``ModelRegistry.report_plan`` resolves a class into its
   effective properties and the names of the required ones on the
-  class's first report, and ``decode_report`` checks each key against
-  that plan as it parses it, so a frame is parsed and validated in one
-  pass.
+  class's first report, and the full decode of ``decode_report`` checks
+  each key against that plan as it parses it, so a frame is parsed and
+  validated in one pass.
+- Learning a shape: when the full decode accepts a one-line frame under
+  a plan and the template of the decoded reading renders it byte for
+  byte, the plan keeps the frame's shape, keyed by its text up to the
+  value: the template's three texts, the ``ChannelKey``, the unit, one
+  tags dict that all readings of the shape share, and the value's
+  ``PropertyDef``. A shape lives in its plan, so it never serves another
+  class or another registry.
+- Fast path: a frame that starts with a learned key is split at the
+  shape's texts, and its value, ``DateTime`` and seq must be in the
+  grammars the template writes (``_NUMBER_RE``, ``FORMAT_TS_RE``,
+  ``[1-9][0-9]*``); none of them needs JSON escaping, so the frame is the
+  learned one with three fields changed, and only the value is checked
+  against its property. Any mismatch falls back to the full decode, so a
+  frame gets the verdict, readings and exception it would get there.
 
-The templates, the parsed ``TypedScalar`` of a repeated unit or tag
-value and the ``ChannelKey`` of a repeated node/channel pair sit in
-memos of ``TEXT_MEMO_SIZE`` entries each. They are bounded because
-their keys come from outside the program (payload text, and the units
-and tags a fleet is configured with); a text that fails to parse is
-never cached. Other modules' memos keyed by outside input (the audit
-text and route plans of ``cloudgw``, the source plans of ``streams``)
-are bounded the same way, the dict ones through ``reading.remember``.
+The templates, the shapes of each plan, the parsed ``TypedScalar`` of a
+repeated unit or tag value and the ``ChannelKey`` of a repeated
+node/channel pair sit in memos of ``TEXT_MEMO_SIZE`` entries each. They
+are bounded because their keys come from outside the program (payload
+text, and the units and tags a fleet is configured with); a text that
+fails to parse is never cached. Other modules' memos keyed by outside
+input (the audit text and route plans of ``cloudgw``, the source plans of
+``streams``) are bounded the same way, the dict ones through
+``reading.remember``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
+from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
 
-from .reading import TEXT_MEMO_SIZE, ChannelKey, Reading, is_token
-from .timeutil import BadTimestamp, format_ts, parse_ts
+from .reading import TEXT_MEMO_SIZE, ChannelKey, Reading, is_token, remember
+from .timeutil import FORMAT_TS_RE, BadTimestamp, format_ts, parse_ts
 
 DATATYPES = {"number", "integer", "string", "boolean", "timestamp", "enum"}
 INTERACTION_KINDS = {"read", "write", "invoke", "event"}
@@ -50,6 +67,10 @@ RESERVED_KEYS = {"id", "DateTime", "seq"}
 DEFAULT_RELATIONS = frozenset({"part_of", "regulated_by", "composed_of", "contains"})
 
 SCALAR_PREFIXES = {"n", "s", "b", "t"}
+
+# The text of an ``n:`` scalar: JSON's number grammar, plus the texts
+# number_text writes for values that are not finite. Matched whole.
+_NUMBER_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?|nan|-?inf")
 
 
 def number_text(value: float) -> str:
@@ -141,11 +162,8 @@ def parse_scalar(text: str) -> TypedScalar:
         prefix, body = text[0], text[2:]
         if prefix not in SCALAR_PREFIXES:
             raise UnknownPrefix(f"unknown scalar prefix {prefix!r} in {text!r}")
-        if prefix == "n":
-            try:
-                float(body)
-            except ValueError:
-                raise MalformedText(f"bad number text: {body!r}") from None
+        if prefix == "n" and not _NUMBER_RE.fullmatch(body):
+            raise MalformedText(f"bad number text: {body!r}")
         if prefix == "t":
             body, _ = _parse_t_body(body)
         return TypedScalar(prefix, body)
@@ -257,6 +275,19 @@ class ValidationReport:
         return not self.violations
 
 
+class ReportPlan(namedtuple("ReportPlan", ("props", "required"))):
+    """(effective properties, names of the required ones) of a class, and
+    ``shapes``: the frame shapes decode_report has learned under this
+    plan (see the module docstring). A shape therefore never serves
+    another class or another registry. decode_report adds to
+    ``shapes``, so decodes under one plan are serialized by the owner."""
+
+    def __new__(cls, props: Mapping[str, PropertyDef], required: tuple[str, ...]):
+        plan = super().__new__(cls, props, required)
+        plan.shapes = {}
+        return plan
+
+
 class ModelRegistry:
     """Class vocabulary and taxonomy; class links use the relations in
     DEFAULT_RELATIONS.
@@ -269,7 +300,7 @@ class ModelRegistry:
     def __init__(self):
         self._classes: dict[str, ObjectClass] = {}
         self._effective: dict[str, Mapping[str, PropertyDef]] = {}
-        self._plans: dict[str, tuple] = {}
+        self._plans: dict[str, ReportPlan] = {}
 
     # -- vocabulary ------------------------------------------------------
 
@@ -336,14 +367,14 @@ class ModelRegistry:
         view = self._effective[name] = MappingProxyType(merged)
         return view
 
-    def report_plan(self, name: str) -> tuple[Mapping[str, PropertyDef], tuple[str, ...]]:
-        """(effective properties, names of the required ones): the class
-        resolved for validation, cached like effective_properties."""
+    def report_plan(self, name: str) -> ReportPlan:
+        """The class resolved for validation, cached like
+        effective_properties."""
         plan = self._plans.get(name)
         if plan is None:
             props = self.effective_properties(name)
             required = tuple(p.name for p in props.values() if p.required)
-            plan = self._plans[name] = (props, required)
+            plan = self._plans[name] = ReportPlan(props, required)
         return plan
 
     # -- model files -----------------------------------------------------
@@ -396,17 +427,22 @@ def check_value(prop: PropertyDef, scalar: TypedScalar) -> list[Violation]:
     """The ways ``scalar`` is not a valid value of ``prop``; empty if none."""
     if scalar.kind != _DATATYPE_PREFIX[prop.datatype]:
         return [Violation("type_mismatch", prop.name, f"expected {prop.datatype}")]
-    out: list[Violation] = []
     if prop.datatype in ("number", "integer"):
-        v = float(scalar.text)
-        if prop.datatype == "integer" and not (math.isfinite(v) and v.is_integer()):
-            out.append(Violation("type_mismatch", prop.name, "not an integer"))
-        if prop.min is not None and v < prop.min:
-            out.append(Violation("out_of_range", prop.name, f"{v} < min {prop.min}"))
-        if prop.max is not None and v > prop.max:
-            out.append(Violation("out_of_range", prop.name, f"{v} > max {prop.max}"))
-    elif prop.datatype == "enum" and scalar.text not in prop.enum_values:
-        out.append(Violation("bad_enum", prop.name, scalar.text))
+        return _number_violations(prop, float(scalar.text))
+    if prop.datatype == "enum" and scalar.text not in prop.enum_values:
+        return [Violation("bad_enum", prop.name, scalar.text)]
+    return []
+
+
+def _number_violations(prop: PropertyDef, v: float) -> list[Violation]:
+    """check_value of an ``n:`` scalar worth v under a numeric prop."""
+    out: list[Violation] = []
+    if prop.datatype == "integer" and not (math.isfinite(v) and v.is_integer()):
+        out.append(Violation("type_mismatch", prop.name, "not an integer"))
+    if prop.min is not None and v < prop.min:
+        out.append(Violation("out_of_range", prop.name, f"{v} < min {prop.min}"))
+    if prop.max is not None and v > prop.max:
+        out.append(Violation("out_of_range", prop.name, f"{v} > max {prop.max}"))
     return out
 
 
@@ -452,6 +488,11 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
 _repeated_scalar = lru_cache(maxsize=TEXT_MEMO_SIZE)(parse_scalar)
 _channel_key = lru_cache(maxsize=TEXT_MEMO_SIZE)(ChannelKey)
 
+# A template frame's text between the DateTime and the seq, and the seq
+# texts the fast path takes (the ints decode_report accepts, as written).
+_SEQ_KEY = '","seq":'
+_SEQ_RE = re.compile(r"[1-9][0-9]*")
+
 
 def _encode_value(value) -> str:
     if isinstance(value, TypedScalar):
@@ -484,9 +525,7 @@ def encode_report(node_id: str, readings: list[Reading]) -> str:
             except TypeError:  # an unhashable tag value
                 pass
         if template is not None:
-            head, mid, tail = template
-            lines.append(f"{head}{number_text(r.value)}{mid}{format_ts(r.ts)}"
-                         f'","seq":{r.seq}{tail}')
+            lines.append(_render(template, number_text(r.value), format_ts(r.ts), r.seq))
             continue
         obj: dict[str, object] = {"id": node_id}
         obj[r.channel.sensor_name] = _encode_value(r.value)
@@ -519,7 +558,14 @@ def _frame_template(node_id: str, sensor: str, unit: str,
     return head, f'",{mid}', f",{tail}" if tag_map else tail
 
 
-def decode_report(text: str, plan: tuple | None = None):
+def _render(template: tuple[str, str, str], value: str, ts: str, seq: int) -> str:
+    """The frame a template makes of these value and DateTime texts and
+    seq."""
+    head, mid, tail = template
+    return f"{head}{value}{mid}{ts}{_SEQ_KEY}{seq}{tail}"
+
+
+def decode_report(text: str, plan: ReportPlan | None = None):
     """Decode a report payload back into (node_id, readings).
 
     Inverse of encode_report for everything it produces; additionally
@@ -528,8 +574,15 @@ def decode_report(text: str, plan: tuple | None = None):
 
     With the report_plan of the sender's class, each line is validated in
     the same pass as validate_payload validates its payload_to_scalars
-    map; a violation raises ModelError.
+    map; a violation raises ModelError. A frame of a shape learned under
+    the plan is decoded without json.loads (see the module docstring),
+    with the same result; its reading's ``tags`` is the shape's one dict,
+    which the caller must not change.
     """
+    if plan is not None:
+        decoded = _decode_learned(text, plan.shapes)
+        if decoded is not None:
+            return decoded
     readings: list[Reading] = []
     node_id: str | None = None
     # "\n" alone: JSON escapes it inside a string, while str.splitlines()
@@ -544,18 +597,18 @@ def decode_report(text: str, plan: tuple | None = None):
         if not isinstance(obj, dict) or "id" not in obj:
             raise MalformedText("report object missing 'id'")
         if node_id is None:
-            node_id = str(obj["id"])
+            node_id = _text_of(obj, "id")
         elif obj["id"] != node_id:
             raise MalformedText("mixed node ids in one report")
         if "DateTime" not in obj:
             raise MalformedText("report object missing 'DateTime'")
-        raw_ts = str(obj["DateTime"])
+        raw_ts = _text_of(obj, "DateTime")
         if not raw_ts.startswith("t:"):
             parse_scalar(raw_ts)  # a bad prefix or number raises its own error
-            raise BadTimestamp(f"DateTime is not t-typed: {obj['DateTime']!r}")
+            raise BadTimestamp(f"DateTime is not t-typed: {raw_ts!r}")
         ts = _parse_t_body(raw_ts[2:])[1]
 
-        unit = str(obj.get("unit", ""))
+        unit = _text_of(obj, "unit") if "unit" in obj else ""
         seq = obj.get("seq")
         if seq is not None and (type(seq) is not int or seq < 1):
             raise MalformedText(f"seq is not an integer >= 1: {seq!r}")
@@ -563,26 +616,27 @@ def decode_report(text: str, plan: tuple | None = None):
         value_key: str | None = None
         value = None
         tags: dict[str, str] = {}
-        for key, raw in obj.items():
+        for key in obj:
             # a unit is parsed only to be checked; an id like x:... fails ChannelKey
             if key in RESERVED_KEYS or (key == "unit" and plan is None):
                 continue
+            raw = _text_of(obj, key)  # before the memo: a list is unhashable
             if key == "unit":
-                scalar = _repeated_scalar(str(raw))
+                scalar = _repeated_scalar(raw)
             elif value_key is None:
-                scalar = parse_scalar(str(raw))
+                scalar = parse_scalar(raw)
                 value_key = key
                 value = _scalar_to_value(scalar)
             else:
-                scalar = _repeated_scalar(str(raw))
+                scalar = _repeated_scalar(raw)
                 tags[key] = scalar.text
-            bad = plan is not None and _key_violations(plan[0], key, scalar)
+            bad = plan is not None and _key_violations(plan.props, key, scalar)
             if bad:
                 raise ModelError(f"{bad[0].kind}: {key}")
         if value_key is None:
             raise MalformedText("report object carries no channel value")
-        if plan is not None and not all(name in obj for name in plan[1]):
-            raise ModelError(f"missing_required: one of {plan[1]}")
+        if plan is not None and not all(name in obj for name in plan.required):
+            raise ModelError(f"missing_required: one of {plan.required}")
         readings.append(
             Reading(
                 channel=_channel_key(node_id, value_key),
@@ -595,7 +649,61 @@ def decode_report(text: str, plan: tuple | None = None):
         )
     if node_id is None:
         raise MalformedText("empty report")
+    if plan is not None and len(readings) == 1:
+        _learn(plan, text, readings[0])
     return node_id, readings
+
+
+def _text_of(obj: dict, key: str) -> str:
+    """obj[key], which must be a JSON string: no other JSON value is
+    stringified into a scalar."""
+    raw = obj[key]
+    if type(raw) is not str:
+        raise MalformedText(f"{key!r} is not text: {raw!r}")
+    return raw
+
+
+def _learn(plan: ReportPlan, text: str, r: Reading) -> None:
+    """Keep the shape of a frame the full decode accepted under plan, if
+    its template renders r as exactly text: the fast path then takes only
+    frames whose fixed text a full decode has checked."""
+    if type(r.value) is not float or r.seq is None:
+        return
+    template = _frame_template(r.channel.node_id, r.channel.sensor_name, r.unit,
+                               tuple(r.tags.items()))
+    if (template is not None
+            and _render(template, number_text(r.value), format_ts(r.ts), r.seq) == text):
+        remember(plan.shapes, template[0], (*template, r.channel, r.unit, dict(r.tags),
+                                            plan.props[r.channel.sensor_name]))
+
+
+def _decode_learned(text: str, shapes: dict) -> tuple[str, list[Reading]] | None:
+    """(node_id, [reading]) of a frame that is a learned shape's text
+    around a value, DateTime and seq in the grammars the template writes,
+    with a value the shape's property accepts; None for any other text,
+    which the full decode then decides. Every text this takes has the
+    fixed parts of a frame the full decode accepted and variable parts
+    that need no JSON escaping, so the full decode would return the same.
+    """
+    shape = shapes.get(text[:text.find('"n:') + 3])
+    if shape is None:
+        return None
+    head, mid, tail, channel, unit, tags, prop = shape
+    value, found_mid, rest = text[len(head):].partition(mid)
+    ts_text, found_seq, rest = rest.partition(_SEQ_KEY)
+    seq = rest[:len(rest) - len(tail)]
+    if not (found_mid and found_seq and rest.endswith(tail)
+            and _NUMBER_RE.fullmatch(value) and FORMAT_TS_RE.fullmatch(ts_text)
+            and _SEQ_RE.fullmatch(seq)):
+        return None
+    try:
+        ts = parse_ts(ts_text)
+    except BadTimestamp:  # the full decode raises it
+        return None
+    v = float(value)
+    if _number_violations(prop, v):  # check_value: the learned prop is numeric
+        return None
+    return channel.node_id, [Reading(channel, v, unit, ts, int(seq), tags)]
 
 
 def _scalar_to_value(scalar: TypedScalar):
@@ -610,7 +718,8 @@ def _scalar_to_value(scalar: TypedScalar):
 
 def payload_to_scalars(text_line: str) -> dict[str, TypedScalar]:
     """Decode one report object into the key -> TypedScalar map that
-    validate_payload consumes."""
+    validate_payload consumes. Every value is a typed-scalar string but an
+    int seq."""
     try:
         obj = json.loads(text_line)
     except json.JSONDecodeError as exc:
@@ -619,8 +728,8 @@ def payload_to_scalars(text_line: str) -> dict[str, TypedScalar]:
         raise MalformedText("payload is not a JSON object")
     out: dict[str, TypedScalar] = {}
     for key, raw in obj.items():
-        if key == "seq" and isinstance(raw, int):
+        if key == "seq" and type(raw) is int:
             out[key] = TypedScalar("n", repr(raw))
         else:
-            out[key] = parse_scalar(str(raw))
+            out[key] = parse_scalar(raw)  # raises MalformedText for a non-string
     return out

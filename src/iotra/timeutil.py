@@ -21,6 +21,11 @@ from functools import lru_cache
 _RFC3339_RE = re.compile(
     r"^(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})(\.\d+)?Z$"
 )
+# The form format_ts writes, in ASCII digits; matched whole. parse_ts
+# accepts more (any fraction length).
+FORMAT_TS_RE = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(?:\.[0-9]{3})?Z"
+)
 
 DAY_MEMO_SIZE = 256
 _DAY_S = 86400

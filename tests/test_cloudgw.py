@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -339,18 +340,116 @@ def oracle_payloads(draw):
                      for o in objs)
 
 
+def _sub(pattern, new):
+    """Replace pattern's first match in a frame."""
+    return lambda line: re.sub(pattern, new, line, count=1)
+
+
+# near misses of a frame of a learned shape: each keeps most of its text
+NEAR_MISSES = {
+    "value_escape": _sub(r'"n:(\d)', r'"n:\\u003\1'),
+    "id_escape": _sub(r'"id":"n', r'"id":"\\u006e'),
+    "space_after_colon": _sub(r'"unit":', '"unit": '),
+    "trailing_space": lambda line: line + " ",
+    "trailing_newline": lambda line: line + "\n",
+    "extra_key": lambda line: line[:-1] + ',"site":"s:x"}',
+    "unknown_key": lambda line: line[:-1] + ',"bogus":"s:x"}',
+    "duplicate_value": lambda line: line[:-1] + ',"temp":"n:5"}',
+    "duplicate_seq": lambda line: line[:-1] + ',"seq":9}',
+    "utc": _sub(r'Z"', 'Z UTC"'),
+    "seq_zero": _sub(r'"seq":\d+', '"seq":0'),
+    "seq_leading_zero": _sub(r'"seq":(\d+)', r'"seq":0\1'),
+    "seq_true": _sub(r'"seq":\d+', '"seq":true'),
+    "seq_float": _sub(r'"seq":(\d+)', r'"seq":\1.0'),
+    "seq_exponent": _sub(r'"seq":(\d+)', r'"seq":\1e0'),
+    "value_out_of_range": _sub(r'"n:[^"]*"', '"n:900"'),
+    "value_overflow": _sub(r'"n:[^"]*"', '"n:-1e999"'),
+    "value_nan": _sub(r'"n:[^"]*"', '"n:nan"'),
+    "value_negative_zero": _sub(r'"n:[^"]*"', '"n:-0"'),
+    "value_long": _sub(r'"n:([^"]*)"', r'"n:\g<1>000"'),
+    "value_plus": _sub(r'"n:', '"n:+'),
+    "value_underscore": _sub(r'"n:([^"]*)"', r'"n:1_\1"'),
+    "value_string": _sub(r'"n:', '"s:'),
+    "no_such_date": _sub(r'"t:[^"]*"', '"t:2021-02-30T10:00:00Z"'),
+    "hour_25": _sub(r'"t:[^"]*"', '"t:2020-07-15T25:00:00Z"'),
+    "year_zero": _sub(r'"t:[^"]*"', '"t:0000-01-01T00:00:00Z"'),
+    "long_fraction": _sub(r'"t:([^"]*)Z"', r'"t:\1.5Z"'),
+    "offset": _sub(r'Z"', '+00:00"'),
+    "newline_in_time": _sub(r'Z"', 'Z\n"'),  # parse_ts takes "...Z\n"
+}
+
+
+@st.composite
+def near_miss(draw, line):
+    """line, a near miss of it, or line with one character flipped."""
+    how = draw(st.sampled_from([None, "flip", *sorted(NEAR_MISSES)]))
+    if how is None:
+        return line
+    if how == "flip":
+        i = draw(st.integers(0, len(line) - 1))
+        flipped = chr(ord(line[i]) ^ draw(st.sampled_from([1, 2, 4, 8, 16, 32])))
+        return line[:i] + flipped + line[i + 1:]
+    return NEAR_MISSES[how](line)
+
+
+@st.composite
+def shape_runs(draw):
+    """Single-reading payloads of a few frame shapes. The first of each
+    run is clean, so the gateway can learn its shape; the rest are frames
+    of that shape or near misses of them."""
+    payloads = []
+    for _ in range(draw(st.integers(1, 3))):
+        base = draw(oracle_reading())
+        sensor = draw(st.sampled_from(["temp", "count"]))
+        ts = draw(st.integers(0, 10**6)) / 10.0
+        for i in range(draw(st.integers(2, 8))):
+            r = Reading(ChannelKey("n-000001", sensor), float(draw(_oracle_values[sensor])),
+                        base.unit, ts + i * draw(st.sampled_from([0.2, 1.0])), i + 1,
+                        base.tags)
+            line = infomodel.encode_report("n-000001", [r])
+            payloads.append(line if i == 0 else draw(near_miss(line)))
+    return payloads
+
+
+def decode_outcome(payload, plan):
+    """What decode_report does with payload: its result, or its exception
+    class. The repr tells -0.0 from 0.0 and compares nan."""
+    try:
+        return repr(infomodel.decode_report(payload, plan))
+    except Exception as exc:  # the class is the outcome
+        return type(exc)
+
+
 @settings(max_examples=300)
-@given(st.lists(oracle_payloads(), min_size=1, max_size=6))
+@given(st.one_of(st.lists(oracle_payloads(), min_size=1, max_size=6), shape_runs()))
 def test_admit_matches_decode_then_validate(payloads):
     registry = FakeRegistry()
     registry.states["n-000001"] = "active"
     registry.classes["n-000001"] = "probe"
     gw = CloudGateway(oracle_model(), registry)
+    plan = gw.model.report_plan("probe")
     model, dedup = oracle_model(), DedupState()
     for payload in payloads:
+        # a copy of the plan that has learned no shape takes the full decode
+        assert decode_outcome(payload, plan) == decode_outcome(
+            payload, infomodel.ReportPlan(*plan))
         want = oracle_decide(model, dedup, "n-000001", payload)
         got = gw.admit("n-000001", "data/n-000001/temp", payload)
-        assert (got.verdict, got.reason, got.readings) == want
+        # as reprs, so that a nan value compares
+        assert repr((got.verdict, got.reason, got.readings)) == repr(want)
+
+
+def test_a_non_string_tag_is_schema_invalid():
+    registry = FakeRegistry()
+    registry.states["n-000001"] = "active"
+    registry.classes["n-000001"] = "probe"
+    gw = CloudGateway(oracle_model(), registry)
+    line = ('{"id":"n-000001","temp":"n:71.5","unit":"°F",'
+            '"DateTime":"t:2020-07-15T14:50:07Z","seq":%d,"zone":%s}')
+    assert gw.admit("n-000001", "data/n-000001/temp", line % (1, '"s:a"')).admitted
+    for seq, raw in enumerate(('["s:a"]', "null", "true", '{"s":"a"}'), start=2):
+        got = gw.admit("n-000001", "data/n-000001/temp", line % (seq, raw))
+        assert (got.verdict, got.reason) == ("reject", "schema_invalid")
 
 
 # -- routing -------------------------------------------------------------

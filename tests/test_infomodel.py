@@ -25,7 +25,7 @@ from iotra.infomodel import (
     parse_scalar,
     payload_to_scalars,
 )
-from iotra.reading import ChannelKey, Reading
+from iotra.reading import TEXT_MEMO_SIZE, ChannelKey, Reading
 
 REFERENCE_PAYLOAD = (
     '{ "id": "150a3c6e-bef0e", "temp": "n:77.6", "unit": "°F",'
@@ -399,6 +399,124 @@ def test_decode_with_a_plan_parses_the_unit():
         decode_report(line, plan)
     with pytest.raises(infomodel.ModelError, match="type_mismatch: unit"):
         decode_report(line.replace("q:F", "n:5"), plan)
+
+
+# -- non-string values and the number grammar ------------------------------
+
+
+_FRAME = ('{"id":"n-1","temp":"n:71.5","unit":"°F",'
+          '"DateTime":"t:2020-07-15T14:50:07Z","seq":4,"zone":"s:a"}')
+
+
+@pytest.mark.parametrize("key,raw", [
+    ("id", 5), ("unit", None), ("unit", 5), ("unit", ["°F"]),
+    ("temp", 71.5), ("temp", None), ("temp", ["n:1"]), ("temp", {"n": 1}),
+    ("zone", None), ("zone", True), ("zone", ["s:a"]), ("zone", 1),
+    ("DateTime", 1594824607),
+])
+def test_a_non_string_value_is_malformed_text(key, raw):
+    obj = json.loads(_FRAME)
+    obj[key] = raw
+    line = json.dumps(obj)
+    plan = plan_registry().report_plan("probe")
+    for decode in (lambda: decode_report(line), lambda: decode_report(line, plan),
+                   lambda: payload_to_scalars(line)):
+        with pytest.raises(infomodel.MalformedText):
+            decode()
+
+
+# texts that float() reads but that are not JSON numbers
+@pytest.mark.parametrize("body", ["1_000", " 5 ", "5 ", "infinity", "Infinity", "+5",
+                                  "NaN", "-nan", ".5", "5.", "01", "1E5 ", "\u0665"])
+def test_number_text_follows_one_grammar(body):
+    float(body)
+    with pytest.raises(infomodel.MalformedText):
+        parse_scalar(f"n:{body}")
+
+
+@pytest.mark.parametrize("body", ["0", "-0", "71.5", "1e5", "1E+5", "-1.5e-07", "nan",
+                                  "inf", "-inf"])
+def test_number_grammar_takes_json_numbers_and_non_finite_names(body):
+    assert parse_scalar(f"n:{body}") == TypedScalar("n", body)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.floats(), st.integers(-10**20, 10**20),
+                 st.sampled_from([5e-324, 2.2e-308, 1e15, 1e15 + 1, -1e15, 1e16, 1.5e300])))
+def test_every_number_text_parses(value):
+    text = infomodel.number_text(value)
+    assert parse_scalar(f"n:{text}") == TypedScalar("n", text)
+    back = float(text)
+    assert back == float(value) or (math.isnan(back) and math.isnan(value))
+
+
+# -- frames of a learned shape ---------------------------------------------
+
+
+def probe_frames(n, sensor="temp", node="n-1", tags=(("zone", "a"),)):
+    return [encode_report(node, [Reading(ChannelKey(node, sensor), 20.0 + i * 0.37, "°F",
+                                         1594824607.0 + i * 0.2, i + 1, dict(tags))])
+            for i in range(n)]
+
+
+def test_a_learned_shape_decodes_without_json_loads(monkeypatch):
+    plan = plan_registry().report_plan("probe")
+    frames = probe_frames(1001)
+    # a copy of the plan that has learned nothing takes the full decode
+    want = [decode_report(f, infomodel.ReportPlan(*plan)) for f in frames]
+    decode_report(frames[0], plan)  # learns the shape
+    calls = []
+    loads = infomodel.json.loads
+    monkeypatch.setattr(infomodel.json, "loads",
+                        lambda *a, **kw: calls.append(a) or loads(*a, **kw))
+    got = [decode_report(f, plan) for f in frames[1:]]
+    assert len(calls) == 0
+    assert got == want[1:]
+    _, (first,) = decode_report(frames[1], plan)
+    assert decode_report(frames[2], plan)[1][0].tags is first.tags  # one dict per shape
+
+
+def test_a_shape_serves_only_the_plan_it_was_learned_under():
+    reg = plan_registry()
+    reg.register_class(ObjectClass("capped", properties=[
+        PropertyDef("temp", "number", max=50), PropertyDef("unit", "string"),
+        PropertyDef("zone", "string")]))
+    loose, capped = reg.report_plan("probe"), reg.report_plan("capped")
+    hot = probe_frames(200)[-1]  # temp above 90
+    decode_report(hot, loose)
+    decode_report(hot, loose)
+    assert loose.shapes and not capped.shapes
+    with pytest.raises(infomodel.ModelError, match="out_of_range: temp"):
+        decode_report(hot, capped)
+    other = plan_registry().report_plan("probe")  # another registry
+    assert not other.shapes
+    assert decode_report(hot, other) == decode_report(hot, loose)
+
+
+def test_a_shape_is_learned_only_from_its_templates_own_text():
+    reg = ModelRegistry()
+    reg.register_class(ObjectClass("bare", properties=[PropertyDef("temp", "number")]))
+    plan = reg.report_plan("bare")
+    # no unit key: the decoded unit is "", which the template writes as a key
+    # this class does not have
+    line = '{"id":"n-1","temp":"n:5","DateTime":"t:2020-07-15T14:50:07Z","seq":1}'
+    assert decode_report(line, plan) == decode_report(line)
+    assert not plan.shapes
+    templated = encode_report("n-1", decode_report(line)[1])
+    for _ in range(2):
+        with pytest.raises(infomodel.ModelError, match="unknown_key: unit"):
+            decode_report(templated, plan)
+
+
+def test_the_shape_memo_stays_within_its_bound():
+    plan = plan_registry().report_plan("probe")
+    heads = 2 * TEXT_MEMO_SIZE
+    for i in range(heads):
+        decode_report(probe_frames(1, node=f"n-{i}")[0], plan)
+        assert len(plan.shapes) <= TEXT_MEMO_SIZE
+    # the newest shapes are kept, the oldest went first
+    assert f'"id":"n-{heads - 1}"' in next(reversed(plan.shapes))
+    assert f'"id":"n-{heads - TEXT_MEMO_SIZE}"' in next(iter(plan.shapes))
 
 
 def test_validation_soundness_of_encoder_output(registry):
