@@ -1,4 +1,4 @@
-"""Simulated fleet, scenario runner, and operator CLI."""
+"""Simulated fleet, fault injection, scenario runner and operator CLI."""
 
 from .scenario import RunReport, ScenarioSpec, World, run_scenario
 from .waveforms import WaveformSpec, gen_waveform

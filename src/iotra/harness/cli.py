@@ -2,20 +2,25 @@
 
 The workspace (``--data-dir``, default ``./iotra-data``) holds the
 replayable registry event log ``registry.jsonl`` (nodes and incidents),
-the time-series store, the twin state snapshot, and the audit and
-notification logs. ``run`` executes a scenario file against the
-workspace registry and store and saves the run's twins; it refuses a
-workspace whose registry already holds nodes or whose store is not
-empty, so each run starts from nothing. The other commands are the
-central-control-point operations over the same registry. Registry
-events carry virtual time during a run and wall time otherwise, so an
-operator's events sort after the run's. The twin snapshot ``twins.json``
-and a scenario file edited by ``inject`` are written whole to
-``<name>.tmp`` and renamed into place, so a crash or a failed write
-leaves the previous file, which the next command loads; ``inject``
-writes only a scenario that ``run`` accepts. ``tail`` skips a final log
-line with no newline, which is what a crash mid-write leaves. Exit
-codes: 0 ok, 1 operation error, 2 usage error.
+the time-series store, the twin state snapshot, the audit and
+notification logs, and the class files of ``model/`` that extend the
+default vocabulary. ``run`` executes a scenario file against the
+workspace registry, store and model and saves the run's twins; it
+refuses a workspace whose registry already holds nodes or whose store
+is not empty, so each run starts from nothing. A workspace has one
+model, which every command reads, ``run`` included: a scenario cannot
+name its own (``model_dir`` is an unknown key, refused before anything
+is commissioned), so the twins a run saves name only classes that later
+commands load. The other commands are the central-control-point
+operations over the same registry. Registry events carry virtual time
+during a run and wall time otherwise, so an operator's events sort
+after the run's. The twin snapshot ``twins.json`` and a scenario file
+edited by ``inject`` are written whole to ``<name>.tmp`` and renamed
+into place, so a crash or a failed write leaves the previous file,
+which the next command loads; ``inject`` writes only a scenario that
+``run`` accepts. ``tail`` skips a final log line with no newline, which
+is what a crash mid-write leaves. Exit codes: 0 ok, 1 operation error,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -27,10 +32,10 @@ import sys
 import time
 from pathlib import Path
 
-from .. import controlplane, infomodel, tsdb as tsdb_mod, twins as twins_mod
+from .. import controlplane, infomodel, platform, tsdb as tsdb_mod, twins as twins_mod
 from ..reading import ChannelKey
 from ..timeutil import BadTimestamp, format_ts, parse_ts
-from .scenario import BadScenario, BootFailure, ScenarioSpec, World, build_default_model
+from .scenario import BadScenario, BootFailure, ScenarioSpec, World
 
 
 class CliError(Exception):
@@ -69,10 +74,7 @@ class Workspace:
         self.root = root
         self.root.mkdir(parents=True, exist_ok=True)
         secret = os.environ.get("IOTRA_SECRET", "iotra-dev-secret")
-        self.model = build_default_model()
-        model_dir = self.root / "model"
-        if model_dir.is_dir():
-            self.model.load_model_dir(model_dir)
+        self.model = platform.load_model(self.root)
         self.registry = controlplane.Registry(
             secret=secret.encode("utf-8"), log_path=self.root / "registry.jsonl",
             clock=WallClock(),
@@ -90,10 +92,9 @@ class Workspace:
                 self._twins.register_node(entry.node_id, entry.class_name)
         return self._twins
 
-    def save_twins(self) -> None:
-        if self._twins is not None:
-            _replace_file(self.root / "twins.json",
-                          json.dumps(self._twins.dump(), indent=2, ensure_ascii=False))
+    def save_twins(self, twins: twins_mod.TwinService) -> None:
+        _replace_file(self.root / "twins.json",
+                      json.dumps(twins.dump(), indent=2, ensure_ascii=False))
 
     def store(self) -> tsdb_mod.Store:
         return tsdb_mod.Store(self.root / "tsdb")
@@ -172,7 +173,7 @@ def cmd_set_desired(args, ws: Workspace) -> int:
             raise CliError(f"expected key=value, got {kv!r}")
         patch[key] = infomodel.parse_scalar(value)
     version = ws.twins.set_desired(args.node, patch)
-    ws.save_twins()
+    ws.save_twins(ws.twins)
     _emit(args, {"node_id": args.node, "desired_version": version},
           f"{args.node} desired_version={version}")
     return 0
@@ -285,8 +286,7 @@ def cmd_run(args, ws: Workspace) -> int:
         report = world.run()
     finally:
         world.close()
-    ws._twins = world.twins
-    ws.save_twins()
+    ws.save_twins(world.twins)
     doc = report.to_dict()
     if args.report:
         Path(args.report).write_text(

@@ -1,7 +1,7 @@
 """Scenario runner: a deterministic simulated fleet end to end.
 
-Boots the broker, control plane, cloud gateway, twins, streams, and
-time-series store, plus N edge gateways, then drives everything from a
+Boots the broker, the control plane and the cloud platform
+(``iotra.platform``), plus N edge gateways, then drives everything from a
 virtual clock in fixed ticks. Faults (uplink outages, floods, duplicate
 replay) are injected on schedule; ground-truth generation ledgers stay
 untouched by faults so loss accounting is exact. The result is a
@@ -9,17 +9,11 @@ machine-readable RunReport that is identical across runs of the same
 scenario and seed. A node's twin connectivity changes only when its
 session does: a new session marks it connected; an outage, a refused
 reconnect or a quarantine that ends one marks it disconnected.
-
-A ``notify`` sink appends one compact JSON line per emission to
-``notifications.jsonl`` with one unbuffered write, as the gateway writes
-its audit log; the file is opened on the first such emission and closed
-when the run ends or the ``World`` is closed.
 """
 
 from __future__ import annotations
 
 import copy
-import json
 import math
 import random
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -27,16 +21,14 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
-from .. import cloudgw, controlplane, edge, infomodel, msgbus, streams as streams_mod
-from .. import tsdb as tsdb_mod, twins as twins_mod
+from .. import cloudgw, controlplane, edge, infomodel, msgbus, platform
+from .. import streams as streams_mod, twins as twins_mod
 from ..infomodel import TypedScalar
 from ..reading import ChannelKey, Reading
 from ..timeutil import VirtualClock
 from .waveforms import BadSpec, WaveformSpec, gen_waveform
 
 SETTLE_TICKS = 100
-
-_RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 class BadScenario(Exception):
@@ -45,51 +37,6 @@ class BadScenario(Exception):
 
 class BootFailure(Exception):
     pass
-
-
-def build_default_model() -> infomodel.ModelRegistry:
-    """Fleet vocabulary used when a scenario brings no model directory."""
-    model = infomodel.ModelRegistry()
-    num = lambda name, unit="", writable=False: infomodel.PropertyDef(
-        name, "number", unit=unit, writable=writable
-    )
-    model.register_class(
-        infomodel.ObjectClass(
-            "sensor_node",
-            properties=[
-                infomodel.PropertyDef("unit", "string"),
-                infomodel.PropertyDef("zone", "string"),
-                infomodel.PropertyDef("site", "string"),
-                infomodel.PropertyDef("firmware", "string", writable=True),
-            ],
-        )
-    )
-    model.register_class(
-        infomodel.ObjectClass(
-            "temperature_sensor",
-            parent="sensor_node",
-            properties=[num("temp", "°F")],
-        )
-    )
-    model.register_class(
-        infomodel.ObjectClass(
-            "multi_sensor",
-            parent="sensor_node",
-            properties=[
-                num("temp", "°F"),
-                num("humidity", "%"),
-                num("pressure", "hPa"),
-                num("power", "W"),
-                num("setpoint", "°F", writable=True),
-                infomodel.PropertyDef("fan_power", "boolean", writable=True),
-            ],
-            interactions=[
-                infomodel.InteractionDef("set_setpoint", "write", "setpoint"),
-                infomodel.InteractionDef("overtemp", "event"),
-            ],
-        )
-    )
-    return model
 
 
 # -- scenario specification ----------------------------------------------
@@ -107,8 +54,7 @@ FAULT_PARAMS = {"uplink_outage": (), "flood": ("rate", 1000, int, 0, MAX_FLOOD_R
 ACTION_KEYS = {"set_desired": frozenset({"kind", "at", "node", "set"}),
                "remediate": frozenset({"kind", "at", "incident"})}
 SPEC_KEYS = frozenset({"duration_s", "tick_s", "seed", "nodes", "pipeline",
-                       "route_rules", "faults", "actions", "assertions",
-                       "model_dir"})
+                       "route_rules", "faults", "actions", "assertions"})
 NODE_GROUP_KEYS = frozenset({"count", "name_prefix", "class_name", "channels",
                              "edge_rules", "control_rules", "tags"})
 FAULT_KEYS = frozenset({"kind", "nodes", "start", "end", "params"})
@@ -239,7 +185,6 @@ class ScenarioSpec:
     faults: tuple[Fault, ...]
     actions: tuple[Action, ...]
     assertions: tuple[Assertion, ...]
-    model_dir: str | None
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioSpec":
@@ -274,7 +219,6 @@ class ScenarioSpec:
                           for i, a in enumerate(top.get("actions", [], list), 1)),
             assertions=tuple(_assertion(a, fleet) for a in top.get(
                 "assertions", ["lossless", "seq_gap_free"], list)),
-            model_dir=top.get("model_dir", "", str) or None,
         )
 
 
@@ -411,20 +355,10 @@ class RunReport:
         return all(a["passed"] for a in self.assertions)
 
     def to_dict(self) -> dict:
-        return {
-            "generated": dict(sorted(self.generated.items())),
-            "stored": dict(sorted(self.stored.items())),
-            "rejected": dict(sorted(self.rejected.items())),
-            "duplicates_injected": self.duplicates_injected,
-            "duplicates_rejected": self.duplicates_rejected,
-            "incidents": self.incidents,
-            "convergence": dict(sorted(self.convergence.items())),
-            "flush_complete": dict(sorted(self.flush_complete.items())),
-            "emissions": self.emissions,
-            "alerts": self.alerts,
-            "assertions": self.assertions,
-            "ok": self.ok,
-        }
+        """Every field, a mapping in key order, and ``ok``."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**{k: dict(sorted(v.items())) if isinstance(v, dict) else v
+                   for k, v in doc.items()}, "ok": self.ok}
 
 
 # -- simulated gateway ---------------------------------------------------
@@ -543,42 +477,24 @@ class World:
         self.spec = spec
         self.clock = VirtualClock(0.0)
         self.rng = random.Random(spec.seed)
-        self.model = build_default_model()
-        if spec.model_dir:
-            self.model.load_model_dir(Path(spec.model_dir))
+        self.model = platform.load_model(data_dir)
         self._check_against_model()
         self.registry = registry or controlplane.Registry(clock=self.clock)
         if self.registry.entries():
             raise BootFailure("a scenario commissions its fleet into an empty registry")
         self.registry.clock = self.clock
-        self.broker = msgbus.Broker(
-            clock=self.clock, authenticator=self.registry.authenticate
-        )
-        self.registry.on_quarantine = self._on_quarantine
-        self.tsdb = tsdb_mod.Store(Path(data_dir) / "tsdb")
-        self.gateway = cloudgw.CloudGateway(
-            self.model,
-            self.registry,
-            clock=self.clock,
-            audit_path=Path(data_dir) / "audit.jsonl",
-            route_rules=spec.route_rules,
-        )
-        self.cloud_session = self.broker.connect_service("cloud")
-        for f in ("data/#", "alerts/#", "twin/+/reported"):
-            self.cloud_session.subscribe(f)
-        self.twins = twins_mod.TwinService(self.model, publish=self.cloud_session.publish)
-        self.monitor = controlplane.Monitor(self.registry)
-        self.pipeline = (
-            streams_mod.Pipeline(spec.pipeline) if spec.pipeline else None
-        )
-        self.notify_log = Path(data_dir) / "notifications.jsonl"
-        self._notify_fh = None  # opened on the first notify emission
+        self.broker = msgbus.Broker(clock=self.clock, authenticator=self.registry.authenticate)
+        p = self.platform = platform.Platform(
+            data_dir, self.model, self.registry, self.broker, self.clock, spec.route_rules,
+            spec.pipeline, on_quarantine=lambda node_id: self.node_by_id(node_id).drop_session())
+        # the platform's own objects, under the names the benchmark reaches
+        self.tsdb, self.gateway, self.twins = p.tsdb, p.gateway, p.twins
+        self.pipeline, self.monitor = p.pipeline, p.monitor
         self.nodes: list[SimNode] = []
         self._nodes_by_id: dict[str, SimNode] = {}
         self._pending_actions = list(spec.actions)
         self.generated: dict[str, int] = {}  # channel -> readings; seqs are 1..n
         self.report = RunReport()
-        self._bucket_counts: dict[str, int] = {}
         self._faulted = sorted({i for f in spec.faults for i in f.nodes})
         self._active_faults: list[Fault] = []
         self._replay: dict[str, float] = {}  # node id -> replay probability this tick
@@ -629,26 +545,11 @@ class World:
                 self._nodes_by_id[node.node_id] = node
 
     def close(self) -> None:
-        """Close the files the world holds open: the store, the audit log
-        and the notification log. Safe to call more than once."""
-        self._close_notify_log()
-        self.tsdb.close()
-        self.gateway.close()
-
-    def _close_notify_log(self) -> None:
-        if self._notify_fh is not None:
-            self._notify_fh.close()
-            self._notify_fh = None
+        """Close what the platform opened. Safe to call more than once."""
+        self.platform.close()
 
     def node_by_id(self, node_id: str) -> SimNode:
         return self._nodes_by_id[node_id]
-
-    def _on_quarantine(self, node_id: str) -> None:
-        self.broker.drop_node(node_id)
-        self.node_by_id(node_id).drop_session()
-        self.report.incidents.append(
-            {"ts": self.clock.now(), "event": "quarantined", "node": node_id}
-        )
 
     def note_flush_complete(self, node_id: str, now: float) -> None:
         since = self._outage_pending_since.pop(node_id, None)
@@ -666,9 +567,9 @@ class World:
             self._apply_actions(t)
             for node in self.nodes:
                 node.tick(t, t)
-            self._cloud_step(t)
+            self.platform.step(t, self._replayed if self._replay else None)
             if i % per_second == per_second - 1:
-                self._monitor_step(t)
+                self.platform.tick(t)
             self.broker.redeliver_pending(t)
             self.clock.advance(self.spec.tick_s)
         self._settle()
@@ -683,12 +584,20 @@ class World:
                 if node.ensure_connected():
                     node._drain_commands(t)
                     active += node.edge.flush()
-            before = len(self.cloud_session.inbox)
-            self._cloud_step(t)
+            handled = self.platform.step(t, self._replayed if self._replay else None)
             self.broker.redeliver_pending(t)
             self.clock.advance(self.spec.tick_s)
-            if active == 0 and before == 0:
+            if active == 0 and handled == 0:
                 break
+
+    def _replayed(self, frame: msgbus.Frame) -> bool:
+        """Whether the network delivers ``frame`` again: one draw per frame
+        of a replayed node (a topic's second segment), none for others."""
+        p = self._replay.get(frame.topic.split("/", 2)[1] if "/" in frame.topic else "")
+        if p is not None and self.rng.random() < p:
+            self.report.duplicates_injected += 1
+            return True
+        return False
 
     def _apply_faults(self, t: float) -> None:
         """Each faulted node's state at ``t``, from every fault active on
@@ -735,129 +644,25 @@ class World:
                 self.monitor.remediate(action.target)
         self._pending_actions = pending
 
-    # -- cloud side ------------------------------------------------------
-
-    def _cloud_step(self, t: float) -> None:
-        frames = self.cloud_session.drain()
-        replay = self._replay
-        for frame in frames:
-            self._handle_frame(frame, t)
-            # one draw per frame of a replayed node, none for other frames
-            p = replay.get(_topic_node(frame.topic)) if replay else None
-            if p is not None and self.rng.random() < p:
-                self.report.duplicates_injected += 1
-                self._handle_frame(frame, t, injected_duplicate=True)
-            if frame.qos >= 1:
-                self.cloud_session.ack(frame.msg_id)
-
-    def _handle_frame(self, frame: msgbus.Frame, t: float,
-                      injected_duplicate: bool = False) -> None:
-        parts = frame.topic.split("/")
-        if len(parts) < 2:
-            return
-        kind, node_id = parts[0], parts[1]
-        self._bucket_counts[node_id] = self._bucket_counts.get(node_id, 0) + 1
-        if kind == "data":
-            decision = self.gateway.admit(node_id, frame.topic, frame.payload)
-            if not decision.admitted:
-                key = decision.reason
-                self.report.rejected[key] = self.report.rejected.get(key, 0) + 1
-                if decision.reason == "duplicate" and injected_duplicate:
-                    self.report.duplicates_rejected += 1
-                return
-            for reading in decision.readings:
-                dests = self.gateway.route(frame.topic, node_id, reading.tags)
-                if "tsdb" in dests:
-                    self.tsdb.append(reading)
-                if "streams" in dests and self.pipeline is not None:
-                    for em in self.pipeline.process(reading):
-                        self._handle_emission(em)
-                if "twin" in dests:
-                    self.twins.apply_report(
-                        node_id,
-                        {reading.channel.sensor_name: TypedScalar.number(
-                            float(reading.value))},
-                        ts=reading.ts,
-                    )
-        elif kind == "alerts":
-            if self.registry.lifecycle_of(node_id) == "active":
-                self.report.alerts += 1
-        elif kind == "twin" and len(parts) == 3 and parts[2] == "reported":
-            if self.registry.lifecycle_of(node_id) != "active":
-                return
-            try:
-                twin = self.twins.apply_reported(node_id, frame.payload, t)
-            except twins_mod.TwinError:
-                # a report that does not decode, or that the twin rejects
-                rejected = self.report.rejected
-                rejected["schema_invalid"] = rejected.get("schema_invalid", 0) + 1
-                return
-            # the registry keeps the firmware version the node reports
-            firmware = twin.reported.get("firmware")
-            if firmware and firmware.text != self.registry.get(node_id).firmware_version:
-                self.registry.set_firmware(node_id, firmware.text)
-
-    def _handle_emission(self, em: streams_mod.Emission) -> None:
-        record = {
-            "sink": em.sink_id,
-            "dest": em.dest,
-            "ts": em.item.ts,
-            "value": em.item.value,
-            "channel": em.item.channel,
-            "meta": dict(em.item.meta),
-        }
-        self.report.emissions.append(record)
-        if em.dest == "topic":
-            self.cloud_session.publish(em.target, _RECORD_ENCODER.encode(record), qos=0)
-        elif em.dest == "notify":
-            if self._notify_fh is None:
-                self._notify_fh = open(self.notify_log, "ab", buffering=0)
-            cloudgw.write_line(self._notify_fh,
-                               (_RECORD_ENCODER.encode(record) + "\n").encode())
-        elif em.dest == "tsdb":
-            self.tsdb.append(Reading(channel=em.target, value=em.item.value, ts=em.item.ts))
-        elif em.dest == "twin_desired":
-            node_id, prop = em.target
-            self.twins.set_desired(node_id, {prop: TypedScalar.number(em.item.value)})
-
-    def _monitor_step(self, t: float) -> None:
-        for entry in self.registry.entries():
-            if entry.lifecycle == "decommissioned":
-                continue
-            count = self._bucket_counts.get(entry.node_id, 0)
-            verdict = self.monitor.observe(entry.node_id, count, t)
-            if verdict == "incident_opened":
-                self.report.incidents.append(
-                    {"ts": t, "event": "incident_opened", "node": entry.node_id}
-                )
-        self._bucket_counts.clear()
-
     # -- wrap-up ---------------------------------------------------------
 
     def _finalize(self) -> RunReport:
-        if self.pipeline is not None:
-            for em in self.pipeline.window_flush(self.clock.now()):
-                self._handle_emission(em)
-        self.tsdb.flush()
+        p = self.platform
+        p.finish(self.clock.now())
         rep = self.report
         rep.generated.update(self.generated)
+        rep.rejected.update(p.rejected)
+        rep.emissions.extend(p.emissions)
+        rep.incidents.extend(p.incidents)
+        rep.duplicates_rejected, rep.alerts = p.duplicates_rejected, p.alerts
         for channel in self.tsdb.channels():
             rep.stored[str(channel)] = self.tsdb.count(channel)
         for node in self.nodes:
             rep.convergence[node.node_id] = self.twins.converged(node.node_id)
-        for incident in self.registry.incidents.values():
-            rep.incidents.append(
-                {
-                    "ts": incident.opened_ts,
-                    "event": "incident",
-                    "id": incident.incident_id,
-                    "node": incident.node_id,
-                    "kind": incident.kind,
-                    "state": incident.state,
-                }
-            )
+        rep.incidents.extend({"ts": i.opened_ts, "event": "incident", "id": i.incident_id,
+                              "node": i.node_id, "kind": i.kind, "state": i.state}
+                             for i in self.registry.incidents.values())
         self._run_assertions()
-        self._close_notify_log()
         return rep
 
     def _run_assertions(self) -> None:
@@ -920,11 +725,6 @@ ASSERTIONS = {
     "incident_opened": (World._incident_opened, frozenset({"node"})),
     "flush_within": (World._flush_within, frozenset({"seconds", "nodes"})),
 }
-
-
-def _topic_node(topic: str) -> str:
-    """The node a topic names: its second segment, "" if it has none."""
-    return topic.split("/", 2)[1] if "/" in topic else ""
 
 
 def run_scenario(spec: ScenarioSpec, data_dir: Path) -> RunReport:

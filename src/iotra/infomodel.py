@@ -3,7 +3,9 @@
 Gives the fleet M2M semantic interoperability: a vocabulary of thing
 classes arranged in a single-parent taxonomy, typed-scalar payload
 encoding (``n:``/``s:``/``b:``/``t:`` prefixes), and payload
-validation against class definitions.
+validation against class definitions. A number must lie within its
+property's ``min`` and ``max``; ``nan`` lies within no bound, so it is
+``out_of_range`` under any bound, as an infinity beyond one is.
 
 The report codec resolves what repeats once and handles per frame only
 what changes. One frame template per (node, channel, unit, tags) serves
@@ -439,9 +441,10 @@ def _number_violations(prop: PropertyDef, v: float) -> list[Violation]:
     out: list[Violation] = []
     if prop.datatype == "integer" and not (math.isfinite(v) and v.is_integer()):
         out.append(Violation("type_mismatch", prop.name, "not an integer"))
-    if prop.min is not None and v < prop.min:
+    # "not >=" and "not <=", so that nan is out of range under any bound
+    if prop.min is not None and not v >= prop.min:
         out.append(Violation("out_of_range", prop.name, f"{v} < min {prop.min}"))
-    if prop.max is not None and v > prop.max:
+    if prop.max is not None and not v <= prop.max:
         out.append(Violation("out_of_range", prop.name, f"{v} > max {prop.max}"))
     return out
 

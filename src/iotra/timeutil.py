@@ -18,8 +18,9 @@ import re
 from datetime import datetime, timezone
 from functools import lru_cache
 
+# Matched whole, in ASCII digits.
 _RFC3339_RE = re.compile(
-    r"^(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})(\.\d+)?Z$"
+    r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})(\.[0-9]+)?Z"
 )
 # The form format_ts writes, in ASCII digits; matched whole. parse_ts
 # accepts more (any fraction length).
@@ -61,7 +62,7 @@ def parse_ts(text: str) -> float:
     Only the ``Z`` suffix is accepted; numeric offsets are not. A
     fractional-second part of any length is allowed.
     """
-    m = _RFC3339_RE.match(text)
+    m = _RFC3339_RE.fullmatch(text)
     if not m:
         raise BadTimestamp(f"not an RFC3339 UTC timestamp: {text!r}")
     h, mi, s, frac = m.group(4, 5, 6, 7)
@@ -83,13 +84,18 @@ def format_ts(epoch: float) -> str:
     """Render epoch seconds as canonical RFC3339 UTC text.
 
     Whole seconds get no fractional part; otherwise milliseconds are
-    emitted (the system's timestamp granularity).
+    emitted (the system's timestamp granularity). An epoch outside years
+    1..9999, nan or an infinity raises BadTimestamp.
     """
-    secs, rem = divmod(round(epoch * 1000), 1000)
-    day, sod = divmod(secs, _DAY_S)
+    try:
+        secs, rem = divmod(round(epoch * 1000), 1000)
+        day, sod = divmod(secs, _DAY_S)
+        date = _day_text(day)
+    except (ValueError, OverflowError, OSError):  # what datetime or round raised
+        raise BadTimestamp(f"epoch {epoch!r} is outside years 1..9999") from None
     h, sod = divmod(sod, 3600)
     mi, s = divmod(sod, 60)
-    base = f"{_day_text(day)}T{h:02d}:{mi:02d}:{s:02d}"
+    base = f"{date}T{h:02d}:{mi:02d}:{s:02d}"
     if rem:
         return f"{base}.{rem:03d}Z"
     return base + "Z"

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 
@@ -375,7 +376,9 @@ NEAR_MISSES = {
     "year_zero": _sub(r'"t:[^"]*"', '"t:0000-01-01T00:00:00Z"'),
     "long_fraction": _sub(r'"t:([^"]*)Z"', r'"t:\1.5Z"'),
     "offset": _sub(r'Z"', '+00:00"'),
-    "newline_in_time": _sub(r'Z"', 'Z\n"'),  # parse_ts takes "...Z\n"
+    "newline_in_time": _sub(r'Z"', 'Z\n"'),  # a raw newline is not JSON
+    "escaped_newline_in_time": _sub(r'Z"', r'Z\\n"'),  # parse_ts took "...Z\n"
+    "arabic_indic_digit": _sub(r'[0-9]Z"', '\u0667Z"'),  # and "\d" took it
 }
 
 
@@ -437,6 +440,26 @@ def test_admit_matches_decode_then_validate(payloads):
         got = gw.admit("n-000001", "data/n-000001/temp", payload)
         # as reprs, so that a nan value compares
         assert repr((got.verdict, got.reason, got.readings)) == repr(want)
+
+
+@pytest.mark.parametrize("value, admitted", [
+    (math.nan, False), (math.inf, False), (300.0, True)])
+def test_a_nan_value_under_a_bound_is_schema_invalid(value, admitted):
+    registry = FakeRegistry()
+    registry.states["n-000001"] = "active"
+    registry.classes["n-000001"] = "probe"
+    gw = CloudGateway(oracle_model(), registry)
+    # the first frame teaches the gateway its shape; the second takes the
+    # learned-shape path, and the same text under a fresh gateway the full decode
+    frames = [infomodel.encode_report("n-000001", [Reading(
+        ChannelKey("n-000001", "temp"), v, "", 1.0 + seq, seq, {"zone": "a"})])
+        for seq, v in enumerate((20.0, value), start=1)]
+    assert gw.admit("n-000001", "data/n-000001/temp", frames[0]).admitted
+    fresh = CloudGateway(oracle_model(), registry)
+    for gateway in (gw, fresh):
+        got = gateway.admit("n-000001", "data/n-000001/temp", frames[1])
+        assert (got.verdict, got.reason) == (("admit", "ok") if admitted
+                                            else ("reject", "schema_invalid"))
 
 
 def test_a_non_string_tag_is_schema_invalid():

@@ -155,3 +155,28 @@ def test_no_module_reads_another_modules_private_name():
            for path in package_files()
            for line, name in private_reads(parse(path))]
     assert not bad
+
+
+def imported_modules(path: Path, tree: ast.Module):
+    """(line, dotted name) of every iotra module or name an import in the
+    file at ``path`` reaches, with relative imports resolved."""
+    package = ["iotra", *path.relative_to(PACKAGE).parent.parts]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            for alias in node.names:
+                yield node.lineno, f"{module}.{alias.name}"
+
+
+def test_only_the_harness_imports_the_harness():
+    """The fleet, scenarios and CLI sit on top of the platform and its
+    modules, never below them."""
+    bad = [f"{path.relative_to(ROOT)}:{line}: {name}"
+           for path in package_files() if "harness" not in path.relative_to(PACKAGE).parts
+           for line, name in imported_modules(path, parse(path))
+           if name == "iotra.harness" or name.startswith("iotra.harness.")]
+    assert not bad

@@ -12,6 +12,7 @@ from iotra.harness import cli, scenario, waveforms
 from iotra.harness.scenario import ScenarioSpec, run_scenario
 from iotra.streams import Emission, Item
 from iotra.harness.waveforms import BadSpec, WaveformSpec, gen_waveform
+from iotra.platform import Platform
 
 
 # -- waveforms -----------------------------------------------------------
@@ -740,14 +741,14 @@ def test_a_run_leaves_no_file_open(tmp_path):
 
 
 def test_a_run_that_raises_mid_run_leaves_no_file_open(tmp_path, monkeypatch):
-    monitor_step = scenario.World._monitor_step
+    tick = Platform.tick
 
-    def failing_monitor_step(world, t):
-        if world._notify_fh is not None:  # once every file is open
+    def failing_tick(cloud, t):
+        if cloud._notify_fh is not None:  # once every file is open
             raise RuntimeError("monitor failed")
-        monitor_step(world, t)
+        tick(cloud, t)
 
-    monkeypatch.setattr(scenario.World, "_monitor_step", failing_monitor_step)
+    monkeypatch.setattr(Platform, "tick", failing_tick)
     with pytest.raises(RuntimeError, match="monitor failed"):
         run_scenario(faults_spec(), tmp_path)
     assert (tmp_path / "notifications.jsonl").exists()
@@ -769,7 +770,7 @@ def test_notify_lines_are_the_encoders_lines(emissions):
         try:
             for sink, ts, value, channel, unit, meta in emissions:
                 item = Item(ts, value, channel, unit, meta)
-                world._handle_emission(Emission(sink, "notify", None, item))
+                world.platform._handle_emission(Emission(sink, "notify", None, item))
                 record = {"sink": sink, "dest": "notify", "ts": ts, "value": value,
                           "channel": channel, "meta": meta}
                 want += (json.dumps(record, separators=(",", ":")) + "\n").encode()
@@ -1148,6 +1149,44 @@ def test_cli_run_refuses_a_workspace_with_stored_readings(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(tmp_path, "run", str(scenario_path)) == 1
     assert "empty --data-dir" in capsys.readouterr().err
+
+
+PROBE_CLASS = {"name": "probe", "properties": [{"name": "temp", "datatype": "number"},
+                                              {"name": "unit", "datatype": "string"}]}
+
+
+def write_probe_model(model_dir: Path) -> Path:
+    model_dir.mkdir(parents=True)
+    (model_dir / "probe.json").write_text(json.dumps(PROBE_CLASS))
+    return model_dir
+
+
+def test_cli_run_uses_the_workspace_model(tmp_path, capsys):
+    # the workspace model defines probe: commission took it, and run did not
+    write_probe_model(tmp_path / "ws" / "model")
+    scenario_path = tmp_path / "probe.json"
+    scenario_path.write_text(json.dumps(probe_doc(group={"class_name": "probe"})))
+    assert run_cli(tmp_path, "run", str(scenario_path)) == 0
+    assert json.loads(capsys.readouterr().out)["stored"] == {"n-000001/temp": 4}
+    assert run_cli(tmp_path, "get-twin", "n-000001") == 0
+    assert json.loads(capsys.readouterr().out)["class_name"] == "probe"
+    assert run_cli(tmp_path, "commission", "--name", "p", "--class", "probe") == 0
+
+
+def test_cli_run_refuses_a_scenario_model_dir(tmp_path, capsys):
+    # a class the workspace cannot load would leave a twins.json that no
+    # later command reads
+    doc = probe_doc(group={"class_name": "probe"},
+                    model_dir=str(write_probe_model(tmp_path / "elsewhere")))
+    scenario_path = tmp_path / "probe.json"
+    scenario_path.write_text(json.dumps(doc))
+    assert run_cli(tmp_path, "run", str(scenario_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "model_dir" in err
+    assert run_cli(tmp_path, "list-nodes") == 0
+    assert json.loads(capsys.readouterr().out) == []
+    assert not (tmp_path / "ws" / "twins.json").exists()
+    assert run_cli(tmp_path, "commission", "--name", "m", "--class", "multi_sensor") == 0
 
 
 def test_cli_firmware_push_and_the_run_twin_state(tmp_path, capsys):

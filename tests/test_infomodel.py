@@ -195,6 +195,20 @@ def test_out_of_range():
     assert [v.kind for v in report.violations] == ["out_of_range"]
 
 
+@pytest.mark.parametrize("bounds, kinds", [
+    ({}, []),
+    ({"min": 0}, ["out_of_range"]),
+    ({"max": 150}, ["out_of_range"]),
+    ({"min": 0, "max": 150}, ["out_of_range", "out_of_range"]),
+])
+def test_nan_is_out_of_range_under_any_bound(bounds, kinds):
+    # nan < min and nan > max are both false, so nan used to pass a bound
+    prop = PropertyDef("temp", "number", **bounds)
+    assert [v.kind for v in infomodel.check_value(prop, TypedScalar("n", "nan"))] == kinds
+    inf_kinds = ["out_of_range"] if "max" in bounds else []
+    assert [v.kind for v in infomodel.check_value(prop, TypedScalar("n", "inf"))] == inf_kinds
+
+
 def test_unknown_key_is_violation(registry):
     report = registry.validate_payload(
         "temperature_sensor",

@@ -1,0 +1,172 @@
+"""The cloud platform alone: a broker, a registry and a model, with frames
+published from a device session and no simulated fleet."""
+
+import json
+import math
+
+import pytest
+
+from iotra import controlplane, infomodel, msgbus, twins
+from iotra.cloudgw import RouteRule
+from iotra.infomodel import TypedScalar
+from iotra.platform import Platform, build_default_model, load_model
+from iotra.reading import ChannelKey, Reading
+from iotra.timeutil import VirtualClock
+
+TEMP = ChannelKey("n-000001", "temp")
+
+
+@pytest.fixture
+def cloud(tmp_path):
+    """A platform with one active multi_sensor node, that node's device
+    session, and the node ids the quarantine hook was called with."""
+    clock = VirtualClock()
+    model = build_default_model()
+    registry = controlplane.Registry(clock=clock)
+    broker = msgbus.Broker(clock=clock, authenticator=registry.authenticate)
+    dropped = []
+    platform = Platform(tmp_path, model, registry, broker, clock,
+                        route_rules=[RouteRule(frozenset({"tsdb", "twin"}), topic="data/#")],
+                        on_quarantine=dropped.append)
+    entry = registry.commission("desk", "multi_sensor", model=model)
+    registry.transition(entry.node_id, "active")
+    platform.twins.register_node(entry.node_id, entry.class_name)
+    device = broker.connect(entry.node_id, entry.credential)
+    try:
+        yield platform, device, dropped
+    finally:
+        platform.close()
+
+
+def publish(device, *seqs, value=70.0):
+    for seq in seqs:
+        reading = Reading(TEMP, value, "°F", float(seq), seq)
+        device.publish("data/n-000001/temp", infomodel.encode_report("n-000001", [reading]),
+                       qos=1)
+
+
+def stored_seqs(platform):
+    return [r.seq for r in platform.tsdb.query_range(TEMP, -math.inf, math.inf)]
+
+
+def test_published_frames_are_stored_and_acked(cloud):
+    platform, device, _ = cloud
+    publish(device, 1, 2, 3)
+    assert platform.step(0.0) == 3
+    assert stored_seqs(platform) == [1, 2, 3]
+    assert platform.broker.redeliver_pending(100.0) == 0  # every frame was acked
+    assert platform.step(0.1) == 0
+    # the twin rule: the last reading is the twin's reported temp
+    assert platform.twins.get_twin("n-000001").reported["temp"] == TypedScalar.number(70.0)
+
+
+def test_a_duplicate_is_rejected_and_a_replay_is_counted(cloud):
+    platform, device, _ = cloud
+    publish(device, 1, 2)
+    publish(device, 2)
+    assert platform.step(0.0) == 3
+    assert stored_seqs(platform) == [1, 2]
+    assert platform.rejected == {"duplicate": 1}
+    asked = []
+    publish(device, 3)
+    assert platform.step(0.1, replay=lambda frame: asked.append(frame.topic) or True) == 1
+    assert asked == ["data/n-000001/temp"]
+    assert stored_seqs(platform) == [1, 2, 3]
+    assert (platform.rejected, platform.duplicates_rejected) == ({"duplicate": 2}, 1)
+
+
+def test_a_reported_message_updates_the_twin_and_the_registry(cloud):
+    platform, device, _ = cloud
+    doc = {"firmware": TypedScalar("s", "2.0")}
+    device.publish(twins.reported_topic("n-000001"), twins.encode_reported(doc, 0, 5.0), qos=1)
+    device.publish(twins.reported_topic("n-000001"), "not json", qos=1)
+    assert platform.step(5.0) == 2
+    twin = platform.twins.get_twin("n-000001")
+    assert twin.reported["firmware"] == TypedScalar("s", "2.0") and twin.last_seen == 5.0
+    assert platform.registry.get("n-000001").firmware_version == "2.0"
+    assert platform.rejected == {"schema_invalid": 1}
+
+
+def test_a_quarantine_stops_ingest(cloud):
+    platform, device, dropped = cloud
+    seqs = iter(range(1, 100))
+    publish(device, next(seqs))
+    platform.step(0.0)
+    platform.tick(0.0)  # the first bucket is the baseline
+    for t in (1.0, 2.0, 3.0):  # three buckets of 20 frames, over the floor of 10
+        platform.clock.advance(1.0)
+        publish(device, *(next(seqs) for _ in range(20)))
+        platform.step(t)
+        if t == 3.0:
+            publish(device, 99)  # held by the cloud session when the node is quarantined
+        platform.tick(t)
+    assert platform.incidents == [
+        {"ts": 3.0, "event": "quarantined", "node": "n-000001"},
+        {"ts": 3.0, "event": "incident_opened", "node": "n-000001"}]
+    assert dropped == ["n-000001"] and not device.connected
+    with pytest.raises(msgbus.NotConnected):
+        publish(device, 100)
+    with pytest.raises(msgbus.AuthFailed):
+        platform.broker.connect("n-000001", platform.registry.get("n-000001").credential)
+    assert platform.step(4.0) == 1
+    assert platform.rejected == {"quarantined": 1}
+    assert stored_seqs(platform) == list(range(1, 62))
+
+
+def test_finish_flushes_and_close_ends_the_session(cloud, tmp_path):
+    platform, device, _ = cloud
+    publish(device, 1)
+    platform.step(0.0)
+    platform.finish(1.0)
+    platform.close()
+    platform.close()
+    assert not platform.session.connected
+    reopened = Platform(tmp_path, build_default_model(), platform.registry,
+                        platform.broker, platform.clock)
+    try:
+        assert stored_seqs(reopened) == [1]
+    finally:
+        reopened.close()
+
+
+def test_a_data_directory_model_extends_the_default(tmp_path):
+    assert not load_model(tmp_path).has_class("probe")
+    (tmp_path / "model").mkdir()
+    (tmp_path / "model" / "probe.json").write_text(json.dumps(
+        {"name": "probe", "parent": "sensor_node",
+         "properties": [{"name": "temp", "datatype": "number"}]}))
+    model = load_model(tmp_path)
+    assert model.has_class("probe") and model.has_class("multi_sensor")
+
+
+def test_a_wrapper_set_on_a_service_after_construction_sees_every_call(tmp_path):
+    # the benchmark shadows these methods per instance once the platform
+    # is built, so the platform must look each one up when it calls it
+    clock = VirtualClock()
+    model = build_default_model()
+    registry = controlplane.Registry(clock=clock)
+    broker = msgbus.Broker(clock=clock, authenticator=registry.authenticate)
+    pipeline = {"nodes": [{"node_id": "temps", "kind": "source", "params": {"selector": "*/temp"}},
+                          {"node_id": "out", "kind": "sink", "params": {"dest": "notify"}}],
+                "edges": [["temps", "out"]]}
+    platform = Platform(tmp_path, model, registry, broker, clock, pipeline=pipeline,
+                        route_rules=[RouteRule(frozenset({"tsdb", "streams", "twin"}),
+                                               topic="data/#")])
+    calls = []
+    for owner, name in ((platform.gateway, "admit"), (platform.gateway, "route"),
+                        (platform.tsdb, "append"), (platform.pipeline, "process"),
+                        (platform.twins, "apply_report"), (platform.monitor, "observe")):
+        def wrapper(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        setattr(owner, name, wrapper)
+    entry = registry.commission("desk", "multi_sensor", model=model)
+    registry.transition(entry.node_id, "active")
+    platform.twins.register_node(entry.node_id, entry.class_name)
+    try:
+        publish(broker.connect(entry.node_id, entry.credential), 1)
+        platform.step(0.0)
+        platform.tick(0.0)
+    finally:
+        platform.close()
+    assert calls == ["admit", "route", "append", "process", "apply_report", "observe"]

@@ -26,7 +26,9 @@ def test_format_millis():
 @pytest.mark.parametrize(
     "bad",
     ["2020-07-15 14:50:07Z", "2020-07-15T14:50:07", "2020-07-15T14:50:07+02:00",
-     "not a time", "2020-13-01T00:00:00Z"],
+     "not a time", "2020-13-01T00:00:00Z",
+     # "$" matched before a final newline, and "\d" matched any Unicode digit
+     "2020-07-15T14:50:07Z\n", "2020-07-15T14:50:0\u0667Z", "2020-07-15T14:50:07.2\u0665Z"],
 )
 def test_parse_rejects_non_rfc3339_utc(bad):
     with pytest.raises(BadTimestamp):
@@ -48,11 +50,12 @@ def test_format_parse_canonical_text():
 # The references build a datetime on every call: the plain implementation
 # that the memoised one must match, value for value and error for error.
 
-_REF_RE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})(\.\d+)?Z$")
+_REF_RE = re.compile(
+    r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})(\.[0-9]+)?Z")
 
 
 def ref_parse_ts(text):
-    m = _REF_RE.match(text)
+    m = _REF_RE.fullmatch(text)
     if not m:
         raise BadTimestamp(f"not an RFC3339 UTC timestamp: {text!r}")
     y, mo, d, h, mi, s = (int(g) for g in m.groups()[:6])
@@ -102,8 +105,15 @@ _MAX_S = 253_402_300_799  # 9999-12-31T23:59:59Z
 @example(float(_MAX_S) + 0.999)
 @example(float(_MAX_S) + 1.0)
 @example(float(_MIN_S) - 0.001)
+@example(-9_223_372_036_854_720_001)  # below time_t: datetime raises OSError
 def test_format_ts_matches_datetime(epoch):
-    assert outcome(format_ts, epoch) == outcome(ref_format_ts, epoch)
+    """Inside years 1..9999 format_ts gives the reference's text; outside
+    them it raises BadTimestamp, whichever error datetime would raise."""
+    if _MIN_S <= round(epoch * 1000) // 1000 <= _MAX_S:
+        assert outcome(format_ts, epoch) == outcome(ref_format_ts, epoch)
+    else:
+        with pytest.raises(BadTimestamp, match="outside years 1..9999"):
+            format_ts(epoch)
 
 
 def test_every_year_round_trips():
@@ -133,7 +143,7 @@ def rfc3339_shaped(draw):
     return f"{y:04d}-{mo:02d}-{d:02d}T{h:02d}:{mi:02d}:{s:02d}{frac}Z"
 
 
-@given(st.one_of(rfc3339_shaped(), st.from_regex(_REF_RE), st.text(max_size=30)))
+@given(st.one_of(rfc3339_shaped(), st.from_regex(_REF_RE, fullmatch=True), st.text(max_size=30)))
 @example("2020-07-15T24:00:00Z")
 @example("2020-07-15T23:60:00Z")
 @example("2020-07-15T23:59:60Z")
@@ -144,6 +154,8 @@ def rfc3339_shaped(draw):
 @example("1969-12-31T23:59:59.999Z")
 @example("9999-12-31T23:59:59.9999Z")
 @example("2020-13-40T25:61:61Z")
+@example("2020-07-15T14:50:07Z\n")
+@example("2020-07-15T14:50:0\u0667Z")
 def test_parse_ts_matches_datetime(text):
     want = outcome(ref_parse_ts, text)
     assert want[0] in ("ok", BadTimestamp)

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from iotra import edge, infomodel, twins
-from iotra.harness.scenario import ScenarioSpec, World, build_default_model
+from iotra.harness.scenario import ScenarioSpec, World
+from iotra.platform import build_default_model
 from iotra.infomodel import TypedScalar
 from iotra.twins import (
     NotWritable,
