@@ -211,22 +211,18 @@ class QueuedFrame:
 class UplinkQueue:
     """FIFO of encoded report frames awaiting publish.
 
-    Unbounded by default; an optional capacity drops oldest frames first
-    when exceeded.
+    Store-and-forward is lossless, so the queue drops nothing: it holds
+    every frame the node acquires while its link is down, and its depth
+    is bounded only by the outage's length times the node's frame rate.
     """
 
-    def __init__(self, capacity: int | None = None):
+    def __init__(self):
         self.pending: deque[QueuedFrame] = deque()
-        self.capacity = capacity
-        self.dropped = 0
 
     def __len__(self) -> int:
         return len(self.pending)
 
     def enqueue(self, frame: QueuedFrame) -> None:
-        if self.capacity is not None and len(self.pending) >= self.capacity:
-            self.pending.popleft()
-            self.dropped += 1
         self.pending.append(frame)
 
 

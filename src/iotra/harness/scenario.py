@@ -703,6 +703,26 @@ class World:
         bad = [n for n in a.nodes or self.spec.fleet if not self.twins.converged(n)]
         return (not bad, f"unconverged: {bad}")
 
+    def _twins_match_store(self, a: Assertion) -> tuple[bool, str]:
+        """Each channel's twin key holds the stored reading with the greatest
+        (ts, seq) of those the gateway routed to the twin as well: the
+        last-writer-wins rule of ``apply_report``."""
+        bad = []
+        for ch in self.generated:
+            if ch not in self.report.stored:
+                continue
+            key = ChannelKey.parse(ch)
+            topic = f"data/{key.node_id}/{key.sensor_name}"
+            routed = [r for r in self.tsdb.query_range(key, -math.inf, math.inf)
+                      if "twin" in self.gateway.route(topic, key.node_id, r.tags)]
+            if routed:
+                last = max(routed, key=lambda r: (r.ts, r.seq))
+                twin = self.twins.get_twin(key.node_id)
+                if (twin.reported.get(key.sensor_name), twin.report_ts.get(key.sensor_name)) != (
+                        infomodel.scalar_of(last.value), last.ts):
+                    bad.append(ch)
+        return (not bad, f"twins off the store: {bad[:5]}")
+
     def _incident_opened(self, a: Assertion) -> tuple[bool, str]:
         opened = {i.get("node") for i in self.report.incidents
                   if i["event"] == "incident_opened"}
@@ -722,6 +742,7 @@ ASSERTIONS = {
     "seq_gap_free": (World._seq_gap_free, frozenset({"exclude"})),
     "exact_multiset": (World._exact_multiset, frozenset({"exclude"})),
     "all_converged": (World._all_converged, frozenset({"nodes"})),
+    "twins_match_store": (World._twins_match_store, frozenset()),
     "incident_opened": (World._incident_opened, frozenset({"node"})),
     "flush_within": (World._flush_within, frozenset({"seconds", "nodes"})),
 }

@@ -138,22 +138,6 @@ class TypedScalar:
     def encode(self) -> str:
         return f"{self.kind}:{self.text}"
 
-    @classmethod
-    def number(cls, value: float) -> "TypedScalar":
-        return cls("n", number_text(value))
-
-    @classmethod
-    def string(cls, value: str) -> "TypedScalar":
-        return cls("s", value)
-
-    @classmethod
-    def boolean(cls, value: bool) -> "TypedScalar":
-        return cls("b", "true" if value else "false")
-
-    @classmethod
-    def timestamp(cls, epoch: float) -> "TypedScalar":
-        return cls("t", format_ts(epoch))
-
 
 def parse_scalar(text: str) -> TypedScalar:
     """Parse a wire value. ``x:...`` with an unknown single-letter prefix
@@ -497,16 +481,6 @@ _SEQ_KEY = '","seq":'
 _SEQ_RE = re.compile(r"[1-9][0-9]*")
 
 
-def _encode_value(value) -> str:
-    if isinstance(value, TypedScalar):
-        return value.encode()
-    if isinstance(value, bool):
-        return TypedScalar.boolean(value).encode()
-    if isinstance(value, (int, float)):
-        return f"n:{number_text(value)}"
-    return f"s:{value}"
-
-
 def encode_report(node_id: str, readings: list[Reading]) -> str:
     """Encode readings as one compact JSON object per line.
 
@@ -531,7 +505,7 @@ def encode_report(node_id: str, readings: list[Reading]) -> str:
             lines.append(_render(template, number_text(r.value), format_ts(r.ts), r.seq))
             continue
         obj: dict[str, object] = {"id": node_id}
-        obj[r.channel.sensor_name] = _encode_value(r.value)
+        obj[r.channel.sensor_name] = scalar_of(r.value).encode()
         obj["unit"] = r.unit
         obj["DateTime"] = f"t:{format_ts(r.ts)}"
         if r.seq is not None:
@@ -717,6 +691,20 @@ def _scalar_to_value(scalar: TypedScalar):
     if scalar.kind == "t":
         return scalar  # keep timestamps typed
     return scalar.text
+
+
+def scalar_of(value) -> TypedScalar:
+    """The one rule for a value's wire type, the inverse of
+    _scalar_to_value: a bool is ``b:``, an int or float ``n:`` in
+    number_text, a str ``s:``, and a TypedScalar (a decoded ``t:``) is
+    itself."""
+    if isinstance(value, TypedScalar):
+        return value
+    if isinstance(value, bool):
+        return TypedScalar("b", "true" if value else "false")
+    if isinstance(value, (int, float)):
+        return TypedScalar("n", number_text(value))
+    return TypedScalar("s", value)
 
 
 def payload_to_scalars(text_line: str) -> dict[str, TypedScalar]:

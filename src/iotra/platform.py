@@ -10,6 +10,15 @@ node's broker sessions. The platform keeps what a run reports:
 rejections, alerts, emissions, and quarantines and opened incidents in
 the order they happen.
 
+Every destination takes the reading the gateway admitted, with no
+conversion of its own: the store its value, the pipeline the reading (a
+value that is not a number reaches no source), and the twin
+``infomodel.scalar_of`` of its value, which ``apply_report`` checks per
+key by the rule the gateway applied. A ``twin_desired`` emission whose
+value the twin refuses, such as an average beyond the property's
+``max``, is counted in ``rejected`` as ``desired_refused``; its emission
+record is kept.
+
 A ``notify`` sink appends one compact JSON line per emission to
 ``notifications.jsonl`` with one unbuffered write, as the gateway writes
 its audit log; the file is opened on the first such emission and closed
@@ -23,7 +32,6 @@ from pathlib import Path
 from typing import Callable
 
 from . import cloudgw, controlplane, infomodel, msgbus, streams, tsdb, twins
-from .infomodel import TypedScalar
 from .reading import Reading
 
 _RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
@@ -137,7 +145,7 @@ class Platform:
                     for em in self.pipeline.process(reading):
                         self._handle_emission(em)
                 if "twin" in dests:
-                    value = TypedScalar.number(float(reading.value))
+                    value = infomodel.scalar_of(reading.value)
                     self.twins.apply_report(node_id, {reading.channel.sensor_name: value},
                                             ts=reading.ts)
         elif kind == "alerts":
@@ -173,7 +181,10 @@ class Platform:
             self.tsdb.append(Reading(channel=em.target, value=em.item.value, ts=em.item.ts))
         elif em.dest == "twin_desired":
             node_id, prop = em.target
-            self.twins.set_desired(node_id, {prop: TypedScalar.number(em.item.value)})
+            try:
+                self.twins.set_desired(node_id, {prop: infomodel.scalar_of(em.item.value)})
+            except twins.TwinError:  # a value the property does not admit
+                self.rejected["desired_refused"] = self.rejected.get("desired_refused", 0) + 1
 
     def tick(self, t: float) -> None:
         """Close the one-second traffic bucket that ends at ``t``: the

@@ -10,6 +10,9 @@ with ``merged_from``. Windows run on event time with a watermark
 trailing the newest timestamp by a fixed allowed lateness; readings
 older than any window they could still join are dropped and counted.
 
+Streams carry numbers, a bool as 1.0 or 0.0: a reading whose value is a
+string or a ``t:`` timestamp matches no source and moves no watermark.
+
 The sources whose selector matches a channel are looked up once per
 channel and memoised. Channel names come from outside the program, so
 the memo holds at most ``reading.TEXT_MEMO_SIZE`` of them.
@@ -209,7 +212,9 @@ class Pipeline:
 
     def process(self, reading: Reading) -> list[Emission]:
         """Inject a reading at every matching source and propagate it in
-        topological order."""
+        topological order; one whose value is not a number matches none."""
+        if not isinstance(reading.value, (int, float)):  # a str or a t: scalar
+            return []
         item = Item(reading.ts, float(reading.value), str(reading.channel),
                     reading.unit, {"seq": reading.seq})
         sources = self._source_plans.get(item.channel)

@@ -26,6 +26,9 @@ On disk, under ``<root>/<node>/<sensor>/``:
   a float, else a JSON list ``value`` in the header (so int, bool and
   str keep their types); then a uint32 index into ``units`` and one into
   ``tags``, each only when the block has more than one distinct entry.
+- In JSON, a value that is a ``TypedScalar`` (the gateway keeps a ``t:``
+  value typed) is the object ``{"scalar": <its wire text>}``, read back
+  as the same scalar.
 
 Short records and blocks are not human-readable; ``iotra query`` is the
 inspection tool.
@@ -122,6 +125,7 @@ from itertools import repeat
 from operator import itemgetter, le, lt
 from pathlib import Path
 
+from .infomodel import TypedScalar, parse_scalar
 from .reading import ChannelKey, Reading
 
 SEGMENT_CAPACITY = 1000
@@ -136,8 +140,21 @@ AGGREGATES = {
     "last": itemgetter(-1),
 }
 
+
+def _typed_json(value) -> dict:
+    """The JSON of a TypedScalar value (a ``t:`` reading's): its wire text
+    under ``scalar``, which _stored_value reads back."""
+    if not isinstance(value, TypedScalar):
+        raise TypeError(f"a {type(value).__name__} value is not storable")
+    return {"scalar": value.encode()}
+
+
+def _stored_value(v):
+    return parse_scalar(v["scalar"]) if type(v) is dict else v
+
+
 # json.dumps with keyword arguments builds a new encoder on every call
-_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, default=_typed_json)
 _LENGTH = struct.Struct(">I")
 # a short record: its length prefix (24), ts, seq and value
 _SHORT = struct.Struct(">Idqd")
@@ -231,7 +248,7 @@ def _decode_log(key: ChannelKey, data: bytes
     tables: list[dict] = []
     tags = None
     for n, rec in enumerate(decoded, 1):
-        t, v, unit = float(rec["ts"]), rec["v"], rec.get("unit", "")
+        t, v, unit = float(rec["ts"]), _stored_value(rec["v"]), rec.get("unit", "")
         if (rec_tags := rec.get("tags") or {}) != tags:
             tags = rec_tags
             tables.append(tags)
@@ -326,7 +343,7 @@ def _decode_block(key: ChannelKey,
 
     ts = column("d")
     seqs = header["seq"] if "seq" in header else column("q")
-    values = header["value"] if "value" in header else column("d")
+    values = list(map(_stored_value, header["value"])) if "value" in header else column("d")
     units, tables = header["units"], header["tags"]
     unit_col = (repeat(units[0]) if len(units) == 1
                 else map(units.__getitem__, column("I")))

@@ -51,9 +51,14 @@ def check_desired(props: Mapping[str, infomodel.PropertyDef],
             raise NotWritable(key)
         # the device echoes the value in its reports, which apply_report
         # checks: a value it would reject must not be sent
-        bad = infomodel.check_value(prop, value)
-        if bad:
-            raise SchemaInvalid(f"{bad[0].kind}: {key} ({bad[0].detail})")
+        _check_value(prop, key, value)
+
+
+def _check_value(prop: infomodel.PropertyDef, key: str, value: TypedScalar) -> None:
+    """The per-key rule of both sides of a twin: a value ``prop`` refuses is SchemaInvalid."""
+    bad = infomodel.check_value(prop, value)
+    if bad:
+        raise SchemaInvalid(f"{bad[0].kind}: {key} ({bad[0].detail})")
 
 
 @dataclass(slots=True)
@@ -127,16 +132,15 @@ class TwinService:
         ts: float = 0.0,
     ) -> TwinRecord:
         """Merge a device report. Per-key last-writer-wins by report ts:
-        a stale report only fills keys no newer report has written."""
+        a stale report only fills keys no newer report has written. A key
+        the twin's class lacks or refuses is SchemaInvalid and changes nothing."""
         twin = self._twin(node_id)
         props = self.model.effective_properties(twin.class_name)
-        for key in doc:
-            if key not in props:
+        for key, value in doc.items():
+            prop = props.get(key)
+            if prop is None:
                 raise SchemaInvalid(f"{key} is not a property of {twin.class_name}")
-        report = self.model.validate_payload(twin.class_name, doc)
-        bad = [v for v in report.violations if v.kind != "missing_required"]
-        if bad:
-            raise SchemaInvalid(f"{bad[0].kind}: {bad[0].key}")
+            _check_value(prop, key, value)
         for key, value in doc.items():
             if ts >= twin.report_ts.get(key, float("-inf")):
                 twin.reported[key] = value

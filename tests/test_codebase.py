@@ -180,3 +180,22 @@ def test_only_the_harness_imports_the_harness():
            for line, name in imported_modules(path, parse(path))
            if name == "iotra.harness" or name.startswith("iotra.harness.")]
     assert not bad
+
+
+# Definitions that only the benchmark still reaches: its tracer wraps the
+# two validators by name and reads the other two. The change to the
+# benchmark that drops those references empties this set, and with it
+# the definitions; no other name may come to rest on the benchmark alone.
+BENCH_ONLY = {"find_channels", "late_count", "payload_to_scalars", "validate_payload"}
+
+
+def test_only_the_listed_definitions_live_on_the_benchmark_alone():
+    package: set[str] = set()
+    for path in package_files():
+        package |= referenced_names(parse(path))
+    bench: set[str] = set()
+    for path in program_files():
+        if PACKAGE not in path.parents:
+            bench |= referenced_names(parse(path))
+    defined = {name for path in package_files() for _, name in definitions(parse(path))}
+    assert {name for name in defined if name in bench and name not in package} == BENCH_ONLY

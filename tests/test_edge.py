@@ -238,11 +238,3 @@ def test_disconnect_mid_flush_retains_remainder_in_order():
     assert flush_uplink(q, s) == 2
     assert [f.payload for f in q.pending] == ["p2", "p3", "p4"]
     assert [p for _, p in s.published] == ["p0", "p1"]
-
-
-def test_bounded_queue_drops_oldest():
-    q = UplinkQueue(capacity=2)
-    for i in range(4):
-        q.enqueue(QueuedFrame("t", f"p{i}"))
-    assert [f.payload for f in q.pending] == ["p2", "p3"]
-    assert q.dropped == 2

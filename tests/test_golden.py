@@ -5,8 +5,10 @@ For each run it digests the RunReport (``sort_keys`` JSON), ``audit.jsonl``,
 ``notifications.jsonl``, the rows a reopened ``Store`` returns, and the
 twin snapshot that ``iotra run`` saves as ``twins.json``. The rows digest
 is taken over decoded rows, not files, so a change of the store's file
-format leaves it alone. The twin snapshot is the only output that sees
-the ``zone=a`` route to the twin service. A change of behaviour on purpose
+format leaves it alone. The twin snapshot is the only digest that sees
+the ``zone=a`` route to the twin service; the ``twins_match_store``
+assertion, appended to one of these documents below, checks that route
+against the store. A change of behaviour on purpose
 regenerates the file, and its author states the old and new digests:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -21,7 +23,8 @@ from functools import partial
 from pathlib import Path
 
 from iotra import tsdb
-from iotra.harness.scenario import ScenarioSpec, World
+from iotra.harness.scenario import ASSERTIONS, ScenarioSpec, World
+from iotra.infomodel import TypedScalar
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -151,6 +154,24 @@ def all_digests() -> dict:
 
 def test_outputs_match_the_golden_digests():
     assert all_digests() == json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_the_twins_hold_the_last_stored_reading_of_each_twin_routed_channel():
+    doc = faults_pipeline(1)
+    doc["assertions"].append("twins_match_store")
+    spec = ScenarioSpec.from_dict(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        world = World(spec, Path(tmp))
+        try:
+            report = world.run()
+            assert report.assertions[-1] == {"check": "twins_match_store", "passed": True,
+                                             "detail": "twins off the store: []"}
+            # a report newer than any stored reading of a zone=a channel
+            world.twins.apply_report("n-000002", {"power": TypedScalar("n", "0")}, ts=1e9)
+            assert ASSERTIONS["twins_match_store"][0](world, spec.assertions[-1]) == (
+                False, "twins off the store: ['n-000002/power']")
+        finally:
+            world.close()
 
 
 if __name__ == "__main__":

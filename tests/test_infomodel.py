@@ -572,6 +572,15 @@ def test_parse_scalar_bare_string_has_no_prefix():
         parse_scalar("x:5")
 
 
+@pytest.mark.parametrize("wire", ["n:71.5", "n:-3", "n:0", "n:nan", "n:-inf", "b:true",
+                                  "b:false", "s:abc", "s:3.1", "s:", "bare",
+                                  "t:2020-07-15T14:50:07Z"])
+def test_scalar_of_a_decoded_value_is_its_wire_scalar(wire):
+    line = json.dumps({"id": "n-000007", "temp": wire, "DateTime": "t:2020-07-15T14:50:07Z"})
+    (reading,) = decode_report(line)[1]
+    assert infomodel.scalar_of(reading.value) == parse_scalar(wire)
+
+
 # -- encoder against the one-dict-per-reading encoder ---------------------
 
 _ORACLE_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
@@ -589,7 +598,7 @@ def oracle_encode_report(node_id, readings):
         if isinstance(value, TypedScalar):
             text = value.encode()
         elif isinstance(value, bool):
-            text = TypedScalar.boolean(value).encode()
+            text = "b:true" if value else "b:false"
         elif isinstance(value, (int, float)):
             text = f"n:{infomodel.number_text(value)}"
         else:

@@ -16,22 +16,29 @@ from iotra.timeutil import VirtualClock
 TEMP = ChannelKey("n-000001", "temp")
 
 
+def open_cloud(data_dir, model, route_rules, pipeline=None, class_name="multi_sensor",
+               on_quarantine=None):
+    """A platform over ``data_dir`` with one active node of ``class_name``,
+    and that node's device session."""
+    clock = VirtualClock()
+    registry = controlplane.Registry(clock=clock)
+    broker = msgbus.Broker(clock=clock, authenticator=registry.authenticate)
+    platform = Platform(data_dir, model, registry, broker, clock, route_rules=route_rules,
+                        pipeline=pipeline, on_quarantine=on_quarantine)
+    entry = registry.commission("desk", class_name, model=model)
+    registry.transition(entry.node_id, "active")
+    platform.twins.register_node(entry.node_id, entry.class_name)
+    return platform, broker.connect(entry.node_id, entry.credential)
+
+
 @pytest.fixture
 def cloud(tmp_path):
     """A platform with one active multi_sensor node, that node's device
     session, and the node ids the quarantine hook was called with."""
-    clock = VirtualClock()
-    model = build_default_model()
-    registry = controlplane.Registry(clock=clock)
-    broker = msgbus.Broker(clock=clock, authenticator=registry.authenticate)
     dropped = []
-    platform = Platform(tmp_path, model, registry, broker, clock,
-                        route_rules=[RouteRule(frozenset({"tsdb", "twin"}), topic="data/#")],
-                        on_quarantine=dropped.append)
-    entry = registry.commission("desk", "multi_sensor", model=model)
-    registry.transition(entry.node_id, "active")
-    platform.twins.register_node(entry.node_id, entry.class_name)
-    device = broker.connect(entry.node_id, entry.credential)
+    platform, device = open_cloud(
+        tmp_path, build_default_model(),
+        [RouteRule(frozenset({"tsdb", "twin"}), topic="data/#")], on_quarantine=dropped.append)
     try:
         yield platform, device, dropped
     finally:
@@ -57,7 +64,7 @@ def test_published_frames_are_stored_and_acked(cloud):
     assert platform.broker.redeliver_pending(100.0) == 0  # every frame was acked
     assert platform.step(0.1) == 0
     # the twin rule: the last reading is the twin's reported temp
-    assert platform.twins.get_twin("n-000001").reported["temp"] == TypedScalar.number(70.0)
+    assert platform.twins.get_twin("n-000001").reported["temp"] == TypedScalar("n", "70")
 
 
 def test_a_duplicate_is_rejected_and_a_replay_is_counted(cloud):
@@ -142,16 +149,12 @@ def test_a_data_directory_model_extends_the_default(tmp_path):
 def test_a_wrapper_set_on_a_service_after_construction_sees_every_call(tmp_path):
     # the benchmark shadows these methods per instance once the platform
     # is built, so the platform must look each one up when it calls it
-    clock = VirtualClock()
-    model = build_default_model()
-    registry = controlplane.Registry(clock=clock)
-    broker = msgbus.Broker(clock=clock, authenticator=registry.authenticate)
     pipeline = {"nodes": [{"node_id": "temps", "kind": "source", "params": {"selector": "*/temp"}},
                           {"node_id": "out", "kind": "sink", "params": {"dest": "notify"}}],
                 "edges": [["temps", "out"]]}
-    platform = Platform(tmp_path, model, registry, broker, clock, pipeline=pipeline,
-                        route_rules=[RouteRule(frozenset({"tsdb", "streams", "twin"}),
-                                               topic="data/#")])
+    platform, device = open_cloud(
+        tmp_path, build_default_model(),
+        [RouteRule(frozenset({"tsdb", "streams", "twin"}), topic="data/#")], pipeline)
     calls = []
     for owner, name in ((platform.gateway, "admit"), (platform.gateway, "route"),
                         (platform.tsdb, "append"), (platform.pipeline, "process"),
@@ -160,13 +163,91 @@ def test_a_wrapper_set_on_a_service_after_construction_sees_every_call(tmp_path)
             calls.append(_name)
             return _fn(*args, **kwargs)
         setattr(owner, name, wrapper)
-    entry = registry.commission("desk", "multi_sensor", model=model)
-    registry.transition(entry.node_id, "active")
-    platform.twins.register_node(entry.node_id, entry.class_name)
     try:
-        publish(broker.connect(entry.node_id, entry.credential), 1)
+        publish(device, 1)
         platform.step(0.0)
         platform.tick(0.0)
     finally:
         platform.close()
     assert calls == ["admit", "route", "append", "process", "apply_report", "observe"]
+
+
+# A workspace class with a timestamp property, and a setpoint bounded
+# below the 95 °F that the tests below average into it.
+PROBE = {"name": "probe", "parent": "multi_sensor",
+         "properties": [{"name": "calibrated", "datatype": "timestamp"},
+                        {"name": "setpoint", "datatype": "number", "unit": "°F",
+                         "writable": True, "max": 80}]}
+
+# One admitted frame of each value kind: property, wire value, the
+# reading's value, and the number a stream takes it as (None: not a
+# number, so no source matches).
+CALIBRATED = "t:2020-07-15T14:50:07Z"
+VALUE_KINDS = (("temp", "n:71.5", 71.5, 71.5), ("fan_power", "b:true", True, 1.0),
+               ("firmware", "s:abc", "abc", None), ("zone", "s:3.1", "3.1", None),
+               ("calibrated", CALIBRATED, infomodel.parse_scalar(CALIBRATED), None))
+
+
+def open_probe_cloud(data_dir, route_rules, pipeline):
+    (data_dir / "model").mkdir()
+    (data_dir / "model" / "probe.json").write_text(json.dumps(PROBE), encoding="utf-8")
+    return open_cloud(data_dir, load_model(data_dir), route_rules, pipeline, class_name="probe")
+
+
+@pytest.mark.parametrize("dests", [
+    ("tsdb",), ("streams",), ("twin",), ("tsdb", "streams"), ("tsdb", "twin"),
+    ("streams", "twin"), ("tsdb", "streams", "twin")], ids="+".join)
+def test_every_admitted_value_kind_reaches_every_route(tmp_path, dests):
+    every = {"nodes": [{"node_id": "all", "kind": "source", "params": {"selector": "#"}},
+                       {"node_id": "out", "kind": "sink", "params": {"dest": "notify"}}],
+             "edges": [["all", "out"]]}
+    platform, device = open_probe_cloud(
+        tmp_path, [RouteRule(frozenset(dests), topic="data/#")], every)
+    try:
+        for seq, (prop, wire, _, _) in enumerate(VALUE_KINDS, 1):
+            device.publish(f"data/n-000001/{prop}", json.dumps(
+                {"id": "n-000001", prop: wire, "DateTime": "t:1970-01-01T00:00:10Z",
+                 "seq": seq}), qos=1)
+        assert platform.step(0.0) == len(VALUE_KINDS)
+        assert platform.broker.redeliver_pending(100.0) == 0  # every frame was acked
+        stored = {key.sensor_name: [r.value for r in platform.tsdb.query_range(key, 0, 20)]
+                  for key in platform.tsdb.channels()}
+        assert stored == ({prop: [value] for prop, _, value, _ in VALUE_KINDS}
+                          if "tsdb" in dests else {})
+        twin = platform.twins.get_twin("n-000001")
+        for prop, wire, _, _ in VALUE_KINDS:
+            want = infomodel.parse_scalar(wire) if "twin" in dests else None
+            assert twin.reported.get(prop) == want
+            assert twin.report_ts.get(prop) == (10.0 if "twin" in dests else None)
+        streamed = {e["channel"]: e["value"] for e in platform.emissions}
+        assert streamed == ({f"n-000001/{prop}": number for prop, _, _, number in VALUE_KINDS
+                             if number is not None} if "streams" in dests else {})
+    finally:
+        platform.close()
+
+
+def test_a_desired_value_the_twin_refuses_is_counted_not_raised(tmp_path):
+    # a 1 s average of a 95 °F temp, sent as the desired setpoint that
+    # the probe class bounds at 80
+    control = {
+        "nodes": [{"node_id": "temps", "kind": "source", "params": {"selector": "*/temp"}},
+                  {"node_id": "avg1", "kind": "window",
+                   "params": {"size_ms": 1000, "slide_ms": 1000, "agg": "avg"}},
+                  {"node_id": "hold", "kind": "sink",
+                   "params": {"dest": "twin_desired", "node": "n-000001", "prop": "setpoint"}}],
+        "edges": [["temps", "avg1"], ["avg1", "hold"]]}
+    platform, device = open_probe_cloud(
+        tmp_path, [RouteRule(frozenset({"tsdb", "streams"}), topic="data/#")], control)
+    try:
+        for seq in range(1, 6):
+            reading = Reading(TEMP, 95.0, "°F", seq * 0.5, seq)
+            device.publish("data/n-000001/temp",
+                           infomodel.encode_report("n-000001", [reading]), qos=1)
+        assert platform.step(0.0) == 5
+        assert platform.broker.redeliver_pending(100.0) == 0
+        assert stored_seqs(platform) == [1, 2, 3, 4, 5]
+        assert [(e["sink"], e["value"]) for e in platform.emissions] == [("hold", 95.0)]
+        assert platform.rejected == {"desired_refused": 1}
+        assert platform.twins.get_twin("n-000001").desired == {}
+    finally:
+        platform.close()

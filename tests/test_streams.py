@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from iotra.infomodel import parse_scalar
 from iotra.msgbus import BadFilter, TopicFilter
 from iotra.reading import COMPARATORS, TEXT_MEMO_SIZE, ChannelKey, Reading
 from iotra.streams import (
@@ -247,6 +248,16 @@ def test_end_to_end_emission():
     (em,) = p.process(reading(2.0, 85.0))
     assert isinstance(em, Emission)
     assert em.dest == "topic" and em.item.value == 85.0
+
+
+def test_only_a_number_reaches_a_source():
+    p = Pipeline(linear_spec())
+    for value in ("abc", "71", parse_scalar("t:1970-01-01T00:00:05Z")):
+        r = Reading(ChannelKey("n-000001", "temp"), value, "", 30.0, 1)
+        assert p.process(r) == []
+    assert p.watermark == float("-inf")
+    (em,) = p.process(Reading(ChannelKey("n-000001", "temp"), True, "", 1.0, 2))
+    assert type(em.item.value) is float and em.item.value == 1.0
 
 
 def test_source_selector_filters_channels():

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iotra import tsdb
+from iotra.infomodel import TypedScalar, parse_scalar
 from iotra.reading import ChannelKey, Reading
+from iotra.timeutil import format_ts
 from iotra.tsdb import (
     SEGMENT_CAPACITY,
     BadInterval,
@@ -416,7 +418,9 @@ def exact(r):
 
 _block_rows = st.lists(st.tuples(
     st.one_of(st.floats(), st.sampled_from((math.nan, math.inf, -math.inf, -0.0))),
-    st.one_of(st.floats(), st.floats(), st.integers(), st.booleans(), st.text(max_size=4)),
+    st.one_of(st.floats(), st.floats(), st.integers(), st.booleans(), st.text(max_size=4),
+              st.builds(lambda epoch: TypedScalar("t", format_ts(epoch)),
+                        st.integers(0, 2**35))),
     st.one_of(st.none(), st.integers(-5, 5), st.sampled_from((2**63 - 1, -2**63)),
               st.integers(), st.integers(min_value=2**63)),
     st.sampled_from(("°F", "%", "")),
@@ -447,6 +451,22 @@ def test_block_codec_round_trips(rows):
     packed_seq = all(type(r.seq) is int and r.seq in INT64 for r in readings)
     packed_value = all(type(r.value) is float for r in readings)
     assert ("seq" in header, "value" in header) == (not packed_seq, not packed_value)
+
+
+def test_a_timestamp_value_is_stored_as_its_typed_scalar(tmp_path, monkeypatch):
+    monkeypatch.setattr(tsdb, "SEGMENT_CAPACITY", 2)
+    value = parse_scalar("t:2020-07-15T14:50:07Z")
+    store = Store(tmp_path)
+    try:
+        for i in range(3):  # two sealed in a block, the third in the active log
+            store.append(reading(i, value=value, seq=i + 1))
+    finally:
+        store.close()
+    store = Store(tmp_path)
+    try:
+        assert [r.value for r in store.query_range(ch(), -math.inf, math.inf)] == [value] * 3
+    finally:
+        store.close()
 
 
 def test_block_columns_are_packed(tmp_path):

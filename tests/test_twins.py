@@ -47,7 +47,7 @@ def make_service():
 
 
 def n(x):
-    return TypedScalar.number(x)
+    return infomodel.scalar_of(x)
 
 
 # -- registration / reads ------------------------------------------------
@@ -102,7 +102,7 @@ def test_report_with_unknown_key_rejected():
 
 
 def test_a_reported_message_applies_as_its_document():
-    doc = {"temp": n(77.6), "setpoint": n(72), "fan_power": TypedScalar.string("é on")}
+    doc = {"temp": n(77.6), "setpoint": n(72), "fan_power": TypedScalar("s", "é on")}
     direct, _ = make_service()
     direct.apply_report("n-000001", doc, ack_version=3, ts=4.5)
     wire, _ = make_service()
@@ -173,7 +173,7 @@ def test_a_run_counts_each_undecodable_reported_message_as_schema_invalid(tmp_pa
 def test_report_with_type_mismatch_rejected():
     svc, _ = make_service()
     with pytest.raises(SchemaInvalid):
-        svc.apply_report("n-000001", {"temp": TypedScalar.string("hot")}, ts=1.0)
+        svc.apply_report("n-000001", {"temp": TypedScalar("s", "hot")}, ts=1.0)
 
 
 # -- desired side --------------------------------------------------------
@@ -194,10 +194,10 @@ def test_set_desired_bumps_version_and_publishes_retained():
 def test_second_patch_carries_full_desired_doc():
     svc, spy = make_service()
     svc.set_desired("n-000001", {"setpoint": n(72)})
-    svc.set_desired("n-000001", {"fan_power": TypedScalar.string("on")})
+    svc.set_desired("n-000001", {"fan_power": TypedScalar("s", "on")})
     desired, version = decode_desired_command(spy.calls[-1][1])
     # the single retained command always holds the complete desired state
-    assert desired == {"setpoint": n(72), "fan_power": TypedScalar.string("on")}
+    assert desired == {"setpoint": n(72), "fan_power": TypedScalar("s", "on")}
     assert version == 2
 
 
@@ -229,7 +229,7 @@ def test_set_desired_checks_every_key_before_changing_anything():
     with pytest.raises(SchemaInvalid, match="setpoint"):
         svc.set_desired(
             "n-000001",
-            {"fan_power": TypedScalar.string("on"), "setpoint": TypedScalar.string("hot")})
+            {"fan_power": TypedScalar("s", "on"), "setpoint": TypedScalar("s", "hot")})
     twin = svc.get_twin("n-000001")
     assert (twin.desired, twin.desired_version, spy.calls) == ({}, 0, [])
 
@@ -243,7 +243,7 @@ def test_empty_patch_rejected():
 
 def test_desired_command_is_compact_json():
     svc, spy = make_service()
-    svc.set_desired("n-000001", {"fan_power": TypedScalar.string("é on"), "setpoint": n(72)})
+    svc.set_desired("n-000001", {"fan_power": TypedScalar("s", "é on"), "setpoint": n(72)})
     assert spy.calls[-1][1] == (
         '{"desired":{"fan_power":"s:é on","setpoint":"n:72"},"desired_version":1}')
 
