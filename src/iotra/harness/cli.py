@@ -218,14 +218,16 @@ def cmd_query(args, ws: Workspace) -> int:
             text = "\n".join(f"{format_ts(b)}  {v}" for b, v in rows)
         else:
             readings = store.query_range(channel, t1, t2)
+            # a typed value (a t: reading's) shows as its wire text
+            values = [r.value.encode() if isinstance(r.value, infomodel.TypedScalar)
+                      else r.value for r in readings]
             doc = [
-                {"ts": r.ts, "seq": r.seq, "value": r.value, "unit": r.unit,
-                 "tags": r.tags}
-                for r in readings
+                {"ts": r.ts, "seq": r.seq, "value": v, "unit": r.unit, "tags": r.tags}
+                for r, v in zip(readings, values)
             ]
             text = "\n".join(
-                f"{format_ts(r.ts)}  seq={r.seq}  {r.value} {r.unit}"
-                for r in readings
+                f"{format_ts(r.ts)}  seq={r.seq}  {v} {r.unit}"
+                for r, v in zip(readings, values)
             )
         _emit(args, doc, text or "(no data)")
         return 0

@@ -56,10 +56,10 @@ power loss or an OS crash):
 - A block that is cut short or otherwise unreadable makes the open
   raise TsdbError naming the file; no rows are dropped silently.
 
-An open decodes every block eagerly into the same resident lists the
-active segment uses: ``array`` turns each column into a list and
-``map`` builds the readings, with no per-record JSON. All readings of
-one block share the block's unit string and ``tags`` dict. An active
+An open decodes every segment eagerly: ``array`` turns each block
+column into a list and ``map`` builds the readings, with no per-record
+JSON. All readings of one block share the block's unit string and
+``tags`` dict. An active
 log is decoded in runs: a run of short records is unpacked in one pass
 (``iter_unpack``) and its readings built by one ``map``, sharing the
 unit string and ``tags`` dict of the full record that starts it;
@@ -67,8 +67,11 @@ consecutive full records with equal tags share one dict (readings
 appended in one session share the caller's dict, see Store.append). The
 full records are decoded with one ``json.loads`` over their joined
 bodies, so a log written before short records existed (every record
-full) opens as fast as it did. The tag index is built from each
-segment's distinct tags dicts, not from every reading.
+full) opens as fast as it did. The open lists a channel's directory
+once and decides from the listing alone: the highest-numbered segment
+takes appends when it is a log, and a log is unlinked only when its
+block is listed beside it. The tag index is built from each segment's
+distinct tags dicts, not from every reading.
 
 The open runs with the cyclic garbage collector paused, and restores
 the caller's setting after it. What an open builds is acyclic (readings,
@@ -87,28 +90,34 @@ running, more than four times the 0.28 ms p99 of the benchmark's
 move that cost into the heavy queries after every reopen, and would
 need a bounded cache, whose size is one more knob.
 
-In memory each segment keeps its readings (``entries``) in append order
-beside two parallel columns, ``ts`` and ``values``, and an ``ordered``
-flag. ``values`` holds the very objects the readings hold, so it costs a
-list slot, 8 bytes a reading; an open fills both columns from the lists
-the decoders build anyway. The flag holds while every append sorts at or
-after the previous one in (ts, seq) order, which is how a node's
-readings arrive; one out-of-order append clears it for that segment.
+In memory the unit is the channel, not the segment (after Gorilla's
+per-series in-memory head): each channel keeps one *run* of its readings
+(``rows``) beside two parallel columns, ``ts`` and ``values``, in (ts,
+seq) order, readings with equal keys in append order. ``values`` holds
+the very objects the readings hold, so the run costs three list slots,
+24 bytes, a reading. The active segment keeps its own readings in append
+order, for sealing and the short-record rule; a sealed segment keeps
+none. An append whose ts is later than the run's last, as a node's
+readings are, extends the three lists. Any other is placed by a bisect
+on (ts, seq), after its equal keys, and inserted, which moves the rows
+after it: O(n) for a channel of n readings. An open concatenates each
+channel's segments in order and checks once that their timestamps
+strictly increase; where they do not, it sorts the run stably, which
+gives the order appends would have.
 
-A query skips segments by their min/max summary, bisects the ``ts`` list
-of each ordered segment it touches and slices its entries:
-O(segments + log n + k) for k rows returned. It sorts only when a
-touched segment is unordered or two touched slices overlap at a segment
-boundary, and returns the same rows in the same order either way.
-``downsample`` finds the same slices (Store._spans decides for both) and
-takes them from ``ts`` and ``values``, or, where query_range would sort,
-from the rows it returns, converting each value with ``float`` once. It
-then steps one bucket at a time: the bucket's first row gives its k,
-a bisect for the edge t1 + (k+1)*interval finds the next bucket's first
-row, and that edge moves past any row that rounding puts on the wrong
-side of it, so that every row lands in the bucket int((ts - t1) //
-interval) names. Each bucket is one aggregate call over its values in
-row order, so a sum adds them in the order a loop over rows would.
+A reading whose ``ts`` is NaN is stored and counted, but no range holds
+it: it stays out of the run, kept on disk and in the active segment.
+
+A query bisects ``ts`` for t1 and t2 and slices ``rows``: O(log n + k)
+for k rows returned, however many segments the channel has. ``downsample``
+slices ``ts`` and ``values`` the same way, converting each value with
+``float`` once (a value ``float`` refuses is a TsdbError). It then steps
+one bucket at a time: the bucket's first row gives its k, a bisect for
+the edge t1 + (k+1)*interval finds the next bucket's first row, and that
+edge moves past any row that rounding puts on the wrong side of it, so
+that every row lands in the bucket int((ts - t1) // interval) names.
+Each bucket is one aggregate call over its values in row order, so a sum
+adds them in the order a loop over rows would.
 """
 
 from __future__ import annotations
@@ -122,10 +131,10 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import repeat
-from operator import itemgetter, le, lt
+from operator import itemgetter, lt
 from pathlib import Path
 
-from .infomodel import TypedScalar, parse_scalar
+from .infomodel import TypedScalar, parse_scalar, scalar_of
 from .reading import ChannelKey, Reading
 
 SEGMENT_CAPACITY = 1000
@@ -281,13 +290,13 @@ def _intern(table: list, item) -> int:
         return len(table) - 1
 
 
-def _encode_block(seg: "_Segment") -> bytes:
-    """The block file of a full segment."""
+def _encode_block(rows: list[Reading]) -> bytes:
+    """The block file of a full segment's readings, in append order."""
     units: list[str] = []
     tables: list[dict] = []
     unit_col, tag_col, seqs, values = [], [], [], []
     unit = tags = object()  # matches no reading's
-    for r in seg.entries:
+    for r in rows:
         if r.unit is not unit:  # identity first: a session shares one of each
             unit = r.unit
             u = _intern(units, unit)
@@ -298,9 +307,11 @@ def _encode_block(seg: "_Segment") -> bytes:
         tag_col.append(t)
         seqs.append(r.seq)
         values.append(r.value)
-    header = {"count": len(seqs), "min_ts": seg.min_ts, "max_ts": seg.max_ts,
-              "units": units, "tags": tables}
-    columns = [_pack("d", seg.ts)]
+    ts = [r.ts for r in rows]
+    # starting from the infinities, a NaN ts never becomes the min or max
+    header = {"count": len(seqs), "min_ts": min((float("inf"), *ts)),
+              "max_ts": max((float("-inf"), *ts)), "units": units, "tags": tables}
+    columns = [_pack("d", ts)]
     if set(map(type, seqs)) == {int} and -2**63 <= min(seqs) and max(seqs) < 2**63:
         columns.append(_pack("q", seqs))
     else:
@@ -357,53 +368,34 @@ def _decode_block(key: ChannelKey,
     return readings, ts, values, tables
 
 
-class _Segment:
-    def __init__(self, number: int, path: Path):
-        self.number = number
-        self.path = path
-        self.entries: list[Reading] = []
-        self.ts: list[float] = []  # entries[i].ts, for bisecting
-        self.values: list = []  # entries[i].value, for downsampling
-        self.ordered = True  # entries nondecreasing in _sort_key order
-        self.sealed = False
-        self.min_ts = float("inf")
-        self.max_ts = float("-inf")
-
-    def add(self, r: Reading) -> None:
-        ts = r.ts
-        if self.ordered and self.entries:
-            last = self.ts[-1]
-            # negated so that a NaN timestamp clears the flag too
-            if not (ts > last or ts == last and _sort_key(r) >= _sort_key(self.entries[-1])):
-                self.ordered = False
-        self.entries.append(r)
-        self.ts.append(ts)
-        self.values.append(r.value)
-        if ts < self.min_ts:
-            self.min_ts = ts
-        if ts > self.max_ts:
-            self.max_ts = ts
-
-    def fill(self, readings: list[Reading], ts: list[float], values: list) -> None:
-        """add() each of readings, whose timestamps are ts and values are
-        values, in order, to this empty segment."""
-        self.entries, self.ts, self.values = readings, ts, values
-        # strictly increasing ts, the common case, settles the order alone
-        if not all(map(lt, ts, ts[1:])):
-            keys = [_sort_key(r) for r in readings]
-            self.ordered = all(map(le, ts, ts[1:])) and all(map(le, keys, keys[1:]))
-        self.min_ts = min((self.min_ts, *ts))
-        self.max_ts = max((self.max_ts, *ts))
-
-
 class _Channel:
     def __init__(self, key: ChannelKey, root: Path):
         self.key = key
         self.dir = root / key.node_id / key.sensor_name
-        self.segments: list[_Segment] = []
-        self.active: _Segment | None = None
+        self.rows: list[Reading] = []  # the run, in _sort_key order
+        self.ts: list[float] = []  # rows[i].ts, for bisecting
+        self.values: list = []  # rows[i].value, for downsampling
+        self.unranked = 0  # readings with a NaN ts, held out of the run
+        self.segment = 0  # the number of the segment that takes appends
+        self.entries: list[Reading] = []  # its readings, in append order
         self.indexed_tags: dict[str, str] | None = None  # copy, last indexed
         self._fh = None
+
+    def add(self, r: Reading) -> None:
+        """Put r into the run: appended when its ts is the latest, else
+        inserted after its equal keys, O(n)."""
+        ts = r.ts
+        if ts != ts:
+            self.unranked += 1
+        elif not self.ts or ts > self.ts[-1]:
+            self.rows.append(r)
+            self.ts.append(ts)
+            self.values.append(r.value)
+        else:
+            i = bisect_right(self.rows, _sort_key(r), key=_sort_key)
+            self.rows.insert(i, r)
+            self.ts.insert(i, ts)
+            self.values.insert(i, r.value)
 
     def close(self):
         if self._fh is not None:
@@ -412,8 +404,8 @@ class _Channel:
 
 
 class Store:
-    """One writer per channel; readers see the resident readings of every
-    segment, sealed and active."""
+    """One writer per channel; readers see every reading, sealed or
+    active, in its channel's resident run."""
 
     def __init__(self, root: Path):
         self.root = Path(root)
@@ -444,41 +436,50 @@ class Store:
 
     def _load_channel(self, key: ChannelKey, sensor_dir: Path) -> None:
         ch = _Channel(key, self.root)
-        numbers = set()
-        tables: list[dict] = []  # each segment's distinct tags dicts
+        blocks, logs = set(), set()
         for path in sensor_dir.glob("seg-*"):
             stem, _, kind = path.name.partition(".")
             if kind == "blk.tmp":
                 path.unlink()  # a seal cut short: its log is still whole
             elif kind in ("log", "blk"):
-                numbers.add(int(stem[4:]))
-        for number in sorted(numbers):
-            log, blk = sensor_dir / f"seg-{number}.log", sensor_dir / f"seg-{number}.blk"
-            if blk.exists():
-                seg = _Segment(number, blk)
+                (logs if kind == "log" else blocks).add(int(stem[4:]))
+        rows, ts, values = ch.rows, ch.ts, ch.values
+        tables: list[dict] = []  # each segment's distinct tags dicts
+        for number in sorted(blocks | logs):
+            log = sensor_dir / f"seg-{number}.log"
+            if number in blocks:
+                blk = sensor_dir / f"seg-{number}.blk"
                 try:
-                    readings, ts, values, seg_tables = _decode_block(key, blk.read_bytes())
+                    readings, seg_ts, seg_values, seg_tables = _decode_block(
+                        key, blk.read_bytes())
                 except (ValueError, LookupError, TypeError, struct.error) as exc:
                     raise TsdbError(f"unreadable block {blk}: {exc}") from None
-                seg.sealed = True
-                log.unlink(missing_ok=True)  # sealed, but not yet unlinked
+                if number in logs:
+                    log.unlink()  # sealed, but not yet unlinked
+                ch.segment, ch.entries = number + 1, []
             else:
-                seg = _Segment(number, log)
                 data = log.read_bytes()
-                readings, ts, values, seg_tables, clean = _decode_log(key, data)
+                readings, seg_ts, seg_values, seg_tables, clean = _decode_log(key, data)
                 if clean < len(data):
                     # torn tail from a crash mid-append: repair in place
                     with open(log, "r+b") as fh:
                         fh.truncate(clean)
-            seg.fill(readings, ts, values)
+                ch.segment, ch.entries = number, readings
+            rows += readings
+            ts += seg_ts
+            values += seg_values
             tables += seg_tables
-            ch.segments.append(seg)
-        if ch.segments and not ch.segments[-1].sealed:
-            ch.active = ch.segments[-1]
-        if any(seg.entries for seg in ch.segments):
-            self._channels[key] = ch
-            for tags in tables:
-                self._index_tags(ch, tags)
+        if not rows:
+            return
+        # strictly increasing ts, the common case, settles the order alone
+        if not (ts[0] == ts[0] and all(map(lt, ts, ts[1:]))):
+            ch.rows = sorted((r for r in rows if r.ts == r.ts), key=_sort_key)  # stable
+            ch.unranked = len(rows) - len(ch.rows)
+            ch.ts = [r.ts for r in ch.rows]
+            ch.values = [r.value for r in ch.rows]
+        self._channels[key] = ch
+        for tags in tables:
+            self._index_tags(ch, tags)
 
     # -- writes ----------------------------------------------------------
 
@@ -496,34 +497,28 @@ class Store:
             ch = _Channel(reading.channel, self.root)
             ch.dir.mkdir(parents=True, exist_ok=True)
             self._channels[reading.channel] = ch
-        seg = ch.active
-        if seg is None:
-            nxt = ch.segments[-1].number + 1 if ch.segments else 0
-            seg = ch.active = _Segment(nxt, ch.dir / f"seg-{nxt}.log")
-            ch.segments.append(seg)
-            ch.close()
         if ch._fh is None:
-            ch._fh = open(seg.path, "ab")
-        ch._fh.write(_encode_record(reading, seg.entries[-1] if seg.entries else None))
-        seg.add(reading)
+            ch._fh = open(ch.dir / f"seg-{ch.segment}.log", "ab")
+        entries = ch.entries
+        ch._fh.write(_encode_record(reading, entries[-1] if entries else None))
+        entries.append(reading)
+        ch.add(reading)
         self._index_tags(ch, reading.tags)
-        position = (seg.number, len(seg.entries) - 1)
-        if len(seg.entries) >= SEGMENT_CAPACITY:
+        position = (ch.segment, len(entries) - 1)
+        if len(entries) >= SEGMENT_CAPACITY:
             self._seal(ch)
         return position
 
     def _seal(self, ch: _Channel) -> None:
-        seg = ch.active
-        assert seg is not None
         ch.close()
-        blk = seg.path.with_suffix(".blk")
+        log = ch.dir / f"seg-{ch.segment}.log"
+        blk = log.with_suffix(".blk")
         tmp = blk.with_suffix(".blk.tmp")
-        tmp.write_bytes(_encode_block(seg))
+        tmp.write_bytes(_encode_block(ch.entries))
         os.replace(tmp, blk)
-        seg.path.unlink()
-        seg.path = blk
-        seg.sealed = True
-        ch.active = None
+        log.unlink()
+        ch.segment += 1
+        ch.entries = []
 
     def _index_tags(self, ch: _Channel, tags: dict[str, str]) -> None:
         # the index is a union over readings; a channel's tags rarely change
@@ -549,55 +544,25 @@ class Store:
 
     def count(self, channel: ChannelKey) -> int:
         ch = self._channels.get(channel)
-        return sum(len(s.entries) for s in ch.segments) if ch else 0
+        return len(ch.rows) + ch.unranked if ch else 0
 
-    def _spans(self, channel: ChannelKey, t1: float,
-               t2: float) -> tuple[list[tuple[_Segment, int, int]], bool]:
-        """The segments that hold the channel's rows with t1 <= ts < t2,
-        each as (segment, lo, hi), and whether those rows, taken span by
-        span, are already in (ts, seq) order. An ordered segment's rows
-        are exactly entries[lo:hi]; an unordered one spans all its
-        entries, which the caller filters, and clears the order."""
+    def _span(self, channel: ChannelKey, t1: float, t2: float) -> tuple[_Channel, int, int]:
+        """The channel and the bounds lo, hi of its run's rows with
+        t1 <= ts < t2."""
         if t1 > t2:
             raise TsdbError("t1 must be <= t2")
         ch = self._channels.get(channel)
         if ch is None:
             raise UnknownChannel(str(channel))
-        spans: list[tuple[_Segment, int, int]] = []
-        in_order = True
         if not t1 < t2:  # empty interval (or a NaN bound)
-            return spans, in_order
-        last = None  # the last row spanned so far
-        for seg in ch.segments:
-            if not seg.entries or seg.max_ts < t1 or seg.min_ts >= t2:
-                continue  # min/max summary skip
-            if not seg.ordered:
-                in_order = False
-                spans.append((seg, 0, len(seg.entries)))
-                continue
-            ts = seg.ts
-            lo, hi = bisect_left(ts, t1), bisect_left(ts, t2)
-            if lo == hi:
-                continue
-            if in_order and last is not None and _sort_key(seg.entries[lo]) < _sort_key(last):
-                in_order = False  # overlaps the span before it
-            last = seg.entries[hi - 1]
-            spans.append((seg, lo, hi))
-        return spans, in_order
+            return ch, 0, 0
+        return ch, bisect_left(ch.ts, t1), bisect_left(ch.ts, t2)
 
     def query_range(self, channel: ChannelKey, t1: float, t2: float) -> list[Reading]:
         """All readings with t1 <= ts < t2, sorted by (ts, seq); readings
         with equal keys keep their append order."""
-        spans, in_order = self._spans(channel, t1, t2)
-        out: list[Reading] = []
-        for seg, lo, hi in spans:
-            if seg.ordered:
-                out += seg.entries[lo:hi]
-            else:
-                out += [r for r in seg.entries if t1 <= r.ts < t2]
-        if not in_order:
-            out.sort(key=_sort_key)
-        return out
+        ch, lo, hi = self._span(channel, t1, t2)
+        return ch.rows[lo:hi]
 
     def downsample(
         self, channel: ChannelKey, t1: float, t2: float, interval: float, agg: str
@@ -605,7 +570,8 @@ class Store:
         """Bucketed aggregate over [t1, t2): buckets [t1+k*i, t1+(k+1)*i).
 
         A row's bucket k is int((ts - t1) // interval). Empty buckets are
-        omitted for every aggregate, count included.
+        omitted for every aggregate, count included. A value that float()
+        refuses raises TsdbError.
         """
         if interval <= 0:
             raise BadInterval(str(interval))
@@ -613,17 +579,17 @@ class Store:
             fn = AGGREGATES[agg]
         except (KeyError, TypeError):
             raise BadInterval(f"unknown aggregate {agg!r}") from None
-        spans, in_order = self._spans(channel, t1, t2)
-        if in_order:
-            ts: list[float] = []
-            vals: list[float] = []
-            for seg, lo, hi in spans:
-                ts += seg.ts[lo:hi]
-                vals += map(float, seg.values[lo:hi])
-        else:
-            rows = self.query_range(channel, t1, t2)
-            ts = [r.ts for r in rows]
-            vals = [float(r.value) for r in rows]
+        ch, lo, hi = self._span(channel, t1, t2)
+        ts = ch.ts[lo:hi]
+        try:
+            vals = list(map(float, ch.values[lo:hi]))
+        except (TypeError, ValueError):
+            for v in ch.values[lo:hi]:
+                try:
+                    float(v)
+                except (TypeError, ValueError):
+                    raise TsdbError(f"cannot downsample {channel}: float() refuses its "
+                                    f"value {scalar_of(v).encode()!r}") from None
         out: list[tuple[float, float]] = []
         # ts is sorted, so each bucket's rows are contiguous: bisect for
         # the next bucket's edge, then move it past any row that rounding

@@ -7,12 +7,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iotra import controlplane, edge, twins
+from iotra import controlplane, edge, tsdb, twins
 from iotra.harness import cli, scenario, waveforms
 from iotra.harness.scenario import ScenarioSpec, run_scenario
 from iotra.streams import Emission, Item
 from iotra.harness.waveforms import BadSpec, WaveformSpec, gen_waveform
+from iotra.infomodel import parse_scalar
 from iotra.platform import Platform
+from iotra.reading import ChannelKey, Reading
 
 
 # -- waveforms -----------------------------------------------------------
@@ -880,6 +882,36 @@ def test_cli_run_and_query(tmp_path, capsys):
                    "--downsample", "2s", "avg") == 0
     buckets = json.loads(capsys.readouterr().out)
     assert buckets and all(b["value"] == pytest.approx(71.0) for b in buckets)
+
+
+
+def typed_workspace(tmp_path):
+    """A workspace whose store holds a float and then a ``t:`` reading."""
+    store = tsdb.Store(tmp_path / "ws" / "tsdb")
+    key = ChannelKey("n-000001", "calibrated")
+    store.append(Reading(key, 1.5, "", 1.0, 1, {}))
+    store.append(Reading(key, parse_scalar("t:2020-07-15T14:50:07Z"), "", 2.0, 2, {}))
+    store.close()
+    return str(key)
+
+
+def test_cli_query_prints_a_typed_value_as_its_wire_text(tmp_path, capsys):
+    key = typed_workspace(tmp_path)
+    assert run_cli(tmp_path, "query", key, "0", "10") == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["value"] for r in rows] == [1.5, "t:2020-07-15T14:50:07Z"]
+    assert cli.main(["--data-dir", str(tmp_path / "ws"), "query", key, "0", "10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("  ")[-1] for line in lines] == ["1.5 ", "t:2020-07-15T14:50:07Z "]
+
+
+def test_cli_downsample_over_a_typed_value_is_an_error(tmp_path, capsys):
+    key = typed_workspace(tmp_path)
+    assert run_cli(tmp_path, "query", key, "0", "10", "--downsample", "10s", "avg") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "t:2020-07-15T14:50:07Z" in err
+    assert run_cli(tmp_path, "query", key, "0", "2", "--downsample", "10s", "avg") == 0
+    assert json.loads(capsys.readouterr().out) == [{"bucket_start": 0.0, "value": 1.5}]
 
 
 def test_cli_inject_appends_fault(tmp_path, capsys):

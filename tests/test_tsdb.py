@@ -6,6 +6,7 @@ import random
 import re
 import struct
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -246,8 +247,56 @@ def test_in_order_multi_segment_query_does_not_sort(tmp_path, monkeypatch):
         calls.clear()
         rows = opened.query_range(ch(), 3, 42)
         assert [r.ts for r in rows] == [float(t) for t in range(3, 42)]
-        # one comparison at each of the four segment boundaries, no sort
-        assert len(calls) == 8
+        # one run per channel: no comparison at segment boundaries, no sort
+        assert calls == []
+
+
+def test_a_recent_window_query_costs_the_same_at_3_and_300_segments(tmp_path, monkeypatch):
+    monkeypatch.setattr(tsdb, "SEGMENT_CAPACITY", 10)
+    calls = []
+    for name in ("bisect_left", "bisect_right", "_sort_key"):
+        fn = getattr(tsdb, name)
+        monkeypatch.setattr(tsdb, name, lambda *args, _fn=fn, _name=name, **kw:
+                            calls.append(_name) or _fn(*args, **kw))
+    counts = []
+    for segments in (3, 300):
+        root = tmp_path / str(segments)
+        store = Store(root)
+        n = segments * 10 - 5  # the last segment is active
+        fill(store, n)
+        store.close()
+        for opened in (store, Store(root)):
+            calls.clear()
+            rows = opened.query_range(ch(), n - 8, n)
+            assert [r.ts for r in rows] == [float(t) for t in range(n - 8, n)]
+            counts.append(len(calls))
+            opened.close()
+    assert counts == [2] * 4
+
+
+
+def test_a_nan_timestamp_is_stored_and_counted_but_in_no_range(tmp_path, monkeypatch):
+    monkeypatch.setattr(tsdb, "SEGMENT_CAPACITY", 4)
+    lone = ch("n-000002", "temp")
+    stamps = (math.nan, 1.0, math.nan, 2.0, 3.0, 4.0, math.nan, 5.0, 6.0, math.nan)
+    store = Store(tmp_path)
+    # in two sealed blocks and the active log: first, between and last
+    for i, ts in enumerate(stamps):
+        store.append(reading(ts, value=float(i), seq=i + 1))
+    store.append(reading(math.nan, value=1.0, seq=1, channel=lone))  # a channel of one
+    store.flush()
+    for opened in (store, Store(tmp_path)):
+        assert opened.channels() == [ch(), lone]
+        assert (opened.count(ch()), opened.count(lone)) == (10, 1)
+        assert [r.ts for r in opened.query_range(ch(), -math.inf, math.inf)] == [
+            1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        assert opened.query_range(lone, -math.inf, math.inf) == []
+        assert opened.query_range(ch(), math.nan, 5.0) == []
+        assert opened.query_range(ch(), 0.0, math.nan) == []
+        assert opened.downsample(ch(), 0.0, 10.0, 2.0, "count") == [
+            (0.0, 1.0), (2.0, 2.0), (4.0, 2.0), (6.0, 1.0)]
+        assert opened.downsample(lone, -math.inf, math.inf, 1.0, "count") == []
+        opened.close()
 
 
 # -- reference model -----------------------------------------------------
@@ -326,16 +375,17 @@ def check_against_reference(store, ref, windows):
         chunks = ref.chunks[key]
         if chunks and len(chunks[-1]) < PROP_CAPACITY:
             chunk = chunks[-1]
-            data = store._channels[key].active.path.read_bytes()
+            channel = store._channels[key]
+            data = (channel.dir / f"seg-{channel.segment}.log").read_bytes()
             assert _decode_log(key, data)[4] == len(data)
             assert [length == 24 for length in record_lengths(data)] == [
                 short_record(prev, r) for prev, r in zip([None] + chunk, chunk)]
-    for channel in store._channels.values():  # the ordered-segment invariant
-        for seg in channel.segments:
-            assert seg.ts == [r.ts for r in seg.entries]
-            assert all(v is r.value for v, r in zip(seg.values, seg.entries, strict=True))
-            if seg.ordered:
-                assert seg.entries == sorted(seg.entries, key=ref_key)
+    for channel in store._channels.values():  # the channel-run invariant
+        assert channel.ts == [r.ts for r in channel.rows]
+        assert all(v is r.value for v, r in zip(channel.values, channel.rows, strict=True))
+        assert channel.rows == sorted(channel.rows, key=ref_key)
+        chunks = ref.chunks[channel.key]
+        assert channel.entries == (chunks[-1] if len(chunks[-1]) < PROP_CAPACITY else [])
     for key in sorted(ref.known, key=str):
         assert store.count(key) == len(ref.rows(key))
         for t1, t2 in windows + [(-math.inf, math.inf)]:
@@ -431,13 +481,12 @@ _block_rows = st.lists(st.tuples(
 @settings(max_examples=300, deadline=None)
 @given(_block_rows)
 def test_block_codec_round_trips(rows):
-    seg = tsdb._Segment(0, None)
-    for ts, value, seq, unit, tags in rows:
-        seg.add(Reading(ch(), value, unit, ts, seq, dict(PROP_TAGS[tags])))
-    data = tsdb._encode_block(seg)
+    entries = [Reading(ch(), value, unit, ts, seq, dict(PROP_TAGS[tags]))
+               for ts, value, seq, unit, tags in rows]
+    data = tsdb._encode_block(entries)
     tables = block_header(data)["tags"]
     readings, ts, values, decoded_tables = tsdb._decode_block(ch(), data)
-    assert [exact(r) for r in readings] == [exact(r) for r in seg.entries]
+    assert [exact(r) for r in readings] == [exact(r) for r in entries]
     assert [repr(t) for t in ts] == [repr(r.ts) for r in readings]
     assert all(v is r.value for v, r in zip(values, readings, strict=True))
     # one dict per distinct tags dict, shared by its readings
@@ -446,8 +495,10 @@ def test_block_codec_round_trips(rows):
     assert len({id(r.tags) for r in readings}) == len(decoded_tables)
     assert len({id(r.unit) for r in readings}) == len({row[3] for row in rows})
     header = block_header(data)
+    # the summary leaves NaN out; a block of NaN stamps alone keeps the infinities
+    stamps = [row[0] for row in rows if not math.isnan(row[0])]
     assert (header["count"], repr(header["min_ts"]), repr(header["max_ts"])) == (
-        len(rows), repr(seg.min_ts), repr(seg.max_ts))
+        len(rows), repr(min(stamps, default=math.inf)), repr(max(stamps, default=-math.inf)))
     packed_seq = all(type(r.seq) is int and r.seq in INT64 for r in readings)
     packed_value = all(type(r.value) is float for r in readings)
     assert ("seq" in header, "value" in header) == (not packed_seq, not packed_value)
@@ -564,8 +615,14 @@ def downsample_oracle(rows, t1, t2, interval, agg):
         raise tsdb.TsdbError("t1 must be <= t2")
     if not rows:
         raise UnknownChannel()
+    rows = sorted((r for r in rows if t1 <= r.ts < t2), key=ref_key)
+    for r in rows:  # every value in the range converts before any bucket is made
+        try:
+            float(r.value)
+        except (TypeError, ValueError):
+            raise tsdb.TsdbError(r.value) from None
     out, bucket, vals = [], None, []
-    for r in sorted((r for r in rows if t1 <= r.ts < t2), key=ref_key):
+    for r in rows:
         k = int((r.ts - t1) // interval)
         if k != bucket:
             if vals:
@@ -771,6 +828,29 @@ def test_seal_cut_before_the_unlink_keeps_the_block(tmp_path):
     assert files(seg_dir) == ["seg-0.blk", "seg-1.log"]
     assert store.query_range(ch(), -math.inf, math.inf) == rows  # each once
     store.close()
+
+
+
+def test_an_open_decides_from_the_listing(tmp_path, monkeypatch):
+    monkeypatch.setattr(tsdb, "SEGMENT_CAPACITY", 4)
+    channels = (ch(), ch(sensor="humidity"))
+    store = Store(tmp_path)
+    for c in channels:
+        fill(store, 14, channel=c)  # three blocks and an active log each
+    store.close()
+    seg_dir = tmp_path / "n-000001" / "temp"
+    (seg_dir / "seg-1.log").write_bytes((seg_dir / "seg-3.log").read_bytes())  # a seal cut short
+    calls = []
+    for name in ("exists", "unlink"):
+        method = getattr(Path, name)
+        monkeypatch.setattr(Path, name, lambda self, *args, _method=method, _name=name, **kw:
+                            calls.append((_name, self.name)) or _method(self, *args, **kw))
+    reopened = Store(tmp_path)
+    # no stat per segment, and an unlink only for the log beside its block
+    assert calls == [("unlink", "seg-1.log")]
+    assert [reopened.count(c) for c in channels] == [14, 14]
+    reopened.close()
+    assert files(seg_dir) == ["seg-0.blk", "seg-1.blk", "seg-2.blk", "seg-3.log"]
 
 
 def test_a_cut_block_fails_the_open_and_names_the_file(tmp_path, monkeypatch):
