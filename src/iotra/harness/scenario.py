@@ -4,11 +4,12 @@ Boots the broker, the control plane and the cloud platform
 (``iotra.platform``), plus N edge gateways, then drives everything from a
 virtual clock in fixed ticks. Faults (uplink outages, floods, duplicate
 replay) are injected on schedule; ground-truth generation ledgers stay
-untouched by faults so loss accounting is exact. The result is a
-machine-readable RunReport that is identical across runs of the same
-scenario and seed. A node's twin connectivity changes only when its
-session does: a new session marks it connected; an outage, a refused
-reconnect or a quarantine that ends one marks it disconnected.
+untouched by faults so loss accounting is exact. A duplicate comes from
+the broker: ``duplicate_replay`` loses acks, and the broker redelivers.
+The result is a machine-readable RunReport that is identical across
+runs of the same scenario and seed. A node's twin connectivity changes
+only when its session does: a new session marks it connected; an outage,
+a refused reconnect or a quarantine that ends one marks it disconnected.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ from ..infomodel import TypedScalar
 from ..reading import ChannelKey, Reading
 from ..timeutil import VirtualClock
 from .waveforms import BadSpec, WaveformSpec, gen_waveform
-
-SETTLE_TICKS = 100
-
 
 class BadScenario(Exception):
     pass
@@ -341,8 +339,7 @@ class RunReport:
     generated: dict[str, int] = field(default_factory=dict)
     stored: dict[str, int] = field(default_factory=dict)
     rejected: dict[str, int] = field(default_factory=dict)
-    duplicates_injected: int = 0
-    duplicates_rejected: int = 0
+    duplicates_injected: int = 0  # acks a duplicate_replay fault lost
     incidents: list[dict] = field(default_factory=list)
     convergence: dict[str, bool] = field(default_factory=dict)
     flush_complete: dict[str, float] = field(default_factory=dict)
@@ -471,6 +468,22 @@ class SimNode:
 # -- the world -----------------------------------------------------------
 
 
+class LossyAckBroker(msgbus.Broker):
+    """The broker under ``duplicate_replay``: it loses the ack of a frame from a
+    node in ``replay`` (sender id before ``#``) at that node's probability."""
+
+    def __init__(self, rng: random.Random, clock, authenticator):
+        super().__init__(clock, authenticator)
+        self.rng, self.lost_acks, self.replay = rng, 0, {}  # replay: node id -> probability
+
+    def ack(self, session: msgbus.Session, msg_id: msgbus.MsgId) -> bool:
+        p = self.replay.get(msg_id.sender.partition("#")[0])
+        if p is not None and self.rng.random() < p:  # one draw per ack
+            self.lost_acks += 1
+            return False  # the frame stays pending: the broker redelivers it
+        return super().ack(session, msg_id)
+
+
 class World:
     def __init__(self, spec: ScenarioSpec, data_dir: Path,
                  registry: controlplane.Registry | None = None):
@@ -483,7 +496,7 @@ class World:
         if self.registry.entries():
             raise BootFailure("a scenario commissions its fleet into an empty registry")
         self.registry.clock = self.clock
-        self.broker = msgbus.Broker(clock=self.clock, authenticator=self.registry.authenticate)
+        self.broker = LossyAckBroker(self.rng, self.clock, self.registry.authenticate)
         p = self.platform = platform.Platform(
             data_dir, self.model, self.registry, self.broker, self.clock, spec.route_rules,
             spec.pipeline, on_quarantine=lambda node_id: self.node_by_id(node_id).drop_session())
@@ -497,7 +510,6 @@ class World:
         self.report = RunReport()
         self._faulted = sorted({i for f in spec.faults for i in f.nodes})
         self._active_faults: list[Fault] = []
-        self._replay: dict[str, float] = {}  # node id -> replay probability this tick
         self._outage_pending_since: dict[str, float] = {}
         try:
             self._boot_nodes()
@@ -567,7 +579,7 @@ class World:
             self._apply_actions(t)
             for node in self.nodes:
                 node.tick(t, t)
-            self.platform.step(t, self._replayed if self._replay else None)
+            self.platform.step(t)
             if i % per_second == per_second - 1:
                 self.platform.tick(t)
             self.broker.redeliver_pending(t)
@@ -576,33 +588,26 @@ class World:
         return self._finalize()
 
     def _settle(self) -> None:
-        """Let in-flight frames drain without generating new samples."""
-        for _ in range(SETTLE_TICKS):
+        """Tick on without new samples until no frame moves and none is unacked:
+        at most ``MAX_DELIVERIES`` ack timeouts, each rounded up to whole ticks."""
+        per_timeout = math.ceil(msgbus.ACK_TIMEOUT_S / self.spec.tick_s) + 1  # clock rounding
+        for _ in range(msgbus.MAX_DELIVERIES * per_timeout + 1):
             t = self.clock.now()
             active = 0
             for node in self.nodes:
                 if node.ensure_connected():
                     node._drain_commands(t)
                     active += node.edge.flush()
-            handled = self.platform.step(t, self._replayed if self._replay else None)
+            handled = self.platform.step(t)
             self.broker.redeliver_pending(t)
             self.clock.advance(self.spec.tick_s)
-            if active == 0 and handled == 0:
+            if active == 0 and handled == 0 and not self.platform.session.pending:
                 break
-
-    def _replayed(self, frame: msgbus.Frame) -> bool:
-        """Whether the network delivers ``frame`` again: one draw per frame
-        of a replayed node (a topic's second segment), none for others."""
-        p = self._replay.get(frame.topic.split("/", 2)[1] if "/" in frame.topic else "")
-        if p is not None and self.rng.random() < p:
-            self.report.duplicates_injected += 1
-            return True
-        return False
 
     def _apply_faults(self, t: float) -> None:
         """Each faulted node's state at ``t``, from every fault active on
         it: its link is down while any outage covers it, it floods at the
-        largest active rate and is replayed at the largest active
+        largest active rate and loses acks at the largest active
         probability. The state changes only when the active set does."""
         active = [f for f in self.spec.faults if f.start <= t < f.end]
         if active == self._active_faults:
@@ -620,7 +625,7 @@ class World:
                 else:
                     node_id = self.nodes[i].node_id
                     replay[node_id] = max(replay.get(node_id, 0.0), f.level)
-        self._replay = replay
+        self.broker.replay = replay
         for i in self._faulted:
             node = self.nodes[i]
             node.flooding_rate = rate.get(i, 0)
@@ -654,7 +659,7 @@ class World:
         rep.rejected.update(p.rejected)
         rep.emissions.extend(p.emissions)
         rep.incidents.extend(p.incidents)
-        rep.duplicates_rejected, rep.alerts = p.duplicates_rejected, p.alerts
+        rep.duplicates_injected, rep.alerts = self.broker.lost_acks, p.alerts
         for channel in self.tsdb.channels():
             rep.stored[str(channel)] = self.tsdb.count(channel)
         for node in self.nodes:

@@ -5,6 +5,11 @@ dead-letter queue, retained messages, and per-subscriber pending queues.
 The broker runs in-process: clients attach through Session objects and
 frames are passed as Python objects, never serialized.
 
+QoS 1 follows MQTT 3.1.1 sections 4.3.2 and 4.4: an unacked frame is sent
+again every ``ACK_TIMEOUT_S`` and dead-lettered after ``MAX_DELIVERIES``
+deliveries. A dead letter at QoS 1 means "unacknowledged", not "lost":
+each delivery reached the subscriber, which may have stored the first.
+
 Wildcards follow MQTT 3.1.1 (OASIS 2014) section 4.7 with one
 deliberate difference: a trailing ``#`` matches one or more segments, so
 ``data/#`` matches ``data/x`` but not ``data`` (MQTT lets ``sport/#``

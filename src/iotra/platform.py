@@ -3,12 +3,16 @@
 ``Platform`` opens, in a data directory, the cloud gateway and its audit
 log ``audit.jsonl``, the time-series store ``tsdb/``, the twin service,
 the stream pipeline, the flood monitor, and a broker session that takes
-telemetry, alerts and twin reports. ``step`` handles what the session
-holds, ``tick`` closes the monitor's one-second bucket, ``finish`` ends a
-run, and ``close`` closes what the platform opened. A quarantine ends the
-node's broker sessions. The platform keeps what a run reports:
-rejections, alerts, emissions, and quarantines and opened incidents in
-the order they happen.
+telemetry, alerts and twin reports. ``step`` handles and acks each frame
+the session holds, ``tick`` closes the monitor's one-second bucket,
+``finish`` ends a run, and ``close`` closes what the platform opened. A
+quarantine ends the node's broker sessions. The platform keeps what a
+run reports: rejections, alerts, emissions, and quarantines and opened
+incidents in the order they happen.
+
+Telemetry arrives at least once: the broker redelivers a QoS 1 frame whose
+ack it did not get, and the gateway's dedup rejects the copy as
+``duplicate``, so the stores hold each reading once.
 
 Every destination takes the reading the gateway admitted, with no
 conversion of its own: the store its value, the pipeline the reading (a
@@ -86,7 +90,6 @@ class Platform:
         self._notify_fh = None  # opened on the first notify emission
         self._bucket_counts: dict[str, int] = {}
         self.rejected: dict[str, int] = {}  # reason -> frames
-        self.duplicates_rejected = 0  # replays rejected as duplicates
         self.alerts = 0
         self.emissions: list[dict] = []
         self.incidents: list[dict] = []  # quarantines and opened incidents, in order
@@ -109,34 +112,27 @@ class Platform:
             self.on_quarantine(node_id)
         self.incidents.append({"ts": self.clock.now(), "event": "quarantined", "node": node_id})
 
-    def step(self, t: float, replay: Callable[[msgbus.Frame], bool] | None = None) -> int:
-        """Handle and ack every frame the cloud session holds; returns how
-        many. ``replay(frame)``, asked after each frame, says whether the
-        network delivers it again; a replay the gateway rejects as a
-        duplicate is counted in ``duplicates_rejected``."""
+    def step(self, t: float) -> int:
+        """Handle and ack every frame the cloud session holds, once per
+        delivery; returns how many."""
         frames = self.session.drain()
         for frame in frames:
             self._handle_frame(frame, t)
-            if replay is not None and replay(frame):
-                if self._handle_frame(frame, t) == "duplicate":
-                    self.duplicates_rejected += 1
             if frame.qos >= 1:
                 self.session.ack(frame.msg_id)
         return len(frames)
 
-    def _handle_frame(self, frame: msgbus.Frame, t: float) -> str | None:
-        """Handle one frame; returns the reason if the gateway rejects it."""
+    def _handle_frame(self, frame: msgbus.Frame, t: float) -> None:
         parts = frame.topic.split("/")
         if len(parts) < 2:
-            return None
+            return
         kind, node_id = parts[0], parts[1]
         self._bucket_counts[node_id] = self._bucket_counts.get(node_id, 0) + 1
         if kind == "data":
             decision = self.gateway.admit(node_id, frame.topic, frame.payload)
             if not decision.admitted:
-                reason = decision.reason
-                self.rejected[reason] = self.rejected.get(reason, 0) + 1
-                return reason
+                self.rejected[decision.reason] = self.rejected.get(decision.reason, 0) + 1
+                return
             for reading in decision.readings:
                 dests = self.gateway.route(frame.topic, node_id, reading.tags)
                 if "tsdb" in dests:
@@ -153,18 +149,17 @@ class Platform:
                 self.alerts += 1
         elif kind == "twin" and len(parts) == 3 and parts[2] == "reported":
             if self.registry.lifecycle_of(node_id) != "active":
-                return None
+                return
             try:
                 twin = self.twins.apply_reported(node_id, frame.payload, t)
             except twins.TwinError:
                 # a report that does not decode, or that the twin rejects
                 self.rejected["schema_invalid"] = self.rejected.get("schema_invalid", 0) + 1
-                return None
+                return
             # the registry keeps the firmware version the node reports
             firmware = twin.reported.get("firmware")
             if firmware and firmware.text != self.registry.get(node_id).firmware_version:
                 self.registry.set_firmware(node_id, firmware.text)
-        return None
 
     def _handle_emission(self, em: streams.Emission) -> None:
         record = {"sink": em.sink_id, "dest": em.dest, "ts": em.item.ts,

@@ -55,6 +55,9 @@ power loss or an OS crash):
   every reading is stored once.
 - A block that is cut short or otherwise unreadable makes the open
   raise TsdbError naming the file; no rows are dropped silently.
+- So does a ``seg-*`` name the store does not write (``seg-<n>.log``,
+  ``.blk`` or ``.blk.tmp``, ``<n>`` decimal without a leading zero): a
+  stray ``seg-old.log`` may hold readings, so it is not skipped.
 
 An open decodes every segment eagerly: ``array`` turns each block
 column into a list and ``map`` builds the readings, with no per-record
@@ -124,6 +127,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import os
 import re
 import struct
@@ -138,6 +142,7 @@ from .infomodel import TypedScalar, parse_scalar, scalar_of
 from .reading import ChannelKey, Reading
 
 SEGMENT_CAPACITY = 1000
+_SEGMENT_NAME = re.compile(r"seg-(0|[1-9][0-9]*)\.(log|blk|blk\.tmp)")
 
 # Each aggregate's function over a non-empty list of values in time order.
 AGGREGATES = {
@@ -438,11 +443,14 @@ class Store:
         ch = _Channel(key, self.root)
         blocks, logs = set(), set()
         for path in sensor_dir.glob("seg-*"):
-            stem, _, kind = path.name.partition(".")
+            match = _SEGMENT_NAME.fullmatch(path.name)
+            if match is None:
+                raise TsdbError(f"not a segment name the store writes: {path}")
+            number, kind = match.groups()
             if kind == "blk.tmp":
                 path.unlink()  # a seal cut short: its log is still whole
-            elif kind in ("log", "blk"):
-                (logs if kind == "log" else blocks).add(int(stem[4:]))
+            else:
+                (logs if kind == "log" else blocks).add(int(number))
         rows, ts, values = ch.rows, ch.ts, ch.values
         tables: list[dict] = []  # each segment's distinct tags dicts
         for number in sorted(blocks | logs):
@@ -570,7 +578,8 @@ class Store:
         """Bucketed aggregate over [t1, t2): buckets [t1+k*i, t1+(k+1)*i).
 
         A row's bucket k is int((ts - t1) // interval). Empty buckets are
-        omitted for every aggregate, count included. A value that float()
+        omitted for every aggregate, count included. t1 = -inf gives no
+        bucket grid: BadInterval, rows or none. A value that float()
         refuses raises TsdbError.
         """
         if interval <= 0:
@@ -579,6 +588,8 @@ class Store:
             fn = AGGREGATES[agg]
         except (KeyError, TypeError):
             raise BadInterval(f"unknown aggregate {agg!r}") from None
+        if t1 == -math.inf:
+            raise BadInterval("unbounded start t1=-inf: buckets need a finite t1")
         ch, lo, hi = self._span(channel, t1, t2)
         ts = ch.ts[lo:hi]
         try:

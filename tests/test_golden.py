@@ -9,7 +9,8 @@ format leaves it alone. The twin snapshot is the only digest that sees
 the ``zone=a`` route to the twin service; the ``twins_match_store``
 assertion, appended to one of these documents below, checks that route
 against the store. A change of behaviour on purpose
-regenerates the file, and its author states the old and new digests:
+regenerates the file, and its author states the old and new digests,
+which the regeneration prints as ``run/output old → new`` lines:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -17,7 +18,10 @@ regenerates the file, and its author states the old and new digests:
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tempfile
 from functools import partial
 from pathlib import Path
@@ -26,7 +30,8 @@ from iotra import tsdb
 from iotra.harness.scenario import ASSERTIONS, ScenarioSpec, World
 from iotra.infomodel import TypedScalar
 
-GOLDEN = Path(__file__).with_name("golden.json")
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden.json"
 
 SENSORS = (("temp", "°F", 72.0), ("humidity", "%", 40.0),
            ("pressure", "hPa", 1013.0), ("power", "W", 120.0))
@@ -152,6 +157,13 @@ def all_digests() -> dict:
     return {name: digests(make()) for name, make in RUNS.items()}
 
 
+def changed_digests(old: dict, new: dict) -> list[str]:
+    """One ``run/output old → new`` line per digest that differs."""
+    return [f"{run}/{output} {old.get(run, {}).get(output)} → {digest}"
+            for run, outputs in new.items() for output, digest in outputs.items()
+            if old.get(run, {}).get(output) != digest]
+
+
 def test_outputs_match_the_golden_digests():
     assert all_digests() == json.loads(GOLDEN.read_text(encoding="utf-8"))
 
@@ -174,6 +186,27 @@ def test_the_twins_hold_the_last_stored_reading_of_each_twin_routed_channel():
             world.close()
 
 
+def test_a_regeneration_lists_each_changed_digest():
+    old = {"flood": {"audit": "a1", "rows": "r1"}}
+    new = {"flood": {"audit": "a1", "rows": "r2"}, "faults-pipeline-1": {"report": "p"}}
+    assert changed_digests(old, new) == ["flood/rows r1 → r2",
+                                         "faults-pipeline-1/report None → p"]
+
+
+def test_the_digests_do_not_depend_on_the_hash_seed():
+    # str hashes, and so the iteration order of sets of str, follow
+    # PYTHONHASHSEED; nothing a run writes may
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(HERE.parent / "src"), str(HERE)))}
+    code = "import json, test_golden as g; print(json.dumps(g.all_digests()))"
+    outputs = [subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONHASHSEED": seed},
+                              capture_output=True, text=True, check=True, timeout=120).stdout
+               for seed in ("0", "1")]
+    assert outputs[0] == outputs[1]
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(all_digests(), indent=2, sort_keys=True) + "\n",
-                      encoding="utf-8")
+    new = all_digests()
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    for line in changed_digests(old, new):
+        print(line)
+    GOLDEN.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -364,16 +364,32 @@ def test_outage_store_and_forward(tmp_path):
     assert report.flush_complete  # the outage node caught up after reconnect
 
 
+def run_world(spec, data_dir):
+    """A run's report and the frames its broker dead-lettered."""
+    world = scenario.World(spec, data_dir)
+    try:
+        return world.run(), world.broker.dead_letter
+    finally:
+        world.close()
+
+
+def lost_acks_add_up(report, dead_letters) -> bool:
+    """In a run whose nodes publish only data, each lost ack leaves its
+    frame pending: the broker delivers it again, and the gateway rejects
+    the copy as a duplicate, or it is dead-lettered."""
+    return report.duplicates_injected == report.rejected.get("duplicate", 0) + len(dead_letters)
+
+
 def test_duplicate_replay_rejected(tmp_path):
     spec = nominal_spec(
         duration=10.0,
         faults=[{"kind": "duplicate_replay", "nodes": "all", "start": 0,
                  "end": 10, "params": {"probability": 0.3}}],
     )
-    report = run_scenario(spec, tmp_path)
+    report, dead = run_world(spec, tmp_path)
     assert report.ok, report.assertions
     assert report.duplicates_injected > 0
-    assert report.duplicates_rejected == report.duplicates_injected
+    assert lost_acks_add_up(report, dead)
 
 
 def test_duplicate_replay_repeats_only_the_frames_of_its_nodes(tmp_path):
@@ -382,13 +398,32 @@ def test_duplicate_replay_repeats_only_the_frames_of_its_nodes(tmp_path):
         faults=[{"kind": "duplicate_replay", "nodes": [1], "start": 0,
                  "end": 10, "params": {"probability": 0.5}}],
     )
-    report = run_scenario(spec, tmp_path)
+    report, dead = run_world(spec, tmp_path)
     assert report.ok, report.assertions
     assert report.duplicates_injected > 0
-    assert report.duplicates_rejected == report.duplicates_injected
+    assert lost_acks_add_up(report, dead)
     audit = [json.loads(line) for line in (tmp_path / "audit.jsonl").read_text().splitlines()]
     replayed = {e["node"] for e in audit if e["reason"] == "duplicate"}
     assert replayed == {"n-000001"}
+    assert {frame.msg_id.sender.partition("#")[0] for _, frame in dead} <= {"n-000001"}
+
+
+@pytest.mark.parametrize("tick_s, start", [(0.1, 2.0), (0.1, 6.0), (0.05, 6.0)])
+def test_every_ack_lost_for_a_window_dead_letters_frames_and_stores_each_once(tmp_path, tick_s,
+                                                                             start):
+    # a frame delivered MAX_DELIVERIES times without an ack is dead-lettered,
+    # yet its first delivery was stored; a window that lasts to the end of
+    # the run leaves the settling to wait for the last dead letter
+    spec = nominal_spec(
+        duration=16.0, tick_s=tick_s,
+        faults=[{"kind": "duplicate_replay", "nodes": [1], "start": start, "end": start + 10,
+                 "params": {"probability": 1.0}}],
+    )
+    report, dead = run_world(spec, tmp_path)
+    assert report.ok, report.assertions
+    assert dead and lost_acks_add_up(report, dead)
+    assert {frame.msg_id.sender.partition("#")[0] for _, frame in dead} == {"n-000001"}
+    assert not report.incidents
 
 
 def one_channel_doc(duration, faults, nodes=1):
@@ -450,10 +485,10 @@ def test_duplicate_replay_faults_on_different_nodes_replay_both(tmp_path):
     # the second fault used to replace the first: only node 2 was replayed
     replays = [{"kind": "duplicate_replay", "nodes": [i], "start": 0, "end": 6,
                 "params": {"probability": 0.5}} for i in (1, 2)]
-    report = run_scenario(ScenarioSpec.from_dict(one_channel_doc(6.0, replays, nodes=2)),
-                          tmp_path)
+    report, dead = run_world(ScenarioSpec.from_dict(one_channel_doc(6.0, replays, nodes=2)),
+                             tmp_path)
     assert report.ok, report.assertions
-    assert report.duplicates_rejected == report.duplicates_injected > 0
+    assert report.duplicates_injected > 0 and lost_acks_add_up(report, dead)
     audit = [json.loads(line) for line in (tmp_path / "audit.jsonl").read_text().splitlines()]
     assert {e["node"] for e in audit if e["reason"] == "duplicate"} == {"n-000001", "n-000002"}
 

@@ -69,17 +69,26 @@ def test_published_frames_are_stored_and_acked(cloud):
 
 def test_a_duplicate_is_rejected_and_a_replay_is_counted(cloud):
     platform, device, _ = cloud
+    broker = platform.broker
     publish(device, 1, 2)
     publish(device, 2)
     assert platform.step(0.0) == 3
     assert stored_seqs(platform) == [1, 2]
     assert platform.rejected == {"duplicate": 1}
-    asked = []
+    # the broker never gets the ack of seq 3, so it delivers the frame again
+    lost = []
+    broker.ack = lambda session, msg_id: lost.append(msg_id) or False
     publish(device, 3)
-    assert platform.step(0.1, replay=lambda frame: asked.append(frame.topic) or True) == 1
-    assert asked == ["data/n-000001/temp"]
+    assert platform.step(0.0) == 1
+    del broker.ack
+    assert [msg_id.sender.partition("#")[0] for msg_id in lost] == ["n-000001"]
+    assert broker.redeliver_pending(msgbus.ACK_TIMEOUT_S / 2) == 0
+    assert broker.redeliver_pending(msgbus.ACK_TIMEOUT_S) == 1
+    assert platform.step(msgbus.ACK_TIMEOUT_S) == 1
     assert stored_seqs(platform) == [1, 2, 3]
-    assert (platform.rejected, platform.duplicates_rejected) == ({"duplicate": 2}, 1)
+    assert platform.rejected == {"duplicate": 2}
+    assert broker.redeliver_pending(100.0) == 0  # the copy was acked
+    assert not broker.dead_letter
 
 
 def test_a_reported_message_updates_the_twin_and_the_registry(cloud):

@@ -180,6 +180,22 @@ def test_segment_rolls_and_seals_at_capacity(tmp_path):
     store.close()
 
 
+@pytest.mark.parametrize("name", ["seg-old.log", "seg-1.log.orig", "seg-.blk", "seg-01.log",
+                                  "seg-1", "seg-٣.log", "seg-0.tmp"])
+def test_a_stray_segment_name_refuses_the_open_and_names_the_file(tmp_path, name):
+    # it used to fail every open with "invalid literal for int()"; skipping
+    # it silently could drop the readings it holds
+    store = Store(tmp_path)
+    fill(store, 3)
+    store.close()
+    stray = tmp_path / "n-000001" / "temp" / name
+    stray.touch()
+    with pytest.raises(tsdb.TsdbError, match=re.escape(str(stray))):
+        Store(tmp_path)
+    stray.unlink()
+    assert Store(tmp_path).count(ch()) == 3
+
+
 def test_sealing_leaves_no_temp_file(tmp_path):
     store = Store(tmp_path)
     fill(store, 2 * SEGMENT_CAPACITY + 5)
@@ -295,7 +311,7 @@ def test_a_nan_timestamp_is_stored_and_counted_but_in_no_range(tmp_path, monkeyp
         assert opened.query_range(ch(), 0.0, math.nan) == []
         assert opened.downsample(ch(), 0.0, 10.0, 2.0, "count") == [
             (0.0, 1.0), (2.0, 2.0), (4.0, 2.0), (6.0, 1.0)]
-        assert opened.downsample(lone, -math.inf, math.inf, 1.0, "count") == []
+        assert opened.downsample(lone, 0.0, math.inf, 1.0, "count") == []
         opened.close()
 
 
@@ -592,6 +608,11 @@ def test_downsample_rejects_bad_interval(tmp_path):
         store.downsample(ch(), 0, 10, 0, "avg")
     with pytest.raises(BadInterval):
         store.downsample(ch(), 0, 10, 5, "median")
+    # an unbounded start has no bucket grid, whether or not the range has
+    # rows; the bucket loop used to fail with "cannot convert float NaN"
+    for t2 in (100.0, -math.inf):
+        with pytest.raises(BadInterval, match="unbounded start"):
+            store.downsample(ch(), -math.inf, t2, 10, "avg")
     store.close()
 
 
@@ -611,6 +632,8 @@ def downsample_oracle(rows, t1, t2, interval, agg):
         raise BadInterval(str(interval))
     if agg not in ORACLE_AGGREGATES:
         raise BadInterval(f"unknown aggregate {agg!r}")
+    if t1 == -math.inf:
+        raise BadInterval("unbounded start")
     if t1 > t2:
         raise tsdb.TsdbError("t1 must be <= t2")
     if not rows:
