@@ -1,8 +1,8 @@
 """Edge gateway data plane.
 
-Calibrates raw sensor samples into readings, evaluates debounced
-event/alert rules, runs disconnected-capable local control, and
-store-and-forwards encoded reports uplink.
+``EdgeNode`` is one gateway: it calibrates raw sensor samples into
+readings, evaluates debounced event/alert rules, runs disconnected-capable
+local control, and store-and-forwards encoded reports uplink.
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ class UnknownChannelInCondition(EdgeError):
     pass
 
 
-class ConnectionLost(EdgeError):
-    """Raised by an uplink session when the link drops mid-publish."""
-
-
 # -- acquisition ---------------------------------------------------------
 
 
@@ -59,31 +55,13 @@ class ChannelConfig:
 
 @dataclass(slots=True)
 class ChannelState:
+    """A channel's one record: its config, the seq of its last sample, the
+    slot its next sample is due (None: due now) and its latest calibrated
+    value (None: never sampled)."""
     config: ChannelConfig
     seq: int = 0
-
-
-def acquire_sample(
-    state: ChannelState,
-    node_id: str,
-    raw: float,
-    now: float,
-    tags: dict[str, str] | None = None,
-) -> Reading:
-    """Calibrate one raw sample into a Reading and advance the channel
-    sequence counter. The gateway stamps the time."""
-    if not math.isfinite(raw):
-        raise NonFiniteRaw(f"raw sample is not finite: {raw!r}")
-    state.seq += 1
-    cfg = state.config
-    return Reading(
-        channel=ChannelKey(node_id, cfg.sensor_name),
-        value=cfg.scale * raw + cfg.offset,
-        unit=cfg.unit,
-        ts=now,
-        seq=state.seq,
-        tags=dict(tags or {}),
-    )
+    next_sample: float | None = None
+    latest: float | None = None
 
 
 # -- event / alert rules -------------------------------------------------
@@ -186,18 +164,6 @@ class Actuation:
     value: object
 
 
-def run_local_control(
-    rules: Iterable[ControlRule], latest: dict[str, float]
-) -> list[Actuation]:
-    """Pure function of (rules, latest snapshot); never consults the
-    uplink, so behavior is identical while disconnected."""
-    out = []
-    for rule in sorted(rules, key=lambda r: r.rule_id):
-        if rule.condition.evaluate(latest):
-            out.append(Actuation(rule.rule_id, rule.actuator, rule.prop, rule.value))
-    return out
-
-
 # -- uplink store-and-forward --------------------------------------------
 
 
@@ -206,42 +172,6 @@ class QueuedFrame:
     topic: str
     payload: str
     qos: int = 1
-
-
-class UplinkQueue:
-    """FIFO of encoded report frames awaiting publish.
-
-    Store-and-forward is lossless, so the queue drops nothing: it holds
-    every frame the node acquires while its link is down, and its depth
-    is bounded only by the outage's length times the node's frame rate.
-    """
-
-    def __init__(self):
-        self.pending: deque[QueuedFrame] = deque()
-
-    def __len__(self) -> int:
-        return len(self.pending)
-
-    def enqueue(self, frame: QueuedFrame) -> None:
-        self.pending.append(frame)
-
-
-def flush_uplink(queue: UplinkQueue, session) -> int:
-    """Publish queued frames FIFO until the queue empties or the link
-    drops. Disconnection is a state, not an error: unsent frames stay
-    queued in order."""
-    if session is None or not getattr(session, "connected", False):
-        return 0
-    published = 0
-    while queue.pending:
-        frame = queue.pending[0]
-        try:
-            session.publish(frame.topic, frame.payload, qos=frame.qos)
-        except (ConnectionLost, msgbus.NotConnected):
-            break  # link dropped mid-flush; keep the remainder queued
-        queue.pending.popleft()
-        published += 1
-    return published
 
 
 # -- whole-gateway assembly ----------------------------------------------
@@ -262,7 +192,9 @@ class EdgeNode:
 
     Transport-agnostic: the harness attaches a broker session (anything
     with ``connected`` and ``publish``). All state mutations happen on
-    the caller's thread; one logical executor per gateway.
+    the caller's thread; one logical executor per gateway. ``uplink``, the
+    FIFO of frames awaiting publish, drops nothing: its depth is bounded
+    only by an outage's length times the node's frame rate.
     """
 
     def __init__(self, config: NodeConfig):
@@ -275,54 +207,53 @@ class EdgeNode:
                 if channel not in self.channels:
                     raise UnknownChannelInCondition(channel)
         self.rules = RuleEngine(config.edge_rules)
-        self.uplink = UplinkQueue()
+        self.uplink: deque[QueuedFrame] = deque()
         self.session = None
         self.desired_state: dict[str, infomodel.TypedScalar] = {}
-        self._latest: dict[str, float] = {}
-        self._next_sample: dict[str, float] = {}
 
     # -- sampling --------------------------------------------------------
 
     def due_channels(self, now: float) -> list[str]:
-        due = []
-        for name, state in self.channels.items():
-            nxt = self._next_sample.get(name, 0.0)
-            if now + 1e-9 >= nxt:
-                due.append(name)
-        return due
+        return [name for name, state in self.channels.items()
+                if state.next_sample is None or now + 1e-9 >= state.next_sample]
 
     def ingest_raw(self, sensor_name: str, raw: float, now: float) -> Reading:
-        """Acquire one raw sample: calibrate, rule-check, queue."""
+        """Acquire one raw sample at ``now``: calibrate it, stamp it with the
+        time and the channel's next seq, queue its report, then check the
+        event rules and queue each event they fire."""
         state = self.channels.get(sensor_name)
         if state is None:
             raise UnknownChannel(sensor_name)
-        reading = acquire_sample(state, self.config.node_id, raw, now, self.config.tags)
-        period = state.config.sample_period_ms / 1000.0
+        if not math.isfinite(raw):
+            raise NonFiniteRaw(f"raw sample is not finite: {raw!r}")
+        cfg, node_id = state.config, self.config.node_id
+        state.seq += 1
+        reading = Reading(channel=ChannelKey(node_id, sensor_name),
+                          value=cfg.scale * raw + cfg.offset, unit=cfg.unit, ts=now,
+                          seq=state.seq, tags=dict(self.config.tags))
         # schedule from the previous slot, not from now, so the sample
         # cadence does not drift with tick jitter or float error
-        prev = self._next_sample.get(sensor_name)
+        prev = state.next_sample
         base = prev if prev is not None and prev <= now + 1e-9 else now
-        self._next_sample[sensor_name] = base + period
-        self._latest[sensor_name] = float(reading.value)
-        self._enqueue_report(reading)
+        state.next_sample = base + cfg.sample_period_ms / 1000.0
+        state.latest = float(reading.value)
+        self.uplink.append(QueuedFrame(f"data/{node_id}/{sensor_name}",
+                                       infomodel.encode_report(node_id, [reading])))
         for event in self.rules.evaluate(reading):
-            self._enqueue_event(event)
+            self.uplink.append(QueuedFrame(f"alerts/{node_id}",
+                                           infomodel.encode_report(node_id, [event.reading])))
         return reading
-
-    def _enqueue_report(self, reading: Reading) -> None:
-        payload = infomodel.encode_report(self.config.node_id, [reading])
-        topic = f"data/{self.config.node_id}/{reading.channel.sensor_name}"
-        self.uplink.enqueue(QueuedFrame(topic, payload, qos=1))
-
-    def _enqueue_event(self, event: Event) -> None:
-        payload = infomodel.encode_report(self.config.node_id, [event.reading])
-        topic = f"alerts/{self.config.node_id}"
-        self.uplink.enqueue(QueuedFrame(topic, payload, qos=1))
 
     # -- local control ---------------------------------------------------
 
     def control_step(self) -> list[Actuation]:
-        return run_local_control(self.config.control_rules, dict(self._latest))
+        """The actuations the control rules call for on each channel's latest
+        value, in rule-id order: a pure function of the rules and that
+        snapshot, so it decides the same while disconnected."""
+        latest = {name: s.latest for name, s in self.channels.items() if s.latest is not None}
+        return [Actuation(rule.rule_id, rule.actuator, rule.prop, rule.value)
+                for rule in sorted(self.config.control_rules, key=lambda r: r.rule_id)
+                if rule.condition.evaluate(latest)]
 
     def apply_desired(self, desired: dict[str, infomodel.TypedScalar]) -> None:
         """Apply a desired-state command from the twin service."""
@@ -338,4 +269,19 @@ class EdgeNode:
     # -- uplink ----------------------------------------------------------
 
     def flush(self) -> int:
-        return flush_uplink(self.uplink, self.session)
+        """Publish queued frames FIFO until the uplink empties or the link
+        drops; the number published. Disconnection is a state, not an
+        error: unsent frames stay queued in order."""
+        session, uplink = self.session, self.uplink
+        if session is None or not session.connected:
+            return 0
+        published = 0
+        while uplink:
+            frame = uplink[0]
+            try:
+                session.publish(frame.topic, frame.payload, qos=frame.qos)
+            except msgbus.NotConnected:
+                break  # link dropped mid-flush; keep the remainder queued
+            uplink.popleft()
+            published += 1
+        return published

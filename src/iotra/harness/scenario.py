@@ -6,6 +6,9 @@ virtual clock in fixed ticks. Faults (uplink outages, floods, duplicate
 replay) are injected on schedule; ground-truth generation ledgers stay
 untouched by faults so loss accounting is exact. A duplicate comes from
 the broker: ``duplicate_replay`` loses acks, and the broker redelivers.
+A node ticks as attach (connect, apply commands), sample, control, flood
+and send (flush); the settle after the last tick only attaches and sends,
+with every link up, so an outage ends by the run's end and its backlog drains.
 The result is a machine-readable RunReport that is identical across
 runs of the same scenario and seed. A node's twin connectivity changes
 only when its session does: a new session marks it connected; an outage,
@@ -378,22 +381,6 @@ class SimNode:
         self.flooding_rate = 0
         self.flood_seq = 0
 
-    def ensure_connected(self) -> bool:
-        if not self.link_up:
-            return False
-        s = self.edge.session
-        if s is not None and s.connected:
-            return True
-        try:
-            s = self.world.broker.connect(self.node_id, self.credential)
-        except msgbus.AuthFailed:
-            self.drop_session()
-            return False
-        s.subscribe(twins_mod.desired_topic(self.node_id))
-        self.edge.session = s
-        self.world.twins.mark_connectivity(self.node_id, True)
-        return True
-
     def go_offline(self) -> None:
         self.link_up = False
         self.drop_session()
@@ -409,13 +396,11 @@ class SimNode:
         self.edge.session = None
         self.world.twins.mark_connectivity(self.node_id, False)
 
-    def tick(self, now: float, t: float) -> None:
-        connected = self.ensure_connected()
-        if connected:
-            self._drain_commands(now)
-        for sensor in self.edge.due_channels(now):
+    def tick(self, t: float) -> None:
+        connected = self.attach(t)
+        for sensor in self.edge.due_channels(t):
             raw = gen_waveform(self.waveforms[sensor], t)
-            reading = self.edge.ingest_raw(sensor, raw, now)
+            reading = self.edge.ingest_raw(sensor, raw, t)
             key = str(reading.channel)
             self.world.generated[key] = self.world.generated.get(key, 0) + 1
         # nothing consumes the actuations yet; a node without control
@@ -423,29 +408,45 @@ class SimNode:
         if self.edge.config.control_rules:
             self.edge.control_step()
         if self.flooding_rate and connected:
-            self._flood(now)
-        published = self.edge.flush()
-        if published and not self.edge.uplink.pending:
-            self.world.note_flush_complete(self.node_id, now)
+            self._flood(t)
+        self.send(t)
 
-    def _drain_commands(self, now: float) -> None:
-        """Apply each desired-state command (the node's only subscription)
-        and queue the twin report that acknowledges it. A frame that is
-        not a command is skipped."""
-        session = self.edge.session
-        for frame in session.drain():
+    def attach(self, t: float) -> bool:
+        """Connect if the link is up, then apply each desired-state command
+        (the node's only subscription) and queue the twin report that acks
+        it; any other frame is acked and skipped. False without a session."""
+        if not self.link_up:
+            return False
+        s = self.edge.session
+        if s is None or not s.connected:
+            try:
+                s = self.world.broker.connect(self.node_id, self.credential)
+            except msgbus.AuthFailed:
+                self.drop_session()
+                return False
+            s.subscribe(twins_mod.desired_topic(self.node_id))
+            self.edge.session = s
+            self.world.twins.mark_connectivity(self.node_id, True)
+        for frame in s.drain():
             try:
                 desired, version = twins_mod.decode_desired_command(frame.payload)
             except twins_mod.SchemaInvalid:
                 pass  # not a command: acked below and skipped
             else:
                 self.edge.apply_desired(desired)
-                payload = twins_mod.encode_reported(self.edge.local_state_doc(), version, now)
-                self.edge.uplink.enqueue(
-                    edge.QueuedFrame(twins_mod.reported_topic(self.node_id), payload)
-                )
+                payload = twins_mod.encode_reported(self.edge.local_state_doc(), version, t)
+                self.edge.uplink.append(
+                    edge.QueuedFrame(twins_mod.reported_topic(self.node_id), payload))
             if frame.qos >= 1:
-                session.ack(frame.msg_id)
+                s.ack(frame.msg_id)
+        return True
+
+    def send(self, t: float) -> int:
+        """Flush the uplink, noting when a flush empties it."""
+        published = self.edge.flush()
+        if published and not self.edge.uplink:
+            self.world.note_flush_complete(self.node_id, t)
+        return published
 
     def _flood(self, now: float) -> None:
         per_tick = max(1, int(self.flooding_rate * self.world.spec.tick_s))
@@ -578,7 +579,7 @@ class World:
             self._apply_faults(t)
             self._apply_actions(t)
             for node in self.nodes:
-                node.tick(t, t)
+                node.tick(t)
             self.platform.step(t)
             if i % per_second == per_second - 1:
                 self.platform.tick(t)
@@ -588,20 +589,19 @@ class World:
         return self._finalize()
 
     def _settle(self) -> None:
-        """Tick on without new samples until no frame moves and none is unacked:
-        at most ``MAX_DELIVERIES`` ack timeouts, each rounded up to whole ticks."""
+        """Bring every link up (an outage ends by the run's end), then tick on
+        without new samples until no frame moves and none is unacked: at
+        most ``MAX_DELIVERIES`` ack timeouts, each rounded up to whole ticks."""
+        for node in self.nodes:
+            node.link_up = True
         per_timeout = math.ceil(msgbus.ACK_TIMEOUT_S / self.spec.tick_s) + 1  # clock rounding
         for _ in range(msgbus.MAX_DELIVERIES * per_timeout + 1):
             t = self.clock.now()
-            active = 0
-            for node in self.nodes:
-                if node.ensure_connected():
-                    node._drain_commands(t)
-                    active += node.edge.flush()
+            sent = sum(node.send(t) for node in self.nodes if node.attach(t))
             handled = self.platform.step(t)
             self.broker.redeliver_pending(t)
             self.clock.advance(self.spec.tick_s)
-            if active == 0 and handled == 0 and not self.platform.session.pending:
+            if sent == 0 and handled == 0 and not self.platform.session.pending:
                 break
 
     def _apply_faults(self, t: float) -> None:
@@ -735,9 +735,12 @@ class World:
         return (not missing, f"no incident for {', '.join(missing)}" if missing else "")
 
     def _flush_within(self, a: Assertion) -> tuple[bool, str]:
+        """By default every node that had an outage or flushed a backlog."""
         flushed = self.report.flush_complete
-        bad = [n for n in a.nodes or list(flushed)
-               if flushed.get(n, float("inf")) > a.seconds]
+        outage = [self.nodes[i].node_id for f in self.spec.faults
+                  if f.kind == "uplink_outage" for i in f.nodes]
+        bad = [n for n in a.nodes or dict.fromkeys([*flushed, *outage])
+               if flushed.get(n, math.inf) > a.seconds]
         return (not bad, f"slow flush: {bad}")
 
 

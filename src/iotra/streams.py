@@ -9,6 +9,8 @@ time, so any node may have several inputs; ``merge`` only tags each item
 with ``merged_from``. Windows run on event time with a watermark
 trailing the newest timestamp by a fixed allowed lateness; readings
 older than any window they could still join are dropped and counted.
+A window that holds no reading emits nothing, ``count`` included, as
+``tsdb.downsample`` omits an empty bucket; a gap costs one step.
 
 Streams carry numbers, a bool as 1.0 or 0.0: a reading whose value is a
 string or a ``t:`` timestamp matches no source and moves no watermark.
@@ -97,6 +99,11 @@ class _WindowState:
         return True
 
     def flush(self, watermark: float, channel: str) -> list[Item]:
+        """An item for each window that closes by ``watermark`` and holds an
+        entry; an empty window, of any aggregate, emits nothing. Past an
+        empty window the boundary moves straight to the first one on the
+        grid whose window can hold the oldest entry still to come, or past
+        the watermark, so a gap costs one step however long it is."""
         out: list[Item] = []
         if self.next_boundary is None:
             return out
@@ -113,17 +120,21 @@ class _WindowState:
                               "count": len(vals)},
                     )
                 )
-            elif self.agg == "count":
-                out.append(
-                    Item(ts=b, value=0.0, channel=channel,
-                         meta={"bucket_start": b - self.size, "agg": "count",
-                               "count": 0})
-                )
-            self.next_boundary = b + self.slide
+                self.next_boundary = b + self.slide
+            else:  # every entry is older than this window or not older than b
+                oldest = min((ts for ts, _ in self.entries if ts >= b), default=watermark)
+                self.next_boundary = self._boundary_after(b, min(oldest, watermark))
             lo = self.next_boundary - self.size
             while self.entries and self.entries[0][0] < lo:
                 self.entries.popleft()
         return out
+
+    def _boundary_after(self, b: float, ts: float) -> float:
+        """The first boundary ``b + k * slide`` (k >= 1) later than ``ts`` >= b."""
+        k = max(1, int((ts - b) // self.slide))  # at most the answer
+        while b + k * self.slide <= ts:
+            k += 1
+        return b + k * self.slide
 
 
 def _selector_filter(selector: str) -> TopicFilter:

@@ -8,12 +8,14 @@ command on reconnect. This is the only command channel to a device:
 a firmware push, too, is a desired change of the ``firmware`` property,
 acknowledged on the reported topic. Reads never touch the device.
 Both twin messages, the command and the device's report, are encoded
-and decoded only here; one that does not decode raises SchemaInvalid.
+and decoded only here; one that does not decode, or a report whose ts is
+not a finite number, raises SchemaInvalid.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -150,12 +152,16 @@ class TwinService:
         return twin
 
     def apply_reported(self, node_id: str, payload: str, now: float) -> TwinRecord:
-        """``apply_report`` of a reported message; one with no ts is dated ``now``."""
+        """``apply_report`` of a reported message; one with no ts is dated
+        ``now``. A ts that is not finite is SchemaInvalid: last-writer-wins
+        would let an infinite one shadow every later report."""
         try:
             obj = json.loads(payload)
             doc = {k: infomodel.parse_scalar(v) for k, v in obj["doc"].items()}
             ack_version = int(obj.get("ack_version", 0))
             ts = float(obj.get("ts", now))
+            if not math.isfinite(ts):
+                raise ValueError(f"ts {ts} is not finite")
         except _UNDECODABLE as exc:
             raise SchemaInvalid(f"bad reported message: {exc}") from None
         return self.apply_report(node_id, doc, ack_version=ack_version, ts=ts)

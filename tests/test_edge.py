@@ -2,38 +2,36 @@ import random
 
 import pytest
 
-from iotra import edge
+from iotra import edge, msgbus
 from iotra.edge import (
     Actuation,
     ChannelConfig,
-    ChannelState,
     Condition,
     ControlRule,
+    EdgeNode,
     EdgeRule,
+    NodeConfig,
     NonFiniteRaw,
     QueuedFrame,
     RuleEngine,
     UnknownChannelInCondition,
-    UplinkQueue,
-    acquire_sample,
-    flush_uplink,
-    run_local_control,
 )
 from iotra.reading import ChannelKey, Reading
 
 
-def make_state(scale=1.0, offset=0.0, period=1000):
-    return ChannelState(
-        ChannelConfig("temp", "temperature_sensor", sample_period_ms=period,
-                      scale=scale, offset=offset, unit="°F")
-    )
+def make_node(scale=1.0, offset=0.0, sensors=("temp",), control_rules=(), tags=None):
+    return EdgeNode(NodeConfig(
+        "n-1", "temperature_sensor",
+        channels=tuple(ChannelConfig(s, "temperature_sensor", scale=scale, offset=offset,
+                                     unit="°F") for s in sensors),
+        control_rules=tuple(control_rules), tags=dict(tags or {})))
 
 
 # -- acquisition ---------------------------------------------------------
 
 
 def test_identity_calibration():
-    r = acquire_sample(make_state(), "n-1", 512, now=10.0)
+    r = make_node().ingest_raw("temp", 512, now=10.0)
     assert r.value == 512.0
     assert r.ts == 10.0
     assert r.seq == 1
@@ -41,20 +39,22 @@ def test_identity_calibration():
 
 def test_affine_calibration():
     # oracle: 0.1 * 1176 - 40 = 77.6
-    r = acquire_sample(make_state(scale=0.1, offset=-40), "n-1", 1176, now=1.0)
+    r = make_node(scale=0.1, offset=-40).ingest_raw("temp", 1176, now=1.0)
     assert r.value == pytest.approx(0.1 * 1176 - 40)
 
 
 def test_seq_increments():
-    state = make_state()
-    a = acquire_sample(state, "n-1", 1, now=1.0)
-    b = acquire_sample(state, "n-1", 2, now=2.0)
+    node = make_node()
+    a = node.ingest_raw("temp", 1, now=1.0)
+    b = node.ingest_raw("temp", 2, now=2.0)
     assert (a.seq, b.seq) == (1, 2)
 
 
 def test_non_finite_raw_rejected():
+    node = make_node()
     with pytest.raises(NonFiniteRaw):
-        acquire_sample(make_state(), "n-1", float("nan"), now=1.0)
+        node.ingest_raw("temp", float("nan"), now=1.0)
+    assert node.channels["temp"].seq == 0 and not node.uplink
 
 
 def test_config_invariants():
@@ -65,7 +65,7 @@ def test_config_invariants():
 
 
 def test_tags_inherited_from_node():
-    r = acquire_sample(make_state(), "n-1", 1, now=1.0, tags={"zone": "Z3"})
+    r = make_node(tags={"zone": "Z3"}).ingest_raw("temp", 1, now=1.0)
     assert r.tags == {"zone": "Z3"}
 
 
@@ -127,29 +127,39 @@ def test_debounce_matches_replay_oracle_on_random_sequences():
 # -- local control -------------------------------------------------------
 
 
+def controlled(rules, sensors=("temp",), **latest):
+    """A node with ``rules`` whose channels in ``latest`` hold those values."""
+    node = make_node(sensors=sensors, control_rules=rules)
+    for sensor, value in latest.items():
+        node.ingest_raw(sensor, value, now=1.0)
+    return node
+
+
 def test_control_rule_fires_on_snapshot():
     rule = ControlRule("c1", Condition([("temp", ">", 78)]), "fan", "power", "on")
-    assert run_local_control([rule], {"temp": 81.0}) == [
+    assert controlled([rule], temp=81.0).control_step() == [
         Actuation("c1", "fan", "power", "on")
     ]
 
 
 def test_empty_rules():
-    assert run_local_control([], {"temp": 81.0}) == []
+    assert controlled([], temp=81.0).control_step() == []
 
 
 def test_control_is_pure_in_snapshot():
-    # identical inputs give identical outputs regardless of any uplink state
+    # identical snapshots give identical outputs, connected or not
     rule = ControlRule("c1", Condition([("temp", ">", 78)]), "fan", "power", "on")
-    a = run_local_control([rule], {"temp": 81.0})
-    b = run_local_control([rule], {"temp": 81.0})
-    assert a == b
+    online, offline = controlled([rule], temp=81.0), controlled([rule], temp=81.0)
+    online.session = FakeSession()
+    assert online.control_step() == offline.control_step() == offline.control_step()
 
 
 def test_unknown_channel_in_condition():
+    # a rule on a channel that has no sample yet cannot be decided
     rule = ControlRule("c1", Condition([("ghost", ">", 1)]), "fan", "power", "on")
+    node = controlled([rule], sensors=("temp", "ghost"), temp=81.0)
     with pytest.raises(UnknownChannelInCondition):
-        run_local_control([rule], {"temp": 81.0})
+        node.control_step()
 
 
 def test_unknown_channel_in_condition_rejected_when_the_node_is_built():
@@ -168,7 +178,7 @@ def test_a_sample_for_a_channel_the_node_lacks_is_refused():
         channels=[ChannelConfig("temp", "multi_sensor", unit="°F")]))
     with pytest.raises(edge.UnknownChannel, match="tmep"):
         node.ingest_raw("tmep", 1.0, 0.0)
-    assert not node.uplink.pending
+    assert not node.uplink
 
 
 def test_results_ordered_by_rule_id():
@@ -176,7 +186,8 @@ def test_results_ordered_by_rule_id():
         ControlRule("z", Condition([("t", ">", 0)]), "a", "p", 1),
         ControlRule("a", Condition([("t", ">", 0)]), "b", "p", 2),
     ]
-    assert [a.rule_id for a in run_local_control(rules, {"t": 1.0})] == ["a", "z"]
+    node = controlled(rules, sensors=("t",), t=1.0)
+    assert [a.rule_id for a in node.control_step()] == ["a", "z"]
 
 
 def test_condition_combinators():
@@ -208,33 +219,32 @@ class FakeSession:
     def publish(self, topic, payload, qos=0):
         if self.fail_after is not None and len(self.published) >= self.fail_after:
             self.connected = False
-            raise edge.ConnectionLost()
+            raise msgbus.NotConnected()
         self.published.append((topic, payload))
 
 
-def queued(n):
-    q = UplinkQueue()
-    for i in range(n):
-        q.enqueue(QueuedFrame("data/n-1/temp", f"p{i}"))
-    return q
+def queued(n, session):
+    node = make_node()
+    node.uplink.extend(QueuedFrame("data/n-1/temp", f"p{i}") for i in range(n))
+    node.session = session
+    return node
 
 
 def test_flush_all_when_connected():
-    q = queued(3)
-    s = FakeSession()
-    assert flush_uplink(q, s) == 3
-    assert len(q.pending) == 0
+    node = queued(3, FakeSession())
+    assert node.flush() == 3
+    assert len(node.uplink) == 0
 
 
 def test_flush_zero_when_disconnected():
-    q = queued(3)
-    assert flush_uplink(q, FakeSession(connected=False)) == 0
-    assert len(q.pending) == 3
+    node = queued(3, FakeSession(connected=False))
+    assert node.flush() == 0
+    assert len(node.uplink) == 3
 
 
 def test_disconnect_mid_flush_retains_remainder_in_order():
-    q = queued(5)
     s = FakeSession(fail_after=2)
-    assert flush_uplink(q, s) == 2
-    assert [f.payload for f in q.pending] == ["p2", "p3", "p4"]
+    node = queued(5, s)
+    assert node.flush() == 2
+    assert [f.payload for f in node.uplink] == ["p2", "p3", "p4"]
     assert [p for _, p in s.published] == ["p0", "p1"]

@@ -465,6 +465,72 @@ def test_overlapping_outages_keep_a_node_down_until_the_last_ends(tmp_path, monk
     assert 0 <= report.flush_complete["n-000001"] < 1
 
 
+@pytest.mark.parametrize("end", [10.0, None, 9.9])
+def test_an_outage_that_lasts_to_the_end_of_the_run_drains_in_settle(tmp_path, end):
+    # with end 10.0 or omitted, the node used to stay down through the
+    # settle: it stored 10 of 20 readings and flush_within passed unchecked
+    outage = {"kind": "uplink_outage", "nodes": [1], "start": 5}
+    if end is not None:
+        outage["end"] = end
+    doc = one_channel_doc(10.0, [outage], nodes=2)
+    doc["assertions"].append({"check": "flush_within", "seconds": 1.0})
+    report = run_scenario(ScenarioSpec.from_dict(doc), tmp_path)
+    assert report.ok, report.assertions
+    assert report.stored == report.generated == {"n-000001/temp": 20, "n-000002/temp": 20}
+    assert list(report.flush_complete) == ["n-000001"]
+    assert 0 <= report.flush_complete["n-000001"] < 1
+
+
+def test_a_wrapper_set_on_an_edge_after_construction_sees_every_call(tmp_path):
+    # the benchmark shadows ingest_raw and flush per node once the world
+    # is built, and reads the backlog as len(uplink): the harness must look
+    # each one up when it calls it, in the main loop and in the settle
+    doc = one_channel_doc(10.0, [
+        {"kind": "uplink_outage", "nodes": [1], "start": 5},
+        {"kind": "duplicate_replay", "nodes": "all", "params": {"probability": 0.3}}], nodes=2)
+    world = scenario.World(ScenarioSpec.from_dict(doc), tmp_path)
+    ingests, flushes, backlog = [], {n.node_id: [] for n in world.nodes}, []
+    for node in world.nodes:
+        def ingest(*args, _fn=node.edge.ingest_raw, _node=node):
+            reading = _fn(*args)
+            ingests.append(reading)
+            backlog.append((_node.node_id, len(_node.edge.uplink)))
+            return reading
+
+        def flush(_fn=node.edge.flush, _node=node):
+            published = _fn()
+            flushes[_node.node_id].append((world.clock.now(), published))
+            return published
+
+        node.edge.ingest_raw, node.edge.flush = ingest, flush
+    try:
+        report = world.run()
+        ticks = round(world.clock.now() / world.spec.tick_s)
+    finally:
+        world.close()
+    assert report.ok, report.assertions
+    assert len(ingests) == sum(report.generated.values()) == 40
+    assert report.duplicates_injected > 0 and ticks > 100  # the settle ran
+    assert all(len(calls) == ticks for calls in flushes.values())
+    assert sum(n for _, n in flushes["n-000001"]) == 20
+    assert (10.0, 10) in flushes["n-000001"]  # the backlog, sent in the settle
+    assert max(depth for node_id, depth in backlog if node_id == "n-000001") == 10
+
+
+def test_flush_within_checks_an_outage_node_that_never_flushed(tmp_path):
+    # a node quarantined by its flood cannot reconnect after its outage;
+    # flush_within used to check only the nodes that did flush
+    doc = one_channel_doc(10.0, [
+        {"kind": "flood", "nodes": [1], "start": 1, "end": 5, "params": {"rate": 400}},
+        {"kind": "uplink_outage", "nodes": [1], "start": 6, "end": 8}], nodes=2)
+    doc["assertions"] = [{"check": "incident_opened", "node": "n-000001"},
+                         {"check": "flush_within", "seconds": 5.0}]
+    report = run_scenario(ScenarioSpec.from_dict(doc), tmp_path)
+    assert report.flush_complete == {}
+    assert [(a["check"], a["passed"], a["detail"]) for a in report.assertions] == [
+        ("incident_opened", True, ""), ("flush_within", False, "slow flush: ['n-000001']")]
+
+
 def test_overlapping_floods_flood_at_the_largest_active_rate(tmp_path):
     # the narrow flood used to reset the rate to 0 outside its own window
     floods = [{"kind": "flood", "nodes": [1], "start": 0, "end": 10, "params": {"rate": 100}},
@@ -688,7 +754,7 @@ def test_bad_twin_report_is_counted_and_the_run_goes_on(tmp_path):
         node = world.node_by_id("n-000001")
         for payload in ("not json", "[]", '{"doc": {"bogus": "n:1"}}',
                         '{"doc": {"setpoint": "q:1"}}', '{"doc": {"setpoint": "s:x"}}'):
-            node.edge.uplink.enqueue(
+            node.edge.uplink.append(
                 edge.QueuedFrame(twins.reported_topic("n-000001"), payload))
         report = world.run()
     finally:

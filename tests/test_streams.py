@@ -1,4 +1,6 @@
+import math
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -339,18 +341,13 @@ def test_late_reading_dropped_and_counted():
     assert all(e.item.value != 99.0 for e in ems)
 
 
-def test_empty_window_emits_nothing_except_count_zero():
-    avg = Pipeline(window_spec(agg="avg"))
-    avg.process(reading(1.0, 5.0))
-    ems = avg.window_flush(35.0)
-    assert [e.item.ts for e in ems] == [10.0]  # gaps emit nothing
-
-    cnt = Pipeline(window_spec(agg="count"))
-    cnt.process(reading(1.0, 5.0))
-    ems = cnt.window_flush(35.0)
-    assert [(e.item.ts, e.item.value) for e in ems] == [
-        (10.0, 1.0), (20.0, 0.0), (30.0, 0.0)
-    ]
+def test_an_empty_window_emits_nothing_for_any_aggregate():
+    # as tsdb.downsample omits an empty bucket; count used to emit 0.0
+    for agg, value in (("avg", 5.0), ("count", 1.0)):
+        p = Pipeline(window_spec(agg=agg))
+        p.process(reading(1.0, 5.0))
+        ems = p.window_flush(35.0)
+        assert [(e.item.ts, e.item.value) for e in ems] == [(10.0, value)]
 
 
 def test_sliding_window_overlap():
@@ -378,6 +375,49 @@ def test_windows_closing_in_one_step_each_reach_the_map():
     assert [(e.item.ts, e.item.value) for e in ems] == [
         (1.0, 4.0), (2.0, 4.0), (3.0, 4.0), (4.0, 4.0), (5.0, 4.0)
     ]
+
+
+def sparse_window_oracle(samples, size, slide, t_end, agg):
+    """(b, aggregate) for each window [b - size, b) that holds a sample, on
+    the grid of boundaries the first sample fixes, up to ``t_end``. The
+    windows are found from the samples, so a gap between them costs nothing."""
+    first = (samples[0][0] // slide) * slide + slide
+    bounds = set()
+    for ts, _ in samples:
+        k = max(0, math.floor((ts - first) / slide) + 1)  # the first boundary after ts
+        while first + k * slide - size <= ts:
+            bounds.add(first + k * slide)
+            k += 1
+    out = []
+    for b in sorted(b for b in bounds if b <= t_end):
+        vals = [v for ts, v in samples if b - size <= ts < b]
+        out.append((b, sum(vals) / len(vals) if agg == "avg" else float(len(vals))))
+    return out
+
+
+def raise_timeout(signum, frame):
+    raise TimeoutError("the pipeline did not return within its time limit")
+
+
+@pytest.mark.parametrize("agg", ["avg", "count"])
+def test_a_reading_far_ahead_of_the_watermark_returns_promptly(agg):
+    # a 5 s/1 s window fed a reading at 1 s and then one at 1e9 s used to
+    # step through every empty window between them, and count emitted each
+    samples = [(1.0, 2.0), (1.5, 4.0), (1e9, 6.0), (1e9 + 2, 8.0)]
+    p = Pipeline(window_spec(size_ms=5_000, slide_ms=1_000, agg=agg))
+    got = []
+    previous = signal.signal(signal.SIGALRM, raise_timeout)
+    signal.alarm(5)
+    try:
+        for ts, v in samples:
+            got += p.process(reading(ts, v))
+        got += p.window_flush(1e9 + 10)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert [(e.item.ts, e.item.value) for e in got] == sparse_window_oracle(
+        samples, 5.0, 1.0, 1e9 + 10, agg)
+    assert got[0].item.ts == 2.0 and got[-1].item.ts == 1e9 + 7
 
 
 def window_oracle(samples, size, slide, t_end):
@@ -445,7 +485,7 @@ def chain_oracle(readings, pre, size, slide, agg, post, t_end):
     b = (entries[0][0] // slide) * slide + slide
     while b <= t_end:
         vals = [v for ts, v in entries if b - size <= ts < b]
-        if vals or agg == "count":
+        if vals:
             value = sum(vals) / len(vals) if agg == "avg" else float(len(vals))
             if (value := run_ops(post, value)) is not None:
                 out.append((b, value))

@@ -140,6 +140,8 @@ MALFORMED_REPORTS = {
     "scalar_not_text": '{"doc": {"fan_power": ["s", ":"]}}',
     "ack_version_not_an_int": '{"doc": {}, "ack_version": "one"}',
     "ack_version_overflows": '{"doc": {}, "ack_version": 1e400}',
+    "ts_infinite": '{"doc": {"setpoint": "n:68"}, "ts": 1e999}',
+    "ts_nan": '{"doc": {"setpoint": "n:68"}, "ts": NaN}',
 }
 
 
@@ -162,7 +164,7 @@ def test_a_run_counts_each_undecodable_reported_message_as_schema_invalid(tmp_pa
     try:
         uplink = world.node_by_id("n-000001").edge.uplink
         for payload in MALFORMED_REPORTS.values():
-            uplink.enqueue(edge.QueuedFrame(reported_topic("n-000001"), payload))
+            uplink.append(edge.QueuedFrame(reported_topic("n-000001"), payload))
         report = world.run()
     finally:
         world.close()
